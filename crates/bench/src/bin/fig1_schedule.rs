@@ -10,22 +10,28 @@
 //! call achieved.
 
 use fpart_bench::runner::Workload;
-use fpart_core::{partition_traced, FpartConfig, TraceEvent};
+use fpart_core::{partition_observed, FpartConfig, Metrics, Observer, Trace, TraceEvent};
 use fpart_device::Device;
 use fpart_hypergraph::gen::find_profile;
 
 fn main() {
     let profile = find_profile("s5378").expect("known circuit");
     let workload = Workload::new(profile, Device::XC3020);
-    let outcome =
-        partition_traced(&workload.graph, workload.constraints, &FpartConfig::default(), true)
-            .expect("s5378 partitions");
+    let mut trace = Trace::enabled();
+    let mut obs = Observer::new(Metrics::disabled(), Some(&mut trace));
+    let outcome = partition_observed(
+        &workload.graph,
+        workload.constraints,
+        &FpartConfig::default(),
+        &mut obs,
+    )
+    .expect("s5378 partitions");
 
     println!(
         "Figure 1: improvement-pass schedule for {} on XC3020 (M = {}, final k = {})\n",
         workload.circuit, workload.lower_bound, outcome.device_count
     );
-    for event in outcome.trace.events() {
+    for event in trace.events() {
         match event {
             TraceEvent::IterationStart { iteration, remainder_size, remainder_terminals } => {
                 println!(

@@ -13,15 +13,16 @@
 //!    percentage is the single-thread pass-component gain attributable
 //!    to incremental key maintenance.
 //! 3. **Thread sweep** — wall time of multi-run `bipartition_fm` and of
-//!    driver-level `partition_restarts` at 1/2/4/8 threads. Results are
+//!    the flat restart `search` at 1/2/4/8 threads. Results are
 //!    bit-identical across the sweep (asserted); only wall time varies.
 //!    `available_parallelism` is recorded because speedup is bounded by
 //!    the machine: a single-core container shows ~1.0×.
 //! 4. **Engine counters** — the internal `Metrics` registry of one
-//!    observed `partition_restarts` search (passes, applied/reverted
-//!    moves, gain-bucket pops, key evaluations, per-`ImproveKind` wall
-//!    time), plus the metered-vs-unmetered wall-time ratio, so the
-//!    "zero overhead when disabled" claim stays measurable over time.
+//!    observed flat restart search (passes, applied/reverted moves,
+//!    gain-bucket pops, key evaluations, per-`ImproveKind` wall time),
+//!    plus the wall-time ratio of the same search observed through an
+//!    enabled vs a disabled registry, so the "zero overhead when
+//!    disabled" claim stays measurable over time.
 //! 5. **Execution control** — completion status and budget counters of a
 //!    deadline-bounded search and of a panic-injected restart search, so
 //!    graceful degradation and panic isolation stay measurable, plus the
@@ -92,13 +93,32 @@ use fpart_core::cost::CostEvaluator;
 use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::server::protocol;
 use fpart_core::{
-    improve, partition_multilevel_observed, partition_restarts, partition_restarts_observed,
+    improve, partition_multilevel_observed, search, Algorithm, Checkpoint, CheckpointWriter,
     Counter, FaultPlan, FpartConfig, ImproveContext, Json, KeyTracker, Metrics, MultilevelConfig,
-    Observer, PartitionState, RunBudget, Server, ServerConfig, SpanKind,
+    Observer, PartitionState, Restarts, RestartsReport, RunBudget, Server, ServerConfig, SpanKind,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{find_profile, rent_circuit, synthesize_mcnc, RentConfig, Technology};
 use fpart_hypergraph::NodeId;
+
+/// The restart search over `algorithm`: `restarts` restarts on
+/// `threads` workers, recording into `metrics` (enabled or not), with an
+/// optional checkpoint to resume and writer to stream snapshots to.
+fn run_search(
+    graph: &fpart_hypergraph::Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    algorithm: Algorithm<'_>,
+    shape: Restarts<'_>,
+    metrics: Metrics,
+) -> Result<RestartsReport, fpart_core::PartitionError> {
+    search(graph, constraints, config, algorithm, &shape, &mut Observer::new(metrics, None))
+}
+
+/// `restarts` restarts on `threads` workers, no checkpoints.
+fn shape(restarts: usize, threads: usize) -> Restarts<'static> {
+    Restarts { count: restarts, threads, ..Restarts::default() }
+}
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_pr10.json".to_owned());
@@ -248,18 +268,19 @@ fn main() {
         assert_eq!(*reference_cut.get_or_insert(bp.cut), bp.cut, "thread sweep diverged");
 
         let start = Instant::now();
-        let outcome = partition_restarts(
+        let report = run_search(
             &graph,
-            DeviceConstraints::new(constraints.s_max, constraints.t_max),
+            constraints,
             &config,
-            4,
-            threads,
+            Algorithm::Flat,
+            shape(4, threads),
+            Metrics::disabled(),
         );
         let restart_secs = start.elapsed().as_secs_f64();
-        let devices = outcome.map_or(0, |o| o.device_count);
+        let devices = report.map_or(0, |r| r.outcome.device_count);
         println!(
             "threads={threads}: bipartition_fm(runs=8) {bp_secs:.3}s, \
-             partition_restarts(4) {restart_secs:.3}s ({devices} devices)"
+             4-restart search {restart_secs:.3}s ({devices} devices)"
         );
         sweep.push(format!(
             "    {{\"threads\": {threads}, \"bipartition_runs8_seconds\": {bp_secs:.4}, \
@@ -269,9 +290,10 @@ fn main() {
     let _ = writeln!(json, "  \"thread_sweep\": [\n{}\n  ],", sweep.join(",\n"));
 
     // 4. Engine counters of one observed restart search, and the wall
-    //    time of the identical unobserved search on the same workload —
-    //    the ratio bounds what full metering (counters, timers, and the
-    //    span profiler) costs end to end. Each run is ~170 ms while the
+    //    time of the identical search observed through a disabled
+    //    registry on the same workload — the ratio bounds what full
+    //    metering (counters, timers, and the span profiler) costs end to
+    //    end. Each run is ~170 ms while the
     //    instrumentation itself is microseconds, so the estimator has to
     //    beat scheduler noise, not the metering: after a warmup of each
     //    side, the sides are interleaved (cache/frequency drift hits
@@ -283,19 +305,20 @@ fn main() {
     let mut unmetered_secs = f64::INFINITY;
     let mut metered_secs = f64::INFINITY;
     let mut pair_ratios = Vec::with_capacity(metering_reps);
-    let unmetered = partition_restarts(&graph, constraints, &config, 2, 1).expect("partitions");
-    let report =
-        partition_restarts_observed(&graph, constraints, &config, 2, 1).expect("partitions");
+    let flat_search = |config: &FpartConfig, metrics: Metrics| {
+        run_search(&graph, constraints, config, Algorithm::Flat, shape(2, 1), metrics)
+    };
+    let unmetered = flat_search(&config, Metrics::disabled()).expect("partitions").outcome;
+    let report = flat_search(&config, Metrics::enabled()).expect("partitions");
     for _ in 0..metering_reps {
         let start = Instant::now();
-        let run = partition_restarts(&graph, constraints, &config, 2, 1).expect("partitions");
+        let run = flat_search(&config, Metrics::disabled()).expect("partitions").outcome;
         let u = start.elapsed().as_secs_f64();
         unmetered_secs = unmetered_secs.min(u);
         assert_eq!(run.assignment, unmetered.assignment, "unmetered rep diverged");
 
         let start = Instant::now();
-        let run =
-            partition_restarts_observed(&graph, constraints, &config, 2, 1).expect("partitions");
+        let run = flat_search(&config, Metrics::enabled()).expect("partitions");
         let m = start.elapsed().as_secs_f64();
         metered_secs = metered_secs.min(m);
         assert_eq!(run.outcome.assignment, report.outcome.assignment, "metered rep diverged");
@@ -327,8 +350,7 @@ fn main() {
         budget: RunBudget { max_passes: Some(u64::MAX), ..RunBudget::default() },
         ..FpartConfig::default()
     };
-    let budgeted =
-        partition_restarts(&graph, constraints, &unlimited_budget, 2, 1).expect("partitions");
+    let budgeted = flat_search(&unlimited_budget, Metrics::disabled()).expect("partitions").outcome;
     let budgeted_secs = start.elapsed().as_secs_f64();
     assert_eq!(budgeted.assignment, unmetered.assignment, "budget checks changed the result");
     let budget_overhead_pct = (budgeted_secs / unmetered_secs - 1.0) * 100.0;
@@ -341,8 +363,8 @@ fn main() {
         ..FpartConfig::default()
     };
     let start = Instant::now();
-    let deadline_report = partition_restarts_observed(&graph, constraints, &deadline_config, 2, 1)
-        .expect("degrades instead of failing");
+    let deadline_report =
+        flat_search(&deadline_config, Metrics::enabled()).expect("degrades instead of failing");
     let deadline_secs = start.elapsed().as_secs_f64();
 
     std::panic::set_hook(Box::new(|_| {})); // injected panic below is expected
@@ -350,8 +372,7 @@ fn main() {
         fault_plan: Some(FaultPlan::panic_at(1, "smoke fault").for_only_restart(0)),
         ..FpartConfig::default()
     };
-    let fault_report = partition_restarts_observed(&graph, constraints, &fault_config, 2, 1)
-        .expect("survivor wins");
+    let fault_report = flat_search(&fault_config, Metrics::enabled()).expect("survivor wins");
     let _ = std::panic::take_hook();
 
     println!(
@@ -650,37 +671,24 @@ fn main() {
     let ckpt_path =
         std::env::temp_dir().join(format!("fpart-smoke-durability-{}.ckpt", std::process::id()));
     let durable_restarts = 3;
-    let fp = fpart_core::fingerprint_run(
-        &rent,
-        rent_constraints,
-        &config,
-        Some(&ml_config),
-        durable_restarts,
-    );
-    let run_durable = |writer: Option<&fpart_core::CheckpointWriter>,
-                       resume: Option<&fpart_core::Checkpoint>| {
-        fpart_core::partition_restarts_durable(
+    // Both sides record metrics: a checkpoint writer needs every
+    // restart's counters, so the baseline pays for them too.
+    let run_durable = |writer: Option<&CheckpointWriter>, resume: Option<&Checkpoint>| {
+        run_search(
             &rent,
             rent_constraints,
             &config,
-            Some(&ml_config),
-            durable_restarts,
-            1,
-            fp,
-            resume,
-            writer,
+            Algorithm::Multilevel(&ml_config),
+            Restarts { count: durable_restarts, threads: 1, resume, writer },
+            Metrics::enabled(),
         )
         .expect("durable search succeeds")
     };
     // The CLI's default throttle (1s): on a single-core machine every
     // serialized write competes with the search for the one CPU, so the
     // interval is part of the claim being measured.
-    let spawn_writer = || {
-        fpart_core::CheckpointWriter::spawn(
-            ckpt_path.clone(),
-            std::time::Duration::from_millis(1000),
-        )
-    };
+    let spawn_writer =
+        || CheckpointWriter::spawn(ckpt_path.clone(), std::time::Duration::from_millis(1000));
     // Warm both sides before timing anything.
     let durable_baseline = run_durable(None, None);
     let writer = spawn_writer();
@@ -872,15 +880,16 @@ fn main() {
     let run_memo = |graph: &fpart_hypergraph::Hypergraph,
                     store: Option<std::sync::Arc<fpart_core::MemoStore>>| {
         let ml = MultilevelConfig { memo: store, ..MultilevelConfig::default() };
-        fpart_core::partition_multilevel_restarts(
+        run_search(
             graph,
             rent_constraints,
             &config,
-            &ml,
-            memo_restarts,
-            1,
+            Algorithm::Multilevel(&ml),
+            shape(memo_restarts, 1),
+            Metrics::disabled(),
         )
         .expect("memo bench run succeeds")
+        .outcome
     };
     let memo_baseline = run_memo(&rent, None);
     let memo_reps = 7;

@@ -6,8 +6,9 @@ use std::io::Write as _;
 
 use fpart_baselines::{fbb_mw_partition, first_fit_partition, kway_partition, FlowConfig};
 use fpart_core::{
-    partition_observed, CancelToken, Completion, Counter, EventSink, FailedRestart, FanoutSink,
-    FpartConfig, JsonlSink, Metrics, Observer, QualityReport, RunBudget, Trace, TraceEvent,
+    search, Algorithm, CancelToken, Completion, Counter, EventSink, FanoutSink, FpartConfig,
+    JsonlSink, Metrics, Observer, QualityReport, Restarts, RestartsReport, RunBudget, Trace,
+    TraceEvent,
 };
 use fpart_device::{lower_bound, Device, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -182,12 +183,11 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
     let mut completion = Completion::Complete;
     let method = if multilevel { "multilevel" } else { method };
     let (assignment, device_count, feasible, cut) = match method {
-        "fpart" => {
-            let outcome = run_fpart(&graph, constraints, &args, restarts, threads, budget)?;
-            if args.switch("trace") {
-                print_trace(&outcome.trace);
-            }
-            completion = outcome.completion;
+        "fpart" | "multilevel" => {
+            let report =
+                run_engine(&graph, constraints, &args, restarts, threads, budget, multilevel)?;
+            completion = report.completion;
+            let outcome = report.outcome;
             println!("{}", QualityReport::new(&outcome, constraints));
             (outcome.assignment, outcome.device_count, outcome.feasible, outcome.cut)
         }
@@ -204,12 +204,6 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
         "naive" => {
             let o = first_fit_partition(&graph, constraints);
             (o.assignment, o.device_count, o.feasible, o.cut)
-        }
-        "multilevel" => {
-            let outcome = run_multilevel(&graph, constraints, &args, restarts, threads, budget)?;
-            completion = outcome.completion;
-            println!("{}", QualityReport::new(&outcome, constraints));
-            (outcome.assignment, outcome.device_count, outcome.feasible, outcome.cut)
         }
         "direct" => {
             let o = fpart_core::partition_direct(
@@ -261,158 +255,53 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs `--method fpart` with whatever observability the flags request:
+/// Runs `--method fpart`, or the n-level V-cycle with `multilevel`,
+/// through the one restart search with whatever the flags request:
 /// `--trace` (in-memory trace, printed afterwards), `--trace-json FILE`
-/// (streamed JSON Lines), `--metrics FILE` (aggregated counter/timing
-/// registry), `--trace-chrome FILE` (span profile as a Chrome trace
-/// array), `--progress` (throttled heartbeat lines on stderr). All
-/// combinations share the same engine entry points, so the partition
-/// itself is bit-identical whichever flags are given.
-#[allow(clippy::too_many_lines)]
-fn run_fpart(
+/// (streamed JSON Lines), `--progress` (throttled heartbeat lines on
+/// stderr), `--metrics FILE` (aggregated counter/timing registry),
+/// `--trace-chrome FILE` (span profile as a Chrome trace array), and
+/// `--checkpoint`/`--resume`. The partition itself is bit-identical
+/// whichever flags are given.
+fn run_engine(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     args: &Args,
     restarts: usize,
     threads: usize,
     budget: RunBudget,
-) -> Result<fpart_core::PartitionOutcome, CliError> {
-    let config = FpartConfig { budget, ..FpartConfig::default() };
+    multilevel: bool,
+) -> Result<RestartsReport, CliError> {
     let metrics_path = args.option("metrics");
     let trace_json_path = args.option("trace-json");
     let chrome_path = args.option("trace-chrome");
     let progress = args.switch("progress");
-    let want_events = args.switch("trace") || trace_json_path.is_some() || progress;
-    if want_events && restarts > 1 {
+    if multilevel && args.switch("trace") {
+        return Err(CliError::Usage(
+            "--trace/--trace-json are not available with --multilevel".into(),
+        ));
+    }
+    if (args.switch("trace") || trace_json_path.is_some() || progress) && restarts > 1 {
         return Err(CliError::Usage(
             "--trace/--trace-json/--progress need --restarts 1 (traces are per-run)".into(),
         ));
     }
-    // Spans ride in the metrics registry, so a chrome trace needs
-    // metered runs even when no --metrics file was asked for.
-    let want_metrics = metrics_path.is_some() || chrome_path.is_some();
     let started = std::time::Instant::now();
+    let config = FpartConfig { budget, ..FpartConfig::default() };
+    let ml = if multilevel { Some(multilevel_config(args)?) } else { None };
+    let algorithm = ml.as_ref().map_or(Algorithm::Flat, Algorithm::Multilevel);
 
-    // The aggregate written to --metrics: totals plus per-restart parts,
-    // the search's completion status, and restarts lost to panics.
-    let mut aggregate: Option<(Metrics, Vec<Metrics>, Completion, Vec<FailedRestart>)> = None;
-
-    let durable = args.option("checkpoint").is_some() || args.option("resume").is_some();
-    let outcome = if durable {
-        let report = run_durable(graph, constraints, &config, None, args, restarts, threads)?;
-        let outcome = report.outcome;
-        if want_metrics {
-            aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        }
-        outcome
-    } else if want_events {
-        // Single observed run with the requested event sinks fanned out.
-        let mut trace = Trace::enabled();
-        let mut jsonl = match trace_json_path {
-            Some(path) => Some(JsonlSink::new(EventOut::open(path)?)),
-            None => None,
-        };
-        let mut progress_sink = progress.then_some(ProgressPrinter);
-        let result = {
-            let mut sinks: Vec<&mut dyn EventSink> = vec![&mut trace];
-            if let Some(sink) = jsonl.as_mut() {
-                sinks.push(sink);
-            }
-            if let Some(sink) = progress_sink.as_mut() {
-                sinks.push(sink);
-            }
-            let mut fanout = FanoutSink::new(sinks);
-            // Heartbeats report the pass counter, so --progress needs a
-            // live registry even when no metrics output was requested.
-            let metrics =
-                if want_metrics || progress { Metrics::enabled() } else { Metrics::disabled() };
-            let mut obs = Observer::new(metrics, Some(&mut fanout));
-            if progress {
-                obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
-            }
-            let result = partition_observed(graph, constraints, &config, &mut obs);
-            result.map(|outcome| (outcome, obs.metrics.clone()))
-        };
-        let (mut outcome, mut metrics) = result.map_err(|e| CliError::Runtime(e.to_string()))?;
-        if let Some(sink) = jsonl {
-            let path = trace_json_path.expect("jsonl implies a path");
-            let lines = sink.lines();
-            sink.into_inner()
-                .finish()
-                .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-            eprintln!("trace: {lines} events written to {}", dest_name(path));
-        }
-        if want_metrics {
-            // Mirror partition_restarts_observed's per-restart shape for
-            // a single run, Runs count included.
-            metrics.bump(Counter::Runs);
-            aggregate = Some((metrics.clone(), vec![metrics], outcome.completion, Vec::new()));
-        }
-        outcome.trace = trace;
-        outcome
-    } else if want_metrics {
-        let report =
-            fpart_core::partition_restarts_observed(graph, constraints, &config, restarts, threads)
-                .map_err(|e| CliError::Runtime(e.to_string()))?;
-        aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::partition_restarts(graph, constraints, &config, restarts, threads)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        fpart_core::partition(graph, constraints, &config)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    };
-
-    if want_metrics {
-        let (totals, per_restart, completion, failed) =
-            aggregate.expect("metrics aggregate recorded above");
-        if let Some(path) = metrics_path {
-            let quality = QualityReport::new(&outcome, constraints);
-            write_metrics_file(
-                path,
-                restarts,
-                threads,
-                started.elapsed(),
-                &totals,
-                &per_restart,
-                completion,
-                &failed,
-                &quality,
-            )
-            .map_err(CliError::Runtime)?;
-            eprintln!("metrics written to {}", dest_name(path));
-        }
-        if let Some(path) = chrome_path {
-            write_chrome_trace(path, &totals)?;
-        }
-    }
-    Ok(outcome)
-}
-
-/// Runs the restart search durably (`--checkpoint` / `--resume`).
-///
-/// The run is fingerprinted (netlist structure, device, configuration,
-/// restart count) so a resume snapshot from a *different* run is
-/// rejected up front. `--resume` restores completed restarts from the
-/// checkpoint and runs only the missing indices; `--checkpoint` streams
-/// snapshots to a dedicated writer thread (atomic temp-file + rename,
-/// throttled by `--checkpoint-interval-ms`). The merged result is
-/// bit-identical to an uninterrupted run at any thread count.
-fn run_durable(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: Option<&fpart_core::MultilevelConfig>,
-    args: &Args,
-    restarts: usize,
-    threads: usize,
-) -> Result<fpart_core::RestartsReport, CliError> {
-    let fingerprint = fpart_core::fingerprint_run(graph, constraints, config, ml, restarts);
+    // `--resume` restores completed restarts from a checkpoint of this
+    // very run (netlist, device, configuration, restart count), so a
+    // snapshot of a *different* run is rejected up front; `--checkpoint`
+    // streams snapshots to a writer thread (atomic temp-file + rename,
+    // throttled by `--checkpoint-interval-ms`).
     let resume = match args.option("resume") {
         Some(path) => {
             let checkpoint = fpart_core::read_checkpoint(Path::new(path))
                 .map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+            let fingerprint =
+                fpart_core::fingerprint_run(graph, constraints, &config, ml.as_ref(), restarts);
             checkpoint.verify(fingerprint).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
             eprintln!(
                 "resume: {} of {restarts} restarts restored from {path}",
@@ -422,26 +311,48 @@ fn run_durable(
         }
         None => None,
     };
-    let interval: u64 =
-        args.option_parsed("checkpoint-interval-ms", 1000).map_err(CliError::Usage)?;
-    let writer = args.option("checkpoint").map(|path| {
-        fpart_core::CheckpointWriter::spawn(
-            std::path::PathBuf::from(path),
-            std::time::Duration::from_millis(interval),
-        )
-    });
-    let mut report = fpart_core::partition_restarts_durable(
-        graph,
-        constraints,
-        config,
-        ml,
-        restarts,
-        threads,
-        fingerprint,
-        resume.as_ref(),
-        writer.as_ref(),
-    )
-    .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let writer = match args.option("checkpoint") {
+        Some(path) => {
+            let interval: u64 =
+                args.option_parsed("checkpoint-interval-ms", 1000).map_err(CliError::Usage)?;
+            Some(fpart_core::CheckpointWriter::spawn(
+                std::path::PathBuf::from(path),
+                std::time::Duration::from_millis(interval),
+            ))
+        }
+        None => None,
+    };
+
+    let mut trace = args.switch("trace").then(Trace::enabled);
+    let mut jsonl = trace_json_path.map(EventOut::open).transpose()?.map(JsonlSink::new);
+    let mut progress_sink = progress.then_some(ProgressPrinter);
+    let result = {
+        let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
+        if let Some(sink) = trace.as_mut() {
+            sinks.push(sink);
+        }
+        if let Some(sink) = jsonl.as_mut() {
+            sinks.push(sink);
+        }
+        if let Some(sink) = progress_sink.as_mut() {
+            sinks.push(sink);
+        }
+        let mut fanout = FanoutSink::new(sinks);
+        // Spans ride in the metrics registry, so a chrome trace needs a
+        // live registry; so does --progress, whose heartbeats report
+        // the pass counter.
+        let metered = metrics_path.is_some() || chrome_path.is_some() || progress;
+        let metrics = if metered { Metrics::enabled() } else { Metrics::disabled() };
+        let mut obs = Observer::new(metrics, Some(&mut fanout));
+        if progress {
+            obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
+        }
+        let shape =
+            Restarts { count: restarts, threads, resume: resume.as_ref(), writer: writer.as_ref() };
+        search(graph, constraints, &config, algorithm, &shape, &mut obs)
+    };
+    let mut report = result.map_err(|e| CliError::Runtime(e.to_string()))?;
+
     if let Some(writer) = writer {
         let path = writer.path().display().to_string();
         let writes = writer
@@ -449,13 +360,66 @@ fn run_durable(
             .map_err(|e| CliError::Runtime(format!("cannot write checkpoint {path}: {e}")))?;
         // The writer thread sits outside the restart fan-out; book its
         // writes on restart 0 so totals stay the per-restart sum.
-        report.totals.add(Counter::CheckpointsWritten, writes);
-        if let Some(first) = report.per_restart.first_mut() {
-            first.add(Counter::CheckpointsWritten, writes);
-        }
+        book_on_first_restart(&mut report, Counter::CheckpointsWritten, writes);
         eprintln!("checkpoint: {writes} snapshots written to {path}");
     }
+    if let Some(sink) = jsonl {
+        let path = trace_json_path.expect("jsonl implies a path");
+        let lines = sink.lines();
+        sink.into_inner()
+            .finish()
+            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        eprintln!("trace: {lines} events written to {}", dest_name(path));
+    }
+    if let Some(path) = metrics_path {
+        let quality = QualityReport::new(&report.outcome, constraints);
+        write_metrics_file(path, restarts, threads, started.elapsed(), &report, &quality)
+            .map_err(CliError::Runtime)?;
+        eprintln!("metrics written to {}", dest_name(path));
+    }
+    if let Some(path) = chrome_path {
+        write_chrome_trace(path, &report.totals)?;
+    }
+    if let Some(trace) = &trace {
+        print_trace(trace);
+    }
     Ok(report)
+}
+
+/// The n-level options of `--multilevel`: `--coarsen-floor`,
+/// `--max-memory-mb` (caps the estimated bytes of the coarsening
+/// hierarchy only: coarsening stops early and the run completes
+/// `degraded`) and `--cache` (a fingerprint-keyed memo store; results
+/// are bit-identical with or without it, and the server is where it
+/// pays off across requests).
+fn multilevel_config(args: &Args) -> Result<fpart_core::MultilevelConfig, CliError> {
+    let coarsen_floor: usize = args.option_parsed("coarsen-floor", 256).map_err(CliError::Usage)?;
+    if coarsen_floor < 2 {
+        return Err(CliError::Usage("--coarsen-floor must be at least 2".into()));
+    }
+    let max_memory_mb: Option<u64> = args
+        .option("max-memory-mb")
+        .map(|v| v.parse().map_err(|_| format!("option --max-memory-mb: cannot parse `{v}`")))
+        .transpose()
+        .map_err(CliError::Usage)?;
+    let memory = max_memory_mb.map_or_else(fpart_core::MemoryBudget::default, |mb| {
+        fpart_core::MemoryBudget::capped(mb.saturating_mul(1024 * 1024))
+    });
+    Ok(fpart_core::MultilevelConfig {
+        coarsen_floor,
+        memory,
+        memo: args.switch("cache").then(fpart_core::MemoStore::shared),
+        ..fpart_core::MultilevelConfig::default()
+    })
+}
+
+/// Adds `n` to `counter` on the totals and on restart 0 (counts booked
+/// outside the restart fan-out keep totals the per-restart sum).
+fn book_on_first_restart(report: &mut RestartsReport, counter: Counter, n: u64) {
+    report.totals.add(counter, n);
+    if let Some(first) = report.per_restart.first_mut() {
+        first.add(counter, n);
+    }
 }
 
 /// Heartbeat throttle for `--progress`: at most one line per interval.
@@ -569,145 +533,6 @@ impl EventSink for ProgressPrinter {
     }
 }
 
-/// Runs the n-level multilevel mode (`--multilevel` /
-/// `--method multilevel`): coarsen to `--coarsen-floor`, FPART on the
-/// coarsest hypergraph, boundary-only FM at every uncoarsening level.
-/// Shares the flat engine's restarts/threads/budget/metrics plumbing;
-/// event traces are per-pass and not supported here.
-fn run_multilevel(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    args: &Args,
-    restarts: usize,
-    threads: usize,
-    budget: RunBudget,
-) -> Result<fpart_core::PartitionOutcome, CliError> {
-    if args.switch("trace") || args.option("trace-json").is_some() {
-        return Err(CliError::Usage(
-            "--trace/--trace-json are not available with --multilevel".into(),
-        ));
-    }
-    let coarsen_floor: usize = args.option_parsed("coarsen-floor", 256).map_err(CliError::Usage)?;
-    if coarsen_floor < 2 {
-        return Err(CliError::Usage("--coarsen-floor must be at least 2".into()));
-    }
-    let config = FpartConfig { budget, ..FpartConfig::default() };
-    // `--max-memory-mb` caps the estimated bytes held by the coarsening
-    // hierarchy: coarsening stops early and the run completes
-    // `degraded` instead of exhausting memory.
-    let max_memory_mb: Option<u64> = args
-        .option("max-memory-mb")
-        .map(|v| v.parse().map_err(|_| format!("option --max-memory-mb: cannot parse `{v}`")))
-        .transpose()
-        .map_err(CliError::Usage)?;
-    let memory = max_memory_mb.map_or_else(fpart_core::MemoryBudget::default, |mb| {
-        fpart_core::MemoryBudget::capped(mb.saturating_mul(1024 * 1024))
-    });
-    // `--threads` is the total worker budget. The restart wrappers split
-    // it themselves; the single-run path below hands the whole budget to
-    // the V-cycle's intra-run stages (the field is overridden by the
-    // wrappers, so setting it here is only visible to that path).
-    // `--cache` wires a fingerprint-keyed memo store into the run.
-    // Within one process it lets identical restarts share coarsening
-    // work; results are bit-identical with or without it. (The server
-    // is where the store pays off across requests — it defaults on
-    // there.)
-    let memo = args.switch("cache").then(fpart_core::MemoStore::shared);
-    let ml = fpart_core::MultilevelConfig {
-        coarsen_floor,
-        threads,
-        memory,
-        memo,
-        ..fpart_core::MultilevelConfig::default()
-    };
-    let metrics_path = args.option("metrics");
-    let chrome_path = args.option("trace-chrome");
-    let progress = args.switch("progress");
-    let want_metrics = metrics_path.is_some() || chrome_path.is_some();
-    let started = std::time::Instant::now();
-
-    // The aggregate shared by --metrics and --trace-chrome (spans ride
-    // in the metrics registry).
-    let mut aggregate: Option<(Metrics, Vec<Metrics>, Completion, Vec<FailedRestart>)> = None;
-
-    let durable = args.option("checkpoint").is_some() || args.option("resume").is_some();
-    let outcome = if durable {
-        let report = run_durable(graph, constraints, &config, Some(&ml), args, restarts, threads)?;
-        let outcome = report.outcome;
-        if want_metrics {
-            aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        }
-        outcome
-    } else if progress {
-        // Single observed run so heartbeat events have a live sink.
-        let mut sink = ProgressPrinter;
-        // Heartbeats report the pass counter, so --progress needs a
-        // live registry even when no metrics output was requested.
-        let metrics = Metrics::enabled();
-        let mut obs = Observer::new(metrics, Some(&mut sink));
-        obs.heartbeat = fpart_core::Heartbeat::every(PROGRESS_INTERVAL);
-        let result =
-            fpart_core::partition_multilevel_observed(graph, constraints, &config, &ml, &mut obs);
-        let mut metrics = obs.metrics;
-        let outcome = result.map_err(|e| CliError::Runtime(e.to_string()))?;
-        if want_metrics {
-            metrics.bump(Counter::Runs);
-            aggregate = Some((metrics.clone(), vec![metrics], outcome.completion, Vec::new()));
-        }
-        outcome
-    } else if want_metrics {
-        let report = fpart_core::partition_multilevel_restarts_observed(
-            graph,
-            constraints,
-            &config,
-            &ml,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-        aggregate = Some((report.totals, report.per_restart, report.completion, report.failed));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::partition_multilevel_restarts(
-            graph,
-            constraints,
-            &config,
-            &ml,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        fpart_core::partition_multilevel(graph, constraints, &config, &ml)
-            .map_err(|e| CliError::Runtime(e.to_string()))?
-    };
-
-    if want_metrics {
-        let (totals, per_restart, completion, failed) =
-            aggregate.expect("metrics aggregate recorded above");
-        if let Some(path) = metrics_path {
-            let quality = QualityReport::new(&outcome, constraints);
-            write_metrics_file(
-                path,
-                restarts,
-                threads,
-                started.elapsed(),
-                &totals,
-                &per_restart,
-                completion,
-                &failed,
-                &quality,
-            )
-            .map_err(CliError::Runtime)?;
-            eprintln!("metrics written to {}", dest_name(path));
-        }
-        if let Some(path) = chrome_path {
-            write_chrome_trace(path, &totals)?;
-        }
-    }
-    Ok(outcome)
-}
-
 /// Writes the `--metrics` document: a single JSON object with
 /// `schema_version`, the run shape (`restarts`, `threads`), the CLI's
 /// wall time in `elapsed_ms` (the denominator `fpart report` uses for
@@ -716,16 +541,12 @@ fn run_multilevel(
 /// each restart's registry under `per_restart` (counter totals equal
 /// the per-restart sums), and the winning partition's `quality` report.
 /// `path` `-` writes to stdout.
-#[allow(clippy::too_many_arguments)]
 fn write_metrics_file(
     path: &str,
     restarts: usize,
     threads: usize,
     elapsed: std::time::Duration,
-    totals: &Metrics,
-    per_restart: &[Metrics],
-    completion: Completion,
-    failed: &[FailedRestart],
+    report: &RestartsReport,
     quality: &QualityReport,
 ) -> Result<(), String> {
     let mut out = String::new();
@@ -735,8 +556,11 @@ fn write_metrics_file(
         fpart_core::SCHEMA_VERSION,
         elapsed.as_millis()
     ));
-    out.push_str(&format!("\"completion\": \"{}\", \"failed_restarts\": [", completion.as_str()));
-    for (i, f) in failed.iter().enumerate() {
+    out.push_str(&format!(
+        "\"completion\": \"{}\", \"failed_restarts\": [",
+        report.completion.as_str()
+    ));
+    for (i, f) in report.failed.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -746,8 +570,8 @@ fn write_metrics_file(
             json_string(&f.message)
         ));
     }
-    out.push_str(&format!("], \"totals\": {}, \"per_restart\": [", totals.to_json()));
-    for (i, m) in per_restart.iter().enumerate() {
+    out.push_str(&format!("], \"totals\": {}, \"per_restart\": [", report.totals.to_json()));
+    for (i, m) in report.per_restart.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -1024,73 +848,44 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
         ..fpart_core::EcoConfig::default()
     };
 
+    let algorithm =
+        Algorithm::Eco { eco: &eco_config, previous: &previous, node_map: &applied.node_map };
+    let metrics_path = args.option("metrics");
+    // A single repair reports whether it stayed in place and how many
+    // blocks it touched from its own counters, so it always records.
+    let metered = metrics_path.is_some() || restarts == 1;
+    let metrics = if metered { Metrics::enabled() } else { Metrics::disabled() };
     let started = std::time::Instant::now();
-    let outcome = if let Some(path) = args.option("metrics") {
-        let mut report = fpart_core::repartition_eco_restarts_observed(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-        // The script was applied once, before the restart fan-out; book
-        // the edits on restart 0 so totals stay the per-restart sum.
-        report.totals.add(Counter::EcoEditsApplied, script.len() as u64);
-        if let Some(first) = report.per_restart.first_mut() {
-            first.add(Counter::EcoEditsApplied, script.len() as u64);
-        }
+    let mut report = search(
+        &applied.graph,
+        constraints,
+        &config,
+        algorithm,
+        &Restarts { count: restarts, threads, ..Restarts::default() },
+        &mut Observer::new(metrics, None),
+    )
+    .map_err(|e| CliError::Runtime(e.to_string()))?;
+    if let Some(path) = metrics_path {
+        // The script was applied once, before the restart fan-out.
+        book_on_first_restart(&mut report, Counter::EcoEditsApplied, script.len() as u64);
         let quality = QualityReport::new(&report.outcome, constraints);
-        write_metrics_file(
-            path,
-            restarts,
-            threads,
-            started.elapsed(),
-            &report.totals,
-            &report.per_restart,
-            report.completion,
-            &report.failed,
-            &quality,
-        )
-        .map_err(CliError::Runtime)?;
+        write_metrics_file(path, restarts, threads, started.elapsed(), &report, &quality)
+            .map_err(CliError::Runtime)?;
         eprintln!("metrics written to {}", dest_name(path));
-        report.outcome
-    } else if restarts > 1 {
-        fpart_core::repartition_eco_restarts(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-            restarts,
-            threads,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?
-    } else {
-        let report = fpart_core::repartition_eco(
-            &applied.graph,
-            constraints,
-            &config,
-            &eco_config,
-            &previous,
-            &applied.node_map,
-        )
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    } else if restarts == 1 {
+        let nodes = applied.graph.node_count();
+        let carried = applied.node_map.iter().flatten().count();
+        let (placed, removed) = (nodes - carried, applied.node_map.len() - carried);
+        let churn = if nodes == 0 { 0.0 } else { (placed + removed) as f64 / nodes as f64 };
+        let repaired = report.totals.get(Counter::EcoFallbacks) == 0;
         eprintln!(
-            "eco: {} (churn {:.4}, carried {}, placed {}, removed {}, dirty blocks {})",
-            if report.repaired { "repaired in place" } else { "fell back to full repartition" },
-            report.churn,
-            report.carried,
-            report.placed,
-            report.removed,
-            report.dirty_blocks
+            "eco: {} (churn {churn:.4}, carried {carried}, placed {placed}, removed {removed}, \
+             dirty blocks {})",
+            if repaired { "repaired in place" } else { "fell back to full repartition" },
+            report.totals.get(Counter::EcoDirtyBlocks)
         );
-        report.outcome
-    };
+    }
+    let outcome = report.outcome;
 
     println!("{}", QualityReport::new(&outcome, constraints));
     println!(
@@ -1099,7 +894,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
         outcome.lower_bound,
         outcome.feasible,
         outcome.cut,
-        outcome.completion,
+        report.completion,
         started.elapsed()
     );
     print_block_summary(&applied.graph, &outcome.assignment, outcome.device_count, constraints);
@@ -1120,7 +915,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
             outcome.device_count,
         )?;
     }
-    if outcome.completion == Completion::Cancelled || crate::interrupted() {
+    if report.completion == Completion::Cancelled || crate::interrupted() {
         return Err(crate::signal_exit_error());
     }
     Ok(())

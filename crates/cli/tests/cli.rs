@@ -350,6 +350,48 @@ fn verify_accepts_partition_output_and_rejects_tampering() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("violation"));
 }
 
+/// Block ids at or past the node count are typed, line-numbered input
+/// errors (exit 2) — not an allocation abort, and not a bogus "no
+/// assignment" for the `u32::MAX` sentinel.
+#[test]
+fn verify_rejects_out_of_range_block_ids() {
+    let dir = temp_dir("verify_range");
+    let netlist = dir.join("c.fhg");
+    let assignment = dir.join("a.txt");
+    let out = fpart()
+        .args(["gen", "rent", "--nodes", "60", "--terminals", "8", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let out = fpart()
+        .arg("partition")
+        .arg(&netlist)
+        .args(["--device", "XC3020", "--output"])
+        .arg(&assignment)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&assignment).unwrap();
+
+    for block in ["4000000000", "4294967295"] {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let name = lines[0].split_whitespace().next().unwrap().to_owned();
+        lines[0] = format!("{name} {block}");
+        std::fs::write(&assignment, lines.join("\n") + "\n").unwrap();
+        let out = fpart()
+            .arg("verify")
+            .arg(&netlist)
+            .arg(&assignment)
+            .args(["--device", "XC3020"])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("line 1: block") && stderr.contains("out of range"), "{stderr}");
+    }
+}
+
 #[test]
 fn blif_input_is_accepted() {
     let dir = temp_dir("blif");
@@ -691,9 +733,32 @@ fn metrics_and_trace_json_accept_stdout() {
     }
 }
 
+/// The span profile of a `--metrics` document: `(kind, parent, level,
+/// count)` per record of the totals, in document order.
+fn span_list(metrics: &std::path::Path) -> Vec<(String, Option<String>, u64, u64)> {
+    let text = std::fs::read_to_string(metrics).expect("metrics written");
+    let doc = fpart_core::Json::parse(&text).expect("metrics parse");
+    let spans = doc.get("totals").and_then(|t| t.get("spans")).and_then(fpart_core::Json::as_array);
+    spans
+        .expect("totals carry spans")
+        .iter()
+        .map(|r| {
+            let field = |key: &str| r.get(key).expect("span field");
+            (
+                field("kind").as_str().expect("kind").to_owned(),
+                field("parent").as_str().map(str::to_owned),
+                field("level").as_u64().expect("level"),
+                field("count").as_u64().expect("count"),
+            )
+        })
+        .collect()
+}
+
 /// `--progress` on its own still reports live pass counts: the
 /// heartbeat reads the engine's metrics registry, which must be enabled
-/// even when no `--metrics`/`--trace-chrome` output was requested.
+/// even when no `--metrics`/`--trace-chrome` output was requested. And
+/// `--progress` never changes what `--metrics` records: the span
+/// profile (root `restart` span included) matches the plain run's.
 #[test]
 fn progress_alone_reports_real_pass_counts() {
     let dir = temp_dir("progress_passes");
@@ -705,11 +770,11 @@ fn progress_alone_reports_real_pass_counts() {
         .expect("runs");
     assert!(out.status.success());
 
-    for extra in [&["--progress"][..], &["--multilevel", "--coarsen-floor", "64", "--progress"]] {
+    for extra in [&[][..], &["--multilevel", "--coarsen-floor", "64"]] {
         let out = fpart()
             .arg("partition")
             .arg(&netlist)
-            .args(["--device", "XC3020"])
+            .args(["--device", "XC3020", "--progress"])
             .args(extra)
             .output()
             .expect("runs");
@@ -723,6 +788,25 @@ fn progress_alone_reports_real_pass_counts() {
         for line in progress {
             assert!(!line.contains(" passes=0 "), "{line}");
         }
+
+        let mut spans = Vec::new();
+        for flags in [&["--progress"][..], &[]] {
+            let metrics = dir.join("metrics.json");
+            let out = fpart()
+                .arg("partition")
+                .arg(&netlist)
+                .args(["--device", "XC3020"])
+                .args(extra)
+                .args(flags)
+                .arg("--metrics")
+                .arg(&metrics)
+                .output()
+                .expect("runs");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            spans.push(span_list(&metrics));
+        }
+        assert!(spans[1].iter().any(|s| s.0 == "restart" && s.1.is_none()), "{:?}", spans[1]);
+        assert_eq!(spans[0], spans[1], "--progress changed the span profile ({extra:?})");
     }
 }
 

@@ -38,6 +38,16 @@ pub enum ReadAssignmentError {
         /// 1-based line number.
         line: usize,
     },
+    /// A block id is not below the graph's node count (a dense
+    /// assignment never has more blocks than nodes).
+    BlockOutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// The offending block id.
+        block: u32,
+        /// The graph's node count, which every block id must stay below.
+        limit: usize,
+    },
     /// A named node does not exist in the graph.
     UnknownNode {
         /// 1-based line number.
@@ -81,6 +91,12 @@ impl fmt::Display for ReadAssignmentError {
         match self {
             ReadAssignmentError::MalformedLine { line } => {
                 write!(f, "line {line}: expected `node block`")
+            }
+            ReadAssignmentError::BlockOutOfRange { line, block, limit } => {
+                write!(
+                    f,
+                    "line {line}: block {block} is out of range (the graph has {limit} nodes)"
+                )
             }
             ReadAssignmentError::UnknownNode { line, name } => {
                 write!(f, "line {line}: unknown node `{name}`")
@@ -192,7 +208,8 @@ pub fn write_assignment<W: Write>(
 /// # Errors
 ///
 /// Returns [`ReadAssignmentError`] on malformed lines, unknown names,
-/// nodes left unassigned, or a bad/mismatching versioned header.
+/// block ids not below the node count, nodes left unassigned, or a
+/// bad/mismatching versioned header.
 pub fn read_assignment<R: Read>(
     reader: R,
     graph: &Hypergraph,
@@ -228,6 +245,13 @@ pub fn read_assignment<R: Read>(
         })?;
         let block: u32 =
             block.parse().map_err(|_| ReadAssignmentError::MalformedLine { line: line_no })?;
+        if block as usize >= graph.node_count() {
+            return Err(ReadAssignmentError::BlockOutOfRange {
+                line: line_no,
+                block,
+                limit: graph.node_count(),
+            });
+        }
         assignment[node.index()] = block;
         k = k.max(block as usize + 1);
     }
@@ -346,5 +370,18 @@ mod tests {
         assert!(matches!(err, ReadAssignmentError::MalformedLine { line: 1 }));
         let err = read_assignment("loner\n".as_bytes(), &g).unwrap_err();
         assert!(matches!(err, ReadAssignmentError::MalformedLine { line: 1 }));
+    }
+
+    #[test]
+    fn out_of_range_block_rejected() {
+        let g = sample();
+        // u32::MAX doubles as the missing-node sentinel; a huge id would
+        // size a per-block table. Both are typed, line-numbered errors.
+        for block in [2, 4_000_000_000, u32::MAX] {
+            let text = format!("y 0\nx {block}\n");
+            let err = read_assignment(text.as_bytes(), &g).unwrap_err();
+            assert_eq!(err, ReadAssignmentError::BlockOutOfRange { line: 2, block, limit: 2 });
+            assert!(err.to_string().starts_with("line 2: block"), "{err}");
+        }
     }
 }

@@ -274,14 +274,17 @@ impl FaultPlan {
 
 /// Declarative cap on estimated memory used by hierarchy construction.
 ///
-/// The multilevel flow's dominant allocation is the coarsening hierarchy:
-/// every level stores a full coarse hypergraph plus projection maps. A
-/// `MemoryBudget` bounds the *estimated* bytes of that hierarchy
+/// The cap covers the coarsening hierarchy only: every level stores a
+/// full coarse hypergraph plus projection maps. A `MemoryBudget` bounds
+/// the *estimated* bytes of that hierarchy
 /// ([`fpart_hypergraph::Hypergraph::approx_bytes`] per level); when the
 /// next level would exceed the cap, coarsening simply stops at the
 /// current depth and the run continues on a shallower hierarchy,
-/// reporting [`Completion::Degraded`] — graceful degradation instead of
-/// an OOM kill. The default (`None`) costs nothing and changes nothing.
+/// reporting [`Completion::Degraded`]. It does not count the
+/// [`crate::PartitionState`] net-by-block matrix, which dominates at
+/// large device counts: at 47,906 nets and ~200 devices (row stride
+/// 256) one state is about 47 MiB on its own. The default (`None`)
+/// costs nothing and changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryBudget {
     /// Estimated-byte cap for hierarchy construction; `None` = unlimited.

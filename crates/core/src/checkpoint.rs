@@ -3,9 +3,12 @@
 //! The durable unit is a **completed restart**: the search's reduction
 //! picks the winner from per-restart outcomes in restart-index order, so
 //! a checkpoint holding any subset of completed restarts lets a resumed
-//! run re-execute only the missing indices (each fully determined by
-//! `restart_config(config, i)`) and merge saved + fresh outcomes into a
-//! result **bit-identical** to an uninterrupted run.
+//! run re-execute only the missing indices (each fully determined by its
+//! index) and merge saved + fresh outcomes into a result
+//! **bit-identical** to an uninterrupted run. [`crate::search`] reads
+//! and writes checkpoints; it checks every saved restart against the
+//! live graph before replaying it, and recomputes one that does not
+//! check out.
 //!
 //! Three guarantees:
 //!
@@ -25,7 +28,6 @@
 //! are persisted: cancelled or deadline-expired restarts depend on
 //! wall-clock timing and would break bit-identity if replayed from disk.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -39,16 +41,13 @@ use fpart_hypergraph::{fingerprint_graph, order_checksum, Hypergraph};
 
 use crate::budget::{Completion, RunBudget};
 use crate::config::FpartConfig;
-use crate::driver::{
-    observed_restart_job, reduce_outcomes, validate_search, BlockReport, FailedRestart,
-    PartitionError, PartitionOutcome, RestartsReport,
-};
-use crate::multilevel::{observed_multilevel_restart_job, split_thread_budget, MultilevelConfig};
+use crate::driver::{BlockReport, PartitionOutcome};
+use crate::multilevel::MultilevelConfig;
 use crate::obs::{Counter, Metrics, SCHEMA_VERSION};
 use crate::persist::write_atomic;
-use crate::trace::Trace;
 
-/// One completed restart, as persisted in a checkpoint.
+/// One completed restart, as a checkpoint persists it and the solution
+/// memo ([`crate::memo`]) stores it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedRestart {
     /// Restart index within the search.
@@ -73,7 +72,7 @@ pub struct SavedRestart {
     pub total_moves: usize,
     /// How the restart ended (only `complete` / `degraded` are saved).
     pub completion: Completion,
-    /// Counter snapshot in [`Counter::ALL`] order (empty when the
+    /// Counter snapshot in [`Counter::ALL`] order (all zero when the
     /// restart ran unobserved). Span and timing stats are not persisted;
     /// a resumed restart's registry carries counters only.
     pub counters: Vec<u64>,
@@ -109,28 +108,6 @@ impl SavedRestart {
         }
         metrics.bump(Counter::RestartsResumed);
         metrics
-    }
-
-    /// Reconstructs the outcome this restart produced. Wall-clock
-    /// elapsed time is not replayed (it reports zero) and the trace is
-    /// empty; everything the search reduction reads is bit-exact.
-    #[must_use]
-    pub fn to_outcome(&self, metrics: Metrics) -> PartitionOutcome {
-        PartitionOutcome {
-            assignment: self.assignment.clone(),
-            blocks: self.blocks.clone(),
-            device_count: self.device_count,
-            lower_bound: self.lower_bound,
-            feasible: self.feasible,
-            cut: self.cut,
-            iterations: self.iterations,
-            improve_calls: self.improve_calls,
-            total_moves: self.total_moves,
-            elapsed: Duration::ZERO,
-            trace: Trace::disabled(),
-            metrics,
-            completion: self.completion,
-        }
     }
 }
 
@@ -616,178 +593,12 @@ impl Drop for CheckpointWriter {
     }
 }
 
-/// The outcome of one freshly executed (non-resumed) restart job:
-/// either the partition result plus its metrics registry, or the
-/// payload of a panic caught inside that job.
-type FreshResult =
-    Result<(Result<PartitionOutcome, PartitionError>, Metrics), crate::parallel::JobPanic>;
-
-/// The durable restart search: [`crate::partition_restarts_observed`] /
-/// [`crate::partition_multilevel_restarts_observed`] plus checkpointing
-/// and resume.
-///
-/// With `resume`, restarts already completed in the snapshot are
-/// restored from disk (their registries carry the saved counters plus a
-/// [`Counter::RestartsResumed`] mark) and only the missing indices run;
-/// the merged report is **bit-identical** to an uninterrupted run at any
-/// thread count. With `writer`, every completed restart submits an
-/// updated snapshot covering all restarts finished so far.
-///
-/// # Errors
-///
-/// Same contract as the non-durable searches, plus
-/// [`PartitionError::InvalidConfig`] when the resume snapshot's
-/// fingerprint or restart count disagrees with this run (the CLI
-/// pre-validates with [`Checkpoint::verify`] for a friendlier message).
-#[allow(clippy::too_many_arguments)]
-pub fn partition_restarts_durable(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    multilevel: Option<&MultilevelConfig>,
-    restarts: usize,
-    threads: usize,
-    fingerprint: u64,
-    resume: Option<&Checkpoint>,
-    writer: Option<&CheckpointWriter>,
-) -> Result<RestartsReport, PartitionError> {
-    validate_search(restarts, threads)?;
-    let mut resumed: BTreeMap<usize, SavedRestart> = BTreeMap::new();
-    if let Some(snapshot) = resume {
-        if snapshot.fingerprint != fingerprint {
-            return Err(PartitionError::InvalidConfig {
-                what: "resume checkpoint was recorded for a different run (fingerprint mismatch)",
-            });
-        }
-        if snapshot.restarts != restarts {
-            return Err(PartitionError::InvalidConfig {
-                what: "resume checkpoint was recorded for a different restart count",
-            });
-        }
-        for saved in &snapshot.completed {
-            // Only deterministic completions are replayable; anything
-            // else (and out-of-range indices) is recomputed.
-            if saved.restart < restarts
-                && matches!(saved.completion, Completion::Complete | Completion::Degraded)
-            {
-                resumed.insert(saved.restart, saved.clone());
-            }
-        }
-    }
-    let pending: Vec<usize> = (0..restarts).filter(|i| !resumed.contains_key(i)).collect();
-    // The thread split uses the *total* restart count, matching the
-    // uninterrupted run (the result is thread-count invariant either
-    // way; this keeps the work shape identical too).
-    let (outer, inner) = match multilevel {
-        Some(_) => split_thread_budget(threads, restarts),
-        None => (threads, 1),
-    };
-
-    let completed = Mutex::new(resumed.clone());
-    let record = |saved: SavedRestart| {
-        let snapshot = {
-            let mut completed = completed.lock().expect("checkpoint set lock");
-            completed.insert(saved.restart, saved);
-            writer.map(|_| completed.values().cloned().collect::<Vec<_>>())
-        };
-        if let (Some(writer), Some(completed)) = (writer, snapshot) {
-            writer.submit(Checkpoint {
-                schema_version: SCHEMA_VERSION,
-                fingerprint,
-                restarts,
-                completed,
-            });
-        }
-    };
-
-    // `pending` is empty when every restart was resumed; the single
-    // dummy slot keeps the fan-out non-degenerate and is discarded.
-    let gk = multilevel.and_then(|ml| crate::multilevel::run_graph_key(graph, ml));
-    let results = crate::parallel::run_indexed_caught(pending.len().max(1), outer, &|j| {
-        let &i = pending.get(j)?;
-        let (result, metrics) = match multilevel {
-            Some(ml) => observed_multilevel_restart_job(
-                graph,
-                constraints,
-                config,
-                ml,
-                inner,
-                i,
-                gk.as_ref(),
-            ),
-            None => observed_restart_job(graph, constraints, config, i),
-        };
-        if let Ok(outcome) = &result {
-            if matches!(outcome.completion, Completion::Complete | Completion::Degraded) {
-                record(SavedRestart::from_outcome(i, outcome, &metrics));
-            }
-        }
-        Some((result, metrics))
-    });
-    let mut fresh: BTreeMap<usize, FreshResult> = BTreeMap::new();
-    for (slot, result) in results.into_iter().enumerate() {
-        let Some(&i) = pending.get(slot) else { continue };
-        match result {
-            Ok(Some(value)) => {
-                fresh.insert(i, Ok(value));
-            }
-            Ok(None) => {}
-            Err(panic) => {
-                fresh.insert(i, Err(panic));
-            }
-        }
-    }
-
-    // Merge saved and fresh outcomes in restart-index order — the same
-    // reduction as the uninterrupted observed search.
-    let mut totals = Metrics::enabled();
-    let mut per_restart = Vec::with_capacity(restarts);
-    let mut outcomes = Vec::with_capacity(restarts);
-    let mut failed = Vec::new();
-    for i in 0..restarts {
-        if let Some(saved) = resumed.get(&i) {
-            let metrics = saved.rebuild_metrics();
-            totals.merge(&metrics);
-            outcomes.push(Ok(saved.to_outcome(metrics.clone())));
-            per_restart.push(metrics);
-            continue;
-        }
-        match fresh.remove(&i).expect("every pending restart has a slot") {
-            Ok((result, metrics)) => {
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                outcomes.push(result);
-            }
-            Err(panic) => {
-                let mut metrics = Metrics::enabled();
-                metrics.bump(Counter::FailedRestarts);
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                failed.push(FailedRestart { restart: i, message: panic.message });
-            }
-        }
-    }
-    if outcomes.is_empty() {
-        let first = failed.into_iter().next().expect("at least one restart executes");
-        return Err(PartitionError::RestartPanicked {
-            restart: first.restart,
-            message: first.message,
-        });
-    }
-    reduce_outcomes(outcomes).map(|outcome| {
-        let mut completion = outcome.completion;
-        if !failed.is_empty() {
-            completion = completion.worst(Completion::Degraded);
-        }
-        RestartsReport { outcome, totals, per_restart, completion, failed }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilevel::partition_multilevel_restarts_observed;
-    use crate::partition_restarts_observed;
+    use crate::driver::PartitionError;
+    use crate::obs::Observer;
+    use crate::search::{search, Algorithm, Restarts, RestartsReport};
     use fpart_device::Device;
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 
@@ -890,21 +701,46 @@ mod tests {
         assert_eq!(b, fingerprint_run(&g, constraints, &config, Some(&ml8), 4));
     }
 
+    /// The restart search as the CLI drives it: metrics on, optional
+    /// resume and writer.
+    fn durable(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        ml: Option<&MultilevelConfig>,
+        restarts: usize,
+        threads: usize,
+        resume: Option<&Checkpoint>,
+        writer: Option<&CheckpointWriter>,
+    ) -> Result<RestartsReport, PartitionError> {
+        search(
+            g,
+            constraints,
+            &FpartConfig::default(),
+            ml.map_or(Algorithm::Flat, Algorithm::Multilevel),
+            &Restarts { count: restarts, threads, resume, writer },
+            &mut Observer::new(Metrics::enabled(), None),
+        )
+    }
+
     #[test]
     fn durable_without_checkpointing_matches_observed_search() {
         let g = window_circuit(&WindowConfig::new("w", 180, 18), 5);
         let constraints = fpart_device::DeviceConstraints::new(35, 60);
-        let config = FpartConfig::default();
-        let fp = fingerprint_run(&g, constraints, &config, None, 3);
-        let durable =
-            partition_restarts_durable(&g, constraints, &config, None, 3, 2, fp, None, None)
-                .unwrap();
-        let plain = partition_restarts_observed(&g, constraints, &config, 3, 2).unwrap();
-        assert_eq!(durable.outcome.assignment, plain.outcome.assignment);
-        assert_eq!(durable.outcome.cut, plain.outcome.cut);
-        assert_eq!(durable.outcome.device_count, plain.outcome.device_count);
+        let fp = fingerprint_run(&g, constraints, &FpartConfig::default(), None, 3);
+        // Resuming a snapshot that holds no restart yet runs them all.
+        let empty = Checkpoint {
+            schema_version: SCHEMA_VERSION,
+            fingerprint: fp,
+            restarts: 3,
+            completed: Vec::new(),
+        };
+        let resumed = durable(&g, constraints, None, 3, 2, Some(&empty), None).unwrap();
+        let plain = durable(&g, constraints, None, 3, 2, None, None).unwrap();
+        assert_eq!(resumed.outcome.assignment, plain.outcome.assignment);
+        assert_eq!(resumed.outcome.cut, plain.outcome.cut);
+        assert_eq!(resumed.outcome.device_count, plain.outcome.device_count);
         for c in Counter::ALL {
-            assert_eq!(durable.totals.get(c), plain.totals.get(c), "{}", c.name());
+            assert_eq!(resumed.totals.get(c), plain.totals.get(c), "{}", c.name());
         }
     }
 
@@ -917,38 +753,23 @@ mod tests {
         let restarts = 4;
         let fp = fingerprint_run(&g, constraints, &config, Some(&ml), restarts);
 
-        let full =
-            partition_multilevel_restarts_observed(&g, constraints, &config, &ml, restarts, 2)
-                .unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("fpart-checkpoint-partial-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let writer = CheckpointWriter::spawn(dir.join("run.ckpt"), Duration::ZERO);
+        let full = durable(&g, constraints, Some(&ml), restarts, 2, None, Some(&writer)).unwrap();
+        writer.finish().unwrap();
 
         // Simulate a crash after restarts 0 and 2 completed.
-        let mut partial = Vec::new();
-        for i in [0usize, 2] {
-            let (result, metrics) =
-                observed_multilevel_restart_job(&g, constraints, &config, &ml, 1, i, None);
-            partial.push(SavedRestart::from_outcome(i, &result.unwrap(), &metrics));
-        }
-        let snapshot = Checkpoint {
-            schema_version: SCHEMA_VERSION,
-            fingerprint: fp,
-            restarts,
-            completed: partial,
-        };
+        let mut snapshot = read_checkpoint(&dir.join("run.ckpt")).unwrap();
+        assert_eq!(snapshot.fingerprint, fp);
+        snapshot.completed.retain(|saved| saved.restart % 2 == 0);
         let roundtripped = Checkpoint::parse(&snapshot.to_text()).unwrap();
 
         for threads in [1usize, 4] {
-            let resumed = partition_restarts_durable(
-                &g,
-                constraints,
-                &config,
-                Some(&ml),
-                restarts,
-                threads,
-                fp,
-                Some(&roundtripped),
-                None,
-            )
-            .unwrap();
+            let resumed =
+                durable(&g, constraints, Some(&ml), restarts, threads, Some(&roundtripped), None)
+                    .unwrap();
             assert_eq!(resumed.outcome.assignment, full.outcome.assignment, "threads={threads}");
             assert_eq!(resumed.outcome.cut, full.outcome.cut);
             assert_eq!(resumed.outcome.device_count, full.outcome.device_count);
@@ -964,6 +785,7 @@ mod tests {
                 assert_eq!(resumed.totals.get(c), sum, "{}", c.name());
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -979,18 +801,7 @@ mod tests {
             completed: Vec::new(),
         };
         assert!(snapshot.verify(fp).is_err());
-        let err = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            2,
-            1,
-            fp,
-            Some(&snapshot),
-            None,
-        )
-        .unwrap_err();
+        let err = durable(&g, constraints, None, 2, 1, Some(&snapshot), None).unwrap_err();
         assert!(matches!(err, PartitionError::InvalidConfig { .. }));
     }
 
@@ -1007,18 +818,7 @@ mod tests {
         let restarts = 3;
         let fp = fingerprint_run(&g, constraints, &config, None, restarts);
         let writer = CheckpointWriter::spawn(path.clone(), Duration::ZERO);
-        let report = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            restarts,
-            2,
-            fp,
-            None,
-            Some(&writer),
-        )
-        .unwrap();
+        let report = durable(&g, constraints, None, restarts, 2, None, Some(&writer)).unwrap();
         let writes = writer.finish().unwrap();
         assert!(writes >= 1, "at least one checkpoint written");
 
@@ -1029,18 +829,7 @@ mod tests {
 
         // Resuming from the final snapshot recomputes nothing and still
         // reproduces the search result exactly.
-        let resumed = partition_restarts_durable(
-            &g,
-            constraints,
-            &config,
-            None,
-            restarts,
-            1,
-            fp,
-            Some(&snapshot),
-            None,
-        )
-        .unwrap();
+        let resumed = durable(&g, constraints, None, restarts, 1, Some(&snapshot), None).unwrap();
         assert_eq!(resumed.outcome.assignment, report.outcome.assignment);
         assert_eq!(resumed.outcome.cut, report.outcome.cut);
         assert_eq!(resumed.totals.get(Counter::RestartsResumed), restarts as u64);

@@ -14,7 +14,6 @@
 //!
 //! Iterations stop as soon as the remainder meets the device constraints.
 
-use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -29,7 +28,7 @@ use crate::engine::{improve_metered, ImproveContext, ImproveStats};
 use crate::initial::bipartition_remainder;
 use crate::obs::{Counter, Metrics, Observer};
 use crate::state::PartitionState;
-use crate::trace::{ImproveKind, Trace, TraceEvent};
+use crate::trace::{ImproveKind, TraceEvent};
 
 /// An error preventing partitioning from starting or finishing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,10 +122,8 @@ pub struct PartitionOutcome {
     pub total_moves: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
-    /// Recorded trace (empty unless requested).
-    pub trace: Trace,
-    /// Engine metrics of the run (all zero unless recording was enabled
-    /// via [`partition_observed`] or [`partition_restarts_observed`]).
+    /// Engine metrics of the run (all zero unless the run was observed
+    /// with an enabled registry, see [`partition_observed`]).
     pub metrics: Metrics,
     /// How the run ended: [`Completion::Complete`] for a natural finish,
     /// otherwise the budget limit or degradation that cut it short (the
@@ -172,300 +169,13 @@ pub fn partition(
     constraints: DeviceConstraints,
     config: &FpartConfig,
 ) -> Result<PartitionOutcome, PartitionError> {
-    partition_traced(graph, constraints, config, false)
-}
-
-/// Runs [`partition`] `restarts` times with consecutive seed offsets —
-/// optionally across `threads` scoped worker threads — and returns the
-/// best outcome: feasible over infeasible, then fewest devices, then
-/// smallest cut, ties broken by the lowest restart index.
-///
-/// The reduction is performed over the completed runs in restart order,
-/// so the result is **bit-identical for every thread count**. Seed
-/// diversity only matters for configurations with randomized choices
-/// (e.g. `use_constructive_initial: false`); under the fully
-/// deterministic default configuration all restarts coincide and the
-/// first one wins.
-///
-/// Restarts are panic-isolated: a restart that panics (a bug, or an
-/// injected fault) is dropped and the survivors still reduce in restart
-/// order; the search only errors when *every* restart fails. A search
-/// that lost restarts reports [`Completion::Degraded`] (or worse) on the
-/// winning outcome.
-///
-/// # Errors
-///
-/// Returns [`PartitionError::InvalidConfig`] when `restarts` or
-/// `threads` is zero, the first restart's typed error when every restart
-/// fails, and [`PartitionError::RestartPanicked`] when every restart
-/// panicked.
-pub fn partition_restarts(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    restarts: usize,
-    threads: usize,
-) -> Result<PartitionOutcome, PartitionError> {
-    search_restarts(restarts, threads, &|i| {
-        let cfg = restart_config(config, i);
-        partition(graph, constraints, &cfg)
-    })
-}
-
-/// The panic-isolated multi-run search shared by [`partition_restarts`]
-/// and the multilevel variant: run `restarts` jobs across `threads`,
-/// drop panicked runs, reduce the survivors in restart order, degrade
-/// the completion when any restart was lost.
-pub(crate) fn search_restarts(
-    restarts: usize,
-    threads: usize,
-    job: &(dyn Fn(usize) -> Result<PartitionOutcome, PartitionError> + Sync),
-) -> Result<PartitionOutcome, PartitionError> {
-    validate_search(restarts, threads)?;
-    let results = crate::parallel::run_indexed_caught(restarts, threads, job);
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut panics = Vec::new();
-    for result in results {
-        match result {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(panic) => panics.push(panic),
-        }
-    }
-    if outcomes.is_empty() {
-        let first = panics.into_iter().next().expect("at least one restart executes");
-        return Err(PartitionError::RestartPanicked {
-            restart: first.index,
-            message: first.message,
-        });
-    }
-    let lost_restarts = !panics.is_empty();
-    reduce_outcomes(outcomes).map(|mut outcome| {
-        if lost_restarts {
-            outcome.completion = outcome.completion.worst(Completion::Degraded);
-        }
-        outcome
-    })
-}
-
-/// Rejects zero restart/thread counts up front with a typed error
-/// (shared with the multilevel search).
-pub(crate) fn validate_search(restarts: usize, threads: usize) -> Result<(), PartitionError> {
-    if restarts == 0 {
-        return Err(PartitionError::InvalidConfig { what: "restarts must be at least 1" });
-    }
-    if threads == 0 {
-        return Err(PartitionError::InvalidConfig { what: "threads must be at least 1" });
-    }
-    Ok(())
-}
-
-/// The configuration restart `i` runs under: a diversified seed, and the
-/// fault plan only if it targets this restart.
-pub(crate) fn restart_config(config: &FpartConfig, i: usize) -> FpartConfig {
-    FpartConfig {
-        seed: config.seed.wrapping_add(i as u64),
-        fault_plan: config.fault_plan.as_ref().and_then(|p| p.for_restart(i)),
-        ..config.clone()
-    }
-}
-
-/// Picks the best outcome from completed restarts, in restart order:
-/// feasible over infeasible, then fewest devices, then smallest cut,
-/// ties broken by the lowest restart index. Errors only surface when
-/// *every* restart failed (the first restart's error wins).
-pub(crate) fn reduce_outcomes(
-    results: Vec<Result<PartitionOutcome, PartitionError>>,
-) -> Result<PartitionOutcome, PartitionError> {
-    let mut best: Option<PartitionOutcome> = None;
-    let mut first_error: Option<PartitionError> = None;
-    for result in results {
-        match result {
-            Ok(outcome) => {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        (outcome.feasible, Reverse(outcome.device_count), Reverse(outcome.cut))
-                            > (b.feasible, Reverse(b.device_count), Reverse(b.cut))
-                    }
-                };
-                if better {
-                    best = Some(outcome);
-                }
-            }
-            Err(e) => {
-                first_error.get_or_insert(e);
-            }
-        }
-    }
-    match best {
-        Some(outcome) => Ok(outcome),
-        None => Err(first_error.expect("at least one restart executes")),
-    }
-}
-
-/// Per-restart observability report of a [`partition_restarts_observed`]
-/// search.
-#[derive(Debug, Clone)]
-pub struct RestartsReport {
-    /// The winning outcome (same reduction as [`partition_restarts`];
-    /// its own [`PartitionOutcome::metrics`] belong to the winning
-    /// restart alone).
-    pub outcome: PartitionOutcome,
-    /// All restarts' metrics merged in restart-index order — identical
-    /// for every thread count.
-    pub totals: Metrics,
-    /// Each restart's metrics, indexed by restart. A restart that
-    /// returned a typed error keeps the counts it accumulated before
-    /// erroring out; a restart lost to a panic is represented by a
-    /// synthesized registry with one `failed_restarts` count (so the
-    /// totals stay the field-wise per-restart sums).
-    pub per_restart: Vec<Metrics>,
-    /// How the search ended: the winning restart's own completion,
-    /// degraded further when any restart was lost to a panic.
-    pub completion: Completion,
-    /// Restarts lost to isolated panics, in restart-index order.
-    pub failed: Vec<FailedRestart>,
-}
-
-/// A restart that panicked and was dropped from the reduction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailedRestart {
-    /// Restart index of the lost run.
-    pub restart: usize,
-    /// Recovered panic payload (message).
-    pub message: String,
-}
-
-/// [`partition_restarts`] with per-restart metrics recording and a
-/// deterministic aggregate.
-///
-/// Every restart runs with an enabled [`Metrics`] registry; the children
-/// are merged into [`RestartsReport::totals`] in restart-index order, so
-/// both the winning outcome **and** the aggregated metrics are
-/// bit-identical at every thread count. Counter totals equal the field-
-/// wise sum over [`RestartsReport::per_restart`].
-///
-/// # Errors
-///
-/// Same contract as [`partition_restarts`]: a typed config error for
-/// zero restart/thread counts, otherwise an error only when every
-/// restart fails.
-pub fn partition_restarts_observed(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    restarts: usize,
-    threads: usize,
-) -> Result<RestartsReport, PartitionError> {
-    search_restarts_observed(restarts, threads, &|i| {
-        observed_restart_job(graph, constraints, config, i)
-    })
-}
-
-/// Runs restart `i` of the flat observed search exactly as
-/// [`partition_restarts_observed`] would: diversified config, enabled
-/// metrics registry, restart span. Shared with the checkpointing search
-/// so a resumed run replays the identical per-restart computation.
-pub(crate) fn observed_restart_job(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    i: usize,
-) -> (Result<PartitionOutcome, PartitionError>, Metrics) {
-    let cfg = restart_config(config, i);
-    let mut obs = Observer::new(Metrics::enabled(), None);
-    obs.metrics.set_span_lane(i as u32);
-    obs.metrics.span_open(crate::obs::SpanKind::Restart, 0);
-    let result = partition_observed(graph, constraints, &cfg, &mut obs);
-    let mut metrics = obs.metrics;
-    metrics.bump(Counter::Runs);
-    let span_stats = match &result {
-        Ok(outcome) => crate::obs::SpanStats {
-            nodes: graph.node_count() as u64,
-            nets: graph.net_count() as u64,
-            moves: outcome.total_moves as u64,
-            ..crate::obs::SpanStats::default()
-        },
-        Err(_) => crate::obs::SpanStats::default(),
-    };
-    metrics.span_close(span_stats);
-    (result, metrics)
-}
-
-/// The observed counterpart of [`search_restarts`]: each job returns its
-/// own metrics registry; totals merge in restart-index order so the
-/// aggregate is bit-identical at every thread count.
-pub(crate) fn search_restarts_observed(
-    restarts: usize,
-    threads: usize,
-    job: &(dyn Fn(usize) -> (Result<PartitionOutcome, PartitionError>, Metrics) + Sync),
-) -> Result<RestartsReport, PartitionError> {
-    validate_search(restarts, threads)?;
-    let results = crate::parallel::run_indexed_caught(restarts, threads, job);
-
-    let mut totals = Metrics::enabled();
-    let mut per_restart = Vec::with_capacity(results.len());
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut failed = Vec::new();
-    for result in results {
-        match result {
-            Ok((result, metrics)) => {
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                outcomes.push(result);
-            }
-            Err(panic) => {
-                // Synthesize the lost restart's registry so the totals
-                // keep equalling the field-wise per-restart sums.
-                let mut metrics = Metrics::enabled();
-                metrics.bump(Counter::FailedRestarts);
-                totals.merge(&metrics);
-                per_restart.push(metrics);
-                failed.push(FailedRestart { restart: panic.index, message: panic.message });
-            }
-        }
-    }
-    if outcomes.is_empty() {
-        let first = failed.into_iter().next().expect("at least one restart executes");
-        return Err(PartitionError::RestartPanicked {
-            restart: first.restart,
-            message: first.message,
-        });
-    }
-    reduce_outcomes(outcomes).map(|outcome| {
-        let mut completion = outcome.completion;
-        if !failed.is_empty() {
-            completion = completion.worst(Completion::Degraded);
-        }
-        RestartsReport { outcome, totals, per_restart, completion, failed }
-    })
-}
-
-/// Like [`partition`], optionally recording a full execution trace.
-///
-/// # Errors
-///
-/// See [`partition`].
-pub fn partition_traced(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    trace: bool,
-) -> Result<PartitionOutcome, PartitionError> {
-    let mut trace = if trace { Trace::enabled() } else { Trace::disabled() };
-    let result = {
-        let mut obs = Observer::new(Metrics::disabled(), Some(&mut trace));
-        partition_observed(graph, constraints, config, &mut obs)
-    };
-    result.map(|mut outcome| {
-        outcome.trace = trace;
-        outcome
-    })
+    partition_observed(graph, constraints, config, &mut Observer::none())
 }
 
 /// Like [`partition`], recording metrics and driver events into the
-/// given [`Observer`] — the most general entry point; [`partition`] and
-/// [`partition_traced`] are thin wrappers over it.
+/// given [`Observer`] — the most general entry point; [`partition`] is a
+/// thin wrapper over it, and an in-memory [`crate::Trace`] attached as
+/// the observer's sink records the full execution trace.
 ///
 /// The observer never influences the search: for any observer
 /// configuration the returned partition is bit-identical to
@@ -518,7 +228,6 @@ pub(crate) fn partition_with_tracker(
             improve_calls: 0,
             total_moves: 0,
             elapsed: start.elapsed(),
-            trace: Trace::disabled(),
             metrics: obs.metrics.clone(),
             completion: Completion::Complete,
         });
@@ -692,7 +401,6 @@ pub(crate) fn partition_with_tracker(
         improve_calls,
         total_moves,
         start.elapsed(),
-        Trace::disabled(),
         obs.metrics.clone(),
         tracker.completion(),
     ))
@@ -766,7 +474,6 @@ pub(crate) fn assemble_outcome(
     improve_calls: usize,
     total_moves: usize,
     elapsed: Duration,
-    trace: Trace,
     metrics: Metrics,
     completion: Completion,
 ) -> PartitionOutcome {
@@ -799,7 +506,6 @@ pub(crate) fn assemble_outcome(
         improve_calls,
         total_moves,
         elapsed,
-        trace,
         metrics,
         completion,
     }
@@ -808,9 +514,12 @@ pub(crate) fn assemble_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{search, Algorithm, Restarts};
+    use crate::trace::Trace;
     use fpart_device::Device;
     use fpart_hypergraph::gen::{clustered_circuit, window_circuit, ClusteredConfig, WindowConfig};
     use fpart_hypergraph::HypergraphBuilder;
+    use std::cmp::Reverse;
 
     fn check_outcome(graph: &Hypergraph, outcome: &PartitionOutcome) {
         assert_eq!(outcome.assignment.len(), graph.node_count());
@@ -881,30 +590,44 @@ mod tests {
         assert!(outcome.feasible);
     }
 
+    /// Runs `partition_observed` with an in-memory trace as the sink.
+    fn traced(
+        graph: &Hypergraph,
+        constraints: DeviceConstraints,
+        trace: &mut Trace,
+    ) -> PartitionOutcome {
+        let mut obs = Observer::new(Metrics::disabled(), Some(trace));
+        partition_observed(graph, constraints, &FpartConfig::default(), &mut obs).unwrap()
+    }
+
     #[test]
     fn traced_run_records_schedule() {
         let (g, _) = clustered_circuit(&ClusteredConfig::new("cl", 3, 20), 4);
-        let constraints = DeviceConstraints::new(25, 100);
-        let outcome = partition_traced(&g, constraints, &FpartConfig::default(), true).unwrap();
-        assert!(outcome.trace.is_enabled());
-        assert!(!outcome.trace.events().is_empty());
+        let mut trace = Trace::enabled();
+        let outcome = traced(&g, DeviceConstraints::new(25, 100), &mut trace);
+        assert!(!trace.events().is_empty());
         // At least one iteration start and one improve per iteration.
-        let starts = outcome
-            .trace
+        let starts = trace
             .events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::IterationStart { .. }))
             .count();
         assert_eq!(starts, outcome.iterations);
-        assert!(outcome.trace.improve_events().count() >= outcome.iterations);
+        assert!(trace.improve_events().count() >= outcome.iterations);
     }
 
     #[test]
     fn untraced_run_records_nothing() {
         let (g, _) = clustered_circuit(&ClusteredConfig::new("cl", 2, 15), 4);
-        let outcome =
-            partition(&g, DeviceConstraints::new(20, 100), &FpartConfig::default()).unwrap();
-        assert!(outcome.trace.events().is_empty());
+        let mut trace = Trace::disabled();
+        let outcome = traced(&g, DeviceConstraints::new(20, 100), &mut trace);
+        assert!(trace.events().is_empty());
+        assert_eq!(
+            outcome.assignment,
+            partition(&g, DeviceConstraints::new(20, 100), &FpartConfig::default())
+                .unwrap()
+                .assignment
+        );
     }
 
     #[test]
@@ -927,14 +650,27 @@ mod tests {
         assert_eq!(a.cut, b.cut);
     }
 
+    /// The flat restart search with `restarts` restarts over `threads`.
+    fn restarts(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        restarts: usize,
+        threads: usize,
+    ) -> PartitionOutcome {
+        let shape = Restarts { count: restarts, threads, ..Restarts::default() };
+        let config = FpartConfig::default();
+        search(g, constraints, &config, Algorithm::Flat, &shape, &mut Observer::none())
+            .unwrap()
+            .outcome
+    }
+
     #[test]
     fn restarts_are_thread_count_invariant() {
         let g = window_circuit(&WindowConfig::new("w", 180, 18), 5);
         let constraints = DeviceConstraints::new(35, 60);
-        let config = FpartConfig::default();
-        let sequential = partition_restarts(&g, constraints, &config, 4, 1).unwrap();
+        let sequential = restarts(&g, constraints, 4, 1);
         for threads in [2, 4, 8] {
-            let parallel = partition_restarts(&g, constraints, &config, 4, threads).unwrap();
+            let parallel = restarts(&g, constraints, 4, threads);
             assert_eq!(sequential.assignment, parallel.assignment, "threads={threads}");
             assert_eq!(sequential.device_count, parallel.device_count);
             assert_eq!(sequential.cut, parallel.cut);
@@ -945,9 +681,8 @@ mod tests {
     fn restarts_never_worse_than_single_run() {
         let g = window_circuit(&WindowConfig::new("w", 180, 18), 5);
         let constraints = DeviceConstraints::new(35, 60);
-        let config = FpartConfig::default();
-        let single = partition(&g, constraints, &config).unwrap();
-        let multi = partition_restarts(&g, constraints, &config, 3, 2).unwrap();
+        let single = partition(&g, constraints, &FpartConfig::default()).unwrap();
+        let multi = restarts(&g, constraints, 3, 2);
         // The restart at offset 0 reproduces the single run, so the
         // reduced outcome can only match or beat it.
         assert!(

@@ -29,17 +29,16 @@
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
-use fpart_hypergraph::{apply_script, EditApplied, EditScript, Hypergraph, NodeId};
+use fpart_hypergraph::{Hypergraph, NodeId};
 
 use crate::budget::BudgetTracker;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::driver::{restart_config, search_restarts, PartitionError, PartitionOutcome};
+use crate::driver::{PartitionError, PartitionOutcome};
 use crate::multilevel::{partition_multilevel_observed, MultilevelConfig};
-use crate::obs::{Counter, Metrics, Observer};
+use crate::obs::{Counter, Observer};
 use crate::refine::{refine_boundary_dirty_metered, RefineConfig};
 use crate::state::PartitionState;
-use crate::trace::Trace;
 use crate::verify::verify_assignment;
 
 /// Options of the ECO repair driver.
@@ -107,56 +106,6 @@ pub struct EcoReport {
     pub dirty_blocks: usize,
     /// The measured churn ratio the threshold was compared against.
     pub churn: f64,
-}
-
-/// An error from the combined apply-then-repair entry points.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum EcoError {
-    /// The edit script could not be applied to the netlist.
-    Apply(fpart_hypergraph::ApplyEditError),
-    /// The repair (or its fallback) failed.
-    Partition(PartitionError),
-}
-
-impl std::fmt::Display for EcoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EcoError::Apply(e) => write!(f, "edit script failed: {e}"),
-            EcoError::Partition(e) => write!(f, "repair failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for EcoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EcoError::Apply(e) => Some(e),
-            EcoError::Partition(e) => Some(e),
-        }
-    }
-}
-
-impl From<fpart_hypergraph::ApplyEditError> for EcoError {
-    fn from(e: fpart_hypergraph::ApplyEditError) -> Self {
-        EcoError::Apply(e)
-    }
-}
-
-impl From<PartitionError> for EcoError {
-    fn from(e: PartitionError) -> Self {
-        EcoError::Partition(e)
-    }
-}
-
-/// Result of [`repartition_edited`]: the edit application plus the
-/// repair report on the edited graph.
-#[derive(Debug, Clone)]
-pub struct EcoRun {
-    /// The edited graph and old→new node mapping.
-    pub edited: EditApplied,
-    /// The repair result (assignments index the edited graph).
-    pub report: EcoReport,
 }
 
 /// Repairs `previous` — a `k`-way assignment of the graph the edit
@@ -463,163 +412,10 @@ pub fn repartition_eco_observed(
         improve_calls,
         total_moves,
         start.elapsed(),
-        Trace::disabled(),
         obs.metrics.clone(),
         tracker.completion(),
     );
     Ok(EcoReport { outcome, repaired: true, carried, placed, removed, dirty_blocks, churn })
-}
-
-/// Applies `script` to `graph` and repairs `previous` onto the edited
-/// netlist — the end-to-end ECO entry point the CLI uses.
-///
-/// # Errors
-///
-/// [`EcoError::Apply`] when the script does not apply;
-/// [`EcoError::Partition`] when the repair (or its fallback) fails.
-pub fn repartition_edited(
-    graph: &Hypergraph,
-    script: &EditScript,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-) -> Result<EcoRun, EcoError> {
-    let mut obs = Observer::none();
-    repartition_edited_observed(graph, script, constraints, config, eco, previous, &mut obs)
-}
-
-/// [`repartition_edited`] with metrics: the applied edit count lands in
-/// [`Counter::EcoEditsApplied`] before the repair runs, so it is part of
-/// the outcome's metrics snapshot.
-///
-/// # Errors
-///
-/// See [`repartition_edited`].
-pub fn repartition_edited_observed(
-    graph: &Hypergraph,
-    script: &EditScript,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    obs: &mut Observer<'_>,
-) -> Result<EcoRun, EcoError> {
-    let apply_started = obs.metrics.start();
-    let edited = apply_script(graph, script)?;
-    obs.metrics.add(Counter::EcoEditsApplied, script.len() as u64);
-    if let Some(started) = apply_started {
-        obs.metrics.record_span(
-            crate::obs::SpanKind::EcoApply,
-            0,
-            started.elapsed(),
-            crate::obs::SpanStats {
-                nodes: edited.graph.node_count() as u64,
-                nets: edited.graph.net_count() as u64,
-                moves: script.len() as u64,
-                ..crate::obs::SpanStats::default()
-            },
-        );
-    }
-    let report = repartition_eco_observed(
-        &edited.graph,
-        constraints,
-        config,
-        eco,
-        previous,
-        &edited.node_map,
-        obs,
-    )?;
-    Ok(EcoRun { edited, report })
-}
-
-/// Runs [`repartition_eco`] `restarts` times with consecutive seed
-/// offsets (diversifying both the driver seed and the fallback engine's
-/// matching seed), optionally across `threads` scoped worker threads,
-/// and returns the best report under the same restart-order reduction as
-/// [`crate::partition_restarts`] — **bit-identical for every thread
-/// count**. Restarts are panic-isolated exactly like the flat search.
-///
-/// # Errors
-///
-/// [`PartitionError::InvalidConfig`] when `restarts` or `threads` is
-/// zero; otherwise the contract of [`repartition_eco`].
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_eco_restarts(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    node_map: &[Option<NodeId>],
-    restarts: usize,
-    threads: usize,
-) -> Result<PartitionOutcome, PartitionError> {
-    let (outer, inner) = crate::multilevel::split_thread_budget(threads, restarts);
-    search_restarts(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let ecoc = EcoConfig {
-            multilevel: MultilevelConfig {
-                seed: eco.multilevel.seed.wrapping_add(i as u64),
-                threads: inner,
-                ..eco.multilevel.clone()
-            },
-            ..eco.clone()
-        };
-        repartition_eco(graph, constraints, &cfg, &ecoc, previous, node_map)
-            .map(|report| report.outcome)
-    })
-}
-
-/// [`repartition_eco_restarts`] with per-restart metrics recording,
-/// mirroring [`crate::partition_restarts_observed`]. Each restart's
-/// metrics include its own eco counters; the aggregate sums them.
-///
-/// # Errors
-///
-/// Same contract as [`repartition_eco_restarts`].
-#[allow(clippy::too_many_arguments)]
-pub fn repartition_eco_restarts_observed(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    eco: &EcoConfig,
-    previous: &[u32],
-    node_map: &[Option<NodeId>],
-    restarts: usize,
-    threads: usize,
-) -> Result<crate::driver::RestartsReport, PartitionError> {
-    let (outer, inner) = crate::multilevel::split_thread_budget(threads, restarts);
-    crate::driver::search_restarts_observed(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let ecoc = EcoConfig {
-            multilevel: MultilevelConfig {
-                seed: eco.multilevel.seed.wrapping_add(i as u64),
-                threads: inner,
-                ..eco.multilevel.clone()
-            },
-            ..eco.clone()
-        };
-        let mut obs = Observer::new(Metrics::enabled(), None);
-        obs.metrics.set_span_lane(i as u32);
-        obs.metrics.span_open(crate::obs::SpanKind::Restart, 0);
-        let result =
-            repartition_eco_observed(graph, constraints, &cfg, &ecoc, previous, node_map, &mut obs)
-                .map(|report| report.outcome);
-        let mut metrics = obs.metrics;
-        metrics.bump(Counter::Runs);
-        let span_stats = match &result {
-            Ok(outcome) => crate::obs::SpanStats {
-                nodes: graph.node_count() as u64,
-                nets: graph.net_count() as u64,
-                moves: outcome.total_moves as u64,
-                ..crate::obs::SpanStats::default()
-            },
-            Err(_) => crate::obs::SpanStats::default(),
-        };
-        metrics.span_close(span_stats);
-        (result, metrics)
-    })
 }
 
 #[cfg(test)]
@@ -627,9 +423,11 @@ mod tests {
     use super::*;
     use crate::budget::RunBudget;
     use crate::multilevel::partition_multilevel;
+    use crate::obs::Metrics;
+    use crate::search::{search, Algorithm, Restarts};
     use fpart_device::Device;
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-    use fpart_hypergraph::EditOp;
+    use fpart_hypergraph::{apply_script, EditApplied, EditOp, EditScript};
     use std::time::Duration;
 
     fn small_edit(graph: &Hypergraph) -> EditScript {
@@ -645,59 +443,59 @@ mod tests {
         ])
     }
 
+    /// Partitions `graph`, applies `script` and repairs the partition
+    /// onto the edited graph under `config`.
+    fn repair(
+        graph: &Hypergraph,
+        script: &EditScript,
+        config: &FpartConfig,
+        obs: &mut Observer<'_>,
+    ) -> (EditApplied, EcoReport) {
+        let constraints = Device::XC3020.constraints(0.9);
+        let prev = partition_multilevel(
+            graph,
+            constraints,
+            &FpartConfig::default(),
+            &MultilevelConfig::default(),
+        )
+        .expect("baseline");
+        let edited = apply_script(graph, script).expect("applies");
+        let report = repartition_eco_observed(
+            &edited.graph,
+            constraints,
+            config,
+            &EcoConfig::default(),
+            &prev.assignment,
+            &edited.node_map,
+            obs,
+        )
+        .expect("repairs");
+        (edited, report)
+    }
+
     #[test]
     fn repair_after_small_edit_is_verifiable_and_incremental() {
         let g = window_circuit(&WindowConfig::new("w", 400, 30), 3);
-        let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
-        let run = repartition_edited(
-            &g,
-            &small_edit(&g),
-            constraints,
-            &config,
-            &EcoConfig::default(),
-            &prev.assignment,
-        )
-        .expect("repairs");
-        assert!(run.report.repaired, "1% churn must stay on the repair path");
-        assert!(run.report.churn < 0.05, "churn {}", run.report.churn);
-        assert!(run.report.placed >= 1);
-        assert!(run.report.removed >= 2);
-        assert!(run.report.dirty_blocks >= 1);
-        let out = &run.report.outcome;
+        let (edited, report) = repair(&g, &small_edit(&g), &config, &mut Observer::none());
+        assert!(report.repaired, "1% churn must stay on the repair path");
+        assert!(report.churn < 0.05, "churn {}", report.churn);
+        assert!(report.placed >= 1);
+        assert!(report.removed >= 2);
+        assert!(report.dirty_blocks >= 1);
+        let out = &report.outcome;
         assert!(out.feasible, "blocks: {:?}", out.blocks);
-        assert_eq!(out.assignment.len(), run.edited.graph.node_count());
-        assert!(verify_assignment(
-            &run.edited.graph,
-            &out.assignment,
-            out.device_count,
-            constraints
-        )
-        .is_feasible());
-        // Most cells keep their block: repair is local by construction.
-        let mut kept = 0usize;
-        for (old, mapped) in run.edited.node_map.iter().enumerate() {
-            if let Some(new) = mapped {
-                // assemble_outcome compacts block ids, so compare
-                // co-membership instead of raw ids: count cells whose
-                // old block peer-set is preserved. Cheap proxy: the
-                // number of moved cells is bounded by the repair moves.
-                let _ = (old, new);
-                kept += 1;
-            }
-        }
-        assert_eq!(kept, run.report.carried);
+        assert_eq!(out.assignment.len(), edited.graph.node_count());
+        let constraints = Device::XC3020.constraints(0.9);
+        assert!(verify_assignment(&edited.graph, &out.assignment, out.device_count, constraints)
+            .is_feasible());
+        // Every surviving cell carries its block over the node map.
+        assert_eq!(edited.node_map.iter().flatten().count(), report.carried);
     }
 
     #[test]
     fn high_churn_falls_back_to_full_repartitioning() {
         let g = window_circuit(&WindowConfig::new("w", 200, 20), 5);
-        let constraints = Device::XC3020.constraints(0.9);
-        let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
         // Remove a third of the design — way past any sane threshold.
         let ops: Vec<EditOp> = g
             .node_ids()
@@ -705,21 +503,11 @@ mod tests {
             .map(|v| EditOp::RemoveNode { name: g.node_name(v).to_owned() })
             .collect();
         let mut obs = Observer::new(Metrics::enabled(), None);
-        let run = repartition_edited_observed(
-            &g,
-            &EditScript::new(ops),
-            constraints,
-            &config,
-            &EcoConfig::default(),
-            &prev.assignment,
-            &mut obs,
-        )
-        .expect("falls back");
-        assert!(!run.report.repaired);
-        assert!(run.report.churn > 0.15);
-        assert!(run.report.outcome.feasible);
+        let (_, report) = repair(&g, &EditScript::new(ops), &FpartConfig::default(), &mut obs);
+        assert!(!report.repaired);
+        assert!(report.churn > 0.15);
+        assert!(report.outcome.feasible);
         assert_eq!(obs.metrics.get(Counter::EcoFallbacks), 1);
-        assert!(obs.metrics.get(Counter::EcoEditsApplied) > 0);
     }
 
     #[test]
@@ -740,27 +528,15 @@ mod tests {
     #[test]
     fn expired_deadline_skips_repair_but_covers_every_node() {
         let g = window_circuit(&WindowConfig::new("w", 400, 30), 3);
-        let constraints = Device::XC3020.constraints(0.9);
-        let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
         let timed = FpartConfig {
             budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::default() },
-            ..config.clone()
+            ..FpartConfig::default()
         };
-        let run = repartition_edited(
-            &g,
-            &small_edit(&g),
-            constraints,
-            &timed,
-            &EcoConfig::default(),
-            &prev.assignment,
-        )
-        .expect("degrades, does not error");
-        let out = &run.report.outcome;
-        assert_eq!(out.assignment.len(), run.edited.graph.node_count());
-        let v =
-            verify_assignment(&run.edited.graph, &out.assignment, out.device_count, constraints);
+        let (edited, report) = repair(&g, &small_edit(&g), &timed, &mut Observer::none());
+        let out = &report.outcome;
+        assert_eq!(out.assignment.len(), edited.graph.node_count());
+        let constraints = Device::XC3020.constraints(0.9);
+        let v = verify_assignment(&edited.graph, &out.assignment, out.device_count, constraints);
         assert!(
             v.violations.iter().all(|x| matches!(
                 x,
@@ -779,31 +555,19 @@ mod tests {
         let config = FpartConfig::default();
         let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
             .expect("baseline");
-        let script = small_edit(&g);
-        let edited = apply_script(&g, &script).expect("applies");
-        let sequential = repartition_eco_restarts(
-            &edited.graph,
-            constraints,
-            &config,
-            &EcoConfig::default(),
-            &prev.assignment,
-            &edited.node_map,
-            3,
-            1,
-        )
-        .unwrap();
+        let edited = apply_script(&g, &small_edit(&g)).expect("applies");
+        let eco = EcoConfig::default();
+        let algorithm =
+            Algorithm::Eco { eco: &eco, previous: &prev.assignment, node_map: &edited.node_map };
+        let run = |threads| {
+            let shape = Restarts { count: 3, threads, ..Restarts::default() };
+            search(&edited.graph, constraints, &config, algorithm, &shape, &mut Observer::none())
+                .unwrap()
+                .outcome
+        };
+        let sequential = run(1);
         for threads in [2, 4] {
-            let parallel = repartition_eco_restarts(
-                &edited.graph,
-                constraints,
-                &config,
-                &EcoConfig::default(),
-                &prev.assignment,
-                &edited.node_map,
-                3,
-                threads,
-            )
-            .unwrap();
+            let parallel = run(threads);
             assert_eq!(sequential.assignment, parallel.assignment, "threads={threads}");
             assert_eq!(sequential.cut, parallel.cut);
         }
@@ -812,23 +576,12 @@ mod tests {
     #[test]
     fn empty_edit_script_reports_zero_churn() {
         let g = window_circuit(&WindowConfig::new("w", 120, 12), 7);
-        let constraints = Device::XC3020.constraints(0.9);
-        let config = FpartConfig::default();
-        let prev = partition_multilevel(&g, constraints, &config, &MultilevelConfig::default())
-            .expect("baseline");
-        let run = repartition_edited(
-            &g,
-            &EditScript::default(),
-            constraints,
-            &config,
-            &EcoConfig::default(),
-            &prev.assignment,
-        )
-        .expect("repairs");
-        assert!(run.report.repaired);
-        assert_eq!(run.report.placed, 0);
-        assert_eq!(run.report.removed, 0);
-        assert!((run.report.churn - 0.0).abs() < f64::EPSILON);
-        assert!(run.report.outcome.feasible);
+        let (_, report) =
+            repair(&g, &EditScript::default(), &FpartConfig::default(), &mut Observer::none());
+        assert!(report.repaired);
+        assert_eq!(report.placed, 0);
+        assert_eq!(report.removed, 0);
+        assert!((report.churn - 0.0).abs() < f64::EPSILON);
+        assert!(report.outcome.feasible);
     }
 }

@@ -117,7 +117,7 @@ pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig) -> Bipartition {
 /// [`bipartition_fm`] with engine metrics recorded into `metrics`.
 ///
 /// Each independent run records into its own forked child registry
-/// ([`crate::parallel::run_indexed_metered`]); the children merge back
+/// ([`crate::parallel::run_indexed_caught_metered`]); the children merge back
 /// in run-index order, so the aggregate — like the winning bipartition —
 /// is bit-identical at every thread count. [`Counter::Runs`] counts the
 /// independent runs.

@@ -83,6 +83,7 @@ pub mod parallel;
 pub mod persist;
 pub mod refine;
 pub mod report;
+pub mod search;
 pub mod server;
 pub mod stack;
 pub mod state;
@@ -98,21 +99,14 @@ pub use budget::{
     RunBudget,
 };
 pub use checkpoint::{
-    fingerprint_run, partition_restarts_durable, read_checkpoint, write_checkpoint, Checkpoint,
-    CheckpointWriter, ReadCheckpointError, SavedRestart,
+    fingerprint_run, read_checkpoint, write_checkpoint, Checkpoint, CheckpointWriter,
+    ReadCheckpointError, SavedRestart,
 };
 pub use config::FpartConfig;
 pub use cost::{classify, CostEvaluator, FeasibilityClass, KeyTracker, SolutionKey};
 pub use direct::{partition_direct, DirectConfig};
-pub use driver::{
-    partition, partition_observed, partition_restarts, partition_restarts_observed,
-    partition_traced, BlockReport, FailedRestart, PartitionError, PartitionOutcome, RestartsReport,
-};
-pub use eco::{
-    repartition_eco, repartition_eco_observed, repartition_eco_restarts,
-    repartition_eco_restarts_observed, repartition_edited, repartition_edited_observed, EcoConfig,
-    EcoError, EcoReport, EcoRun,
-};
+pub use driver::{partition, partition_observed, BlockReport, PartitionError, PartitionOutcome};
+pub use eco::{repartition_eco, repartition_eco_observed, EcoConfig, EcoReport};
 pub use engine::{
     improve, improve_cells_metered, improve_metered, ImproveContext, ImproveStats, NO_REMAINDER,
 };
@@ -120,10 +114,10 @@ pub use hetero::{partition_hetero, HeteroOutcome};
 pub use initial::{bipartition_remainder, InitialMethod};
 pub use interconnect::InterconnectReport;
 pub use json::{Json, JsonParseError};
-pub use memo::{CacheStats, CachedHierarchy, HierarchyKey, MemoConfig, MemoSolution, MemoStore};
+pub use memo::{CacheStats, CachedHierarchy, HierarchyKey, MemoConfig, MemoStore};
 pub use multilevel::{
-    partition_multilevel, partition_multilevel_observed, partition_multilevel_restarts,
-    partition_multilevel_restarts_observed, split_thread_budget, MultilevelConfig,
+    partition_multilevel, partition_multilevel_observed, partition_multilevel_restarts_observed,
+    split_thread_budget, MultilevelConfig,
 };
 pub use obs::{
     event_to_json, Counter, EventSink, FanoutSink, Heartbeat, JsonlSink, Metrics, Observer,
@@ -131,6 +125,7 @@ pub use obs::{
 };
 pub use persist::{write_atomic, AtomicFile};
 pub use report::QualityReport;
+pub use search::{search, Algorithm, FailedRestart, Restarts, RestartsReport};
 pub use server::{RunParams, Server, ServerConfig};
 pub use state::PartitionState;
 pub use trace::{ImproveKind, Trace, TraceEvent};

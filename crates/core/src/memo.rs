@@ -14,8 +14,9 @@
 //!   accounting the byte-budgeted coarsener charges per level);
 //! * the **solution memo** maps a per-restart run key (graph, device
 //!   constraints, normalized configuration, diversified seeds) → the
-//!   restart's finished assignment, so an identical restart replays its
-//!   result instead of searching again.
+//!   restart's finished result (a [`SavedRestart`], the record a
+//!   checkpoint keeps too), so an identical restart replays its result
+//!   instead of searching again.
 //!
 //! Invalidation is automatic: any netlist edit changes the fingerprint
 //! (maintained in O(edit) through [`fpart_hypergraph::apply_script`]),
@@ -47,6 +48,7 @@ use fpart_hypergraph::coarsen::Hierarchy;
 use fpart_hypergraph::Fingerprint;
 
 use crate::budget::RunBudget;
+use crate::checkpoint::SavedRestart;
 use crate::config::FpartConfig;
 use crate::multilevel::MultilevelConfig;
 
@@ -131,27 +133,6 @@ pub struct CachedHierarchy {
     pub truncated: bool,
 }
 
-/// The memoized result of one restart: everything needed to rebuild the
-/// restart's [`PartitionOutcome`](crate::PartitionOutcome) fields that
-/// feed the deterministic restart reduction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoSolution {
-    /// Final dense block index per node.
-    pub assignment: Vec<u32>,
-    /// Number of devices used.
-    pub device_count: usize,
-    /// Cut nets of the stored assignment (cross-checked on replay).
-    pub cut: usize,
-    /// Whether the stored assignment met the constraints.
-    pub feasible: bool,
-    /// Peeling iterations the cold restart executed.
-    pub iterations: usize,
-    /// `Improve(...)` calls the cold restart executed.
-    pub improve_calls: usize,
-    /// Moves the cold restart retained.
-    pub total_moves: usize,
-}
-
 struct HierarchyEntry {
     value: Arc<CachedHierarchy>,
     bytes: u64,
@@ -159,7 +140,7 @@ struct HierarchyEntry {
 }
 
 struct SolutionEntry {
-    value: Arc<MemoSolution>,
+    value: Arc<SavedRestart>,
     last_used: u64,
 }
 
@@ -307,7 +288,7 @@ impl MemoStore {
     /// Looks up a memoized restart solution, refreshing its LRU
     /// position.
     #[must_use]
-    pub fn lookup_solution(&self, key: Fingerprint) -> Option<Arc<MemoSolution>> {
+    pub fn lookup_solution(&self, key: Fingerprint) -> Option<Arc<SavedRestart>> {
         let mut inner = self.inner.lock().expect("memo store poisoned");
         let tick = inner.next_tick();
         if let Some(entry) = inner.solutions.get_mut(&key) {
@@ -324,7 +305,7 @@ impl MemoStore {
     /// Memoizes a restart solution, evicting the least-recently-used
     /// entry when the bound is reached. Returns how many entries this
     /// insertion evicted.
-    pub fn insert_solution(&self, key: Fingerprint, value: MemoSolution) -> usize {
+    pub fn insert_solution(&self, key: Fingerprint, value: SavedRestart) -> usize {
         if self.config.max_solutions == 0 {
             return 0;
         }
@@ -487,14 +468,19 @@ mod tests {
     #[test]
     fn solution_roundtrip_and_entry_bound() {
         let store = MemoStore::new(MemoConfig { max_solutions: 2, ..MemoConfig::default() });
-        let sol = |seed: u64| MemoSolution {
+        let sol = |seed: u64| SavedRestart {
+            restart: 0,
             assignment: vec![0, 1, seed as u32],
+            blocks: Vec::new(),
             device_count: 2,
-            cut: 1,
+            lower_bound: 1,
             feasible: true,
+            cut: 1,
             iterations: 1,
             improve_calls: 1,
             total_moves: 3,
+            completion: crate::Completion::Complete,
+            counters: Vec::new(),
         };
         let keys: Vec<Fingerprint> = (1..=3).map(|s| Fingerprint::ZERO.fold_u64(s)).collect();
         for (i, k) in keys.iter().enumerate() {

@@ -34,14 +34,11 @@ use fpart_hypergraph::{fingerprint_graph, order_checksum, Fingerprint, Hypergrap
 use crate::budget::{BudgetTracker, Completion};
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::driver::{
-    partition_with_tracker, restart_config, search_restarts, search_restarts_observed,
-    PartitionError, PartitionOutcome, RestartsReport,
-};
+use crate::driver::{partition_with_tracker, PartitionError, PartitionOutcome};
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats};
 use crate::refine::{refine_boundary_metered, RefineConfig};
+use crate::search::{search, Algorithm, Restarts, RestartsReport};
 use crate::state::PartitionState;
-use crate::trace::Trace;
 
 /// Options of the n-level multilevel mode.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,15 +62,16 @@ pub struct MultilevelConfig {
     pub seed: u64,
     /// Intra-run worker threads for the parallel stages of one V-cycle
     /// (heavy-edge matching proposals, net projection, boundary pair
-    /// jobs). The partition is bit-identical for every value; restart
-    /// wrappers derive it from their total thread budget. Clamped to at
-    /// least 1.
+    /// jobs). The partition is bit-identical for every value; the
+    /// restart search derives it from its total thread budget. Clamped
+    /// to at least 1.
     pub threads: usize,
     /// Estimated-byte cap for hierarchy construction. When the next
     /// coarsening level would exceed it, coarsening stops at the current
-    /// depth and the run reports [`Completion::Degraded`] instead of
-    /// exhausting memory. The cap is a deterministic function of the
-    /// input, so budgeted runs stay bit-identical at any thread count.
+    /// depth and the run reports [`Completion::Degraded`]. Partition
+    /// states are not counted (see [`crate::MemoryBudget`]). The cap is
+    /// a deterministic function of the input, so budgeted runs stay
+    /// bit-identical at any thread count.
     pub memory: crate::budget::MemoryBudget,
     /// Optional shared memoization store (coarsening-hierarchy cache
     /// plus restart-solution memo, see [`crate::memo`]). `None` — the
@@ -117,7 +115,7 @@ impl MultilevelConfig {
 
 /// The memoization identity of one input graph: its content
 /// fingerprint and id-order checksum. Both are O(graph) to compute, so
-/// restart drivers compute them **once per run** and thread the pair
+/// the restart search computes them **once per run** and threads the pair
 /// through every restart's solution and hierarchy keys — the graph
 /// never changes between restarts, and recomputing per restart is
 /// exactly the kind of cold-path overhead the memo layer must not add.
@@ -134,7 +132,7 @@ pub(crate) fn graph_key(graph: &Hypergraph) -> GraphKey {
     GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
 }
 
-/// The per-run [`GraphKey`] a restart driver precomputes: `Some` only
+/// The per-run [`GraphKey`] the restart search precomputes: `Some` only
 /// when a memo store is configured — without one, no fingerprinting
 /// happens at all.
 pub(crate) fn run_graph_key(graph: &Hypergraph, ml: &MultilevelConfig) -> Option<GraphKey> {
@@ -208,8 +206,8 @@ pub fn partition_multilevel_observed(
 }
 
 /// [`partition_multilevel_observed`] with the graph's memoization
-/// identity precomputed by the caller — restart drivers hash the graph
-/// once and reuse the key for every restart.
+/// identity precomputed by the caller — the restart search hashes the
+/// graph once and reuses the key for every restart.
 pub(crate) fn partition_multilevel_observed_keyed(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -234,7 +232,6 @@ pub(crate) fn partition_multilevel_observed_keyed(
             improve_calls: 0,
             total_moves: 0,
             elapsed: start.elapsed(),
-            trace: Trace::disabled(),
             metrics: obs.metrics.clone(),
             completion: Completion::Complete,
         });
@@ -363,7 +360,6 @@ pub(crate) fn partition_multilevel_observed_keyed(
         improve_calls,
         total_moves,
         start.elapsed(),
-        Trace::disabled(),
         obs.metrics.clone(),
         {
             let mut completion = tracker.completion().worst(coarse_outcome.completion);
@@ -482,115 +478,13 @@ pub fn split_thread_budget(threads: usize, restarts: usize) -> (usize, usize) {
     (outer, inner)
 }
 
-/// Runs [`partition_multilevel`] `restarts` times with consecutive seed
-/// offsets (both the driver seed and the matching seed diversify),
-/// optionally across scoped worker threads, and returns the best
-/// outcome under the same reduction as [`crate::partition_restarts`] —
-/// reduced in restart order, so the result is **bit-identical for every
-/// thread count**. Restarts are panic-isolated exactly like the flat
-/// search.
-///
-/// `threads` is the *total* worker budget: it is split by
-/// [`split_thread_budget`] between concurrent restarts and each
-/// restart's intra-run stages (parallel matching proposals, net
-/// projection, boundary pair jobs), overriding `ml.threads`.
+/// The n-level restart search with every restart's metrics recorded:
+/// [`crate::search`] over [`Algorithm::Multilevel`] with `restarts`
+/// restarts and a total budget of `threads` workers.
 ///
 /// # Errors
 ///
-/// Returns [`PartitionError::InvalidConfig`] when `restarts` or
-/// `threads` is zero, the first restart's typed error when every restart
-/// fails, and [`PartitionError::RestartPanicked`] when every restart
-/// panicked.
-pub fn partition_multilevel_restarts(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    restarts: usize,
-    threads: usize,
-) -> Result<PartitionOutcome, PartitionError> {
-    let (outer, inner) = split_thread_budget(threads, restarts);
-    let gk = run_graph_key(graph, ml);
-    search_restarts(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        let cfg = restart_config(config, i);
-        let mlc =
-            MultilevelConfig { seed: ml.seed.wrapping_add(i as u64), threads: inner, ..ml.clone() };
-        let memo_key = restart_memo_key(gk.as_ref(), graph, constraints, &cfg, &mlc);
-        if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
-            if let Some(sol) = store.lookup_solution(key) {
-                if let Some((result, _metrics)) = replay_memo_solution(graph, constraints, &sol, i)
-                {
-                    return result;
-                }
-            }
-        }
-        let mut obs = Observer::none();
-        let result = partition_multilevel_observed_keyed(
-            graph,
-            constraints,
-            &cfg,
-            &mlc,
-            &mut obs,
-            gk.as_ref(),
-        );
-        record_memo_solution(&mlc, memo_key, &result);
-        result
-    })
-}
-
-/// The solution-memo key for one restart's effective configs, or `None`
-/// when no store is configured, the graph is empty, or the run is not
-/// [`crate::memo::memoizable`].
-fn restart_memo_key(
-    gk: Option<&GraphKey>,
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    cfg: &FpartConfig,
-    mlc: &MultilevelConfig,
-) -> Option<Fingerprint> {
-    mlc.memo.as_ref().filter(|_| graph.node_count() > 0 && crate::memo::memoizable(cfg)).map(|_| {
-        let gk = gk.copied().unwrap_or_else(|| graph_key(graph));
-        crate::memo::restart_solution_key(gk.fp, gk.order, constraints, cfg, mlc)
-    })
-}
-
-/// Stores a finished restart in the solution memo — only `Complete`
-/// outcomes qualify (a degraded or expired run is not a pure function
-/// of the key).
-fn record_memo_solution(
-    mlc: &MultilevelConfig,
-    memo_key: Option<Fingerprint>,
-    result: &Result<PartitionOutcome, PartitionError>,
-) {
-    if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
-        if let Ok(outcome) = result {
-            if outcome.completion == Completion::Complete {
-                // Solution evictions stay in the store-level
-                // `CacheStats`; only hierarchy evictions get a counter.
-                let _ = store.insert_solution(
-                    key,
-                    crate::memo::MemoSolution {
-                        assignment: outcome.assignment.clone(),
-                        device_count: outcome.device_count,
-                        cut: outcome.cut,
-                        feasible: outcome.feasible,
-                        iterations: outcome.iterations,
-                        improve_calls: outcome.improve_calls,
-                        total_moves: outcome.total_moves,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// [`partition_multilevel_restarts`] with per-restart metrics recording
-/// and a deterministic aggregate, mirroring
-/// [`crate::partition_restarts_observed`].
-///
-/// # Errors
-///
-/// Same contract as [`partition_multilevel_restarts`].
+/// See [`crate::search`].
 pub fn partition_multilevel_restarts_observed(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -599,116 +493,14 @@ pub fn partition_multilevel_restarts_observed(
     restarts: usize,
     threads: usize,
 ) -> Result<RestartsReport, PartitionError> {
-    let (outer, inner) = split_thread_budget(threads, restarts);
-    let gk = run_graph_key(graph, ml);
-    search_restarts_observed(restarts, if threads == 0 { 0 } else { outer }, &|i| {
-        observed_multilevel_restart_job(graph, constraints, config, ml, inner, i, gk.as_ref())
-    })
-}
-
-/// Runs restart `i` of the multilevel observed search exactly as
-/// [`partition_multilevel_restarts_observed`] would: diversified driver
-/// and matching seeds, `inner` intra-run threads, enabled metrics
-/// registry, restart span. Shared with the checkpointing search so a
-/// resumed run replays the identical per-restart computation.
-pub(crate) fn observed_multilevel_restart_job(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    inner: usize,
-    i: usize,
-    gk: Option<&GraphKey>,
-) -> (Result<PartitionOutcome, PartitionError>, Metrics) {
-    let cfg = restart_config(config, i);
-    let mlc =
-        MultilevelConfig { seed: ml.seed.wrapping_add(i as u64), threads: inner, ..ml.clone() };
-    // Solution memo: only restarts with no external budget of any kind
-    // qualify (their result is a pure function of the key), and a hit
-    // is verified against the live graph before it is trusted.
-    let memo_key = restart_memo_key(gk, graph, constraints, &cfg, &mlc);
-    if let (Some(store), Some(key)) = (mlc.memo.as_deref(), memo_key) {
-        if let Some(sol) = store.lookup_solution(key) {
-            if let Some(hit) = replay_memo_solution(graph, constraints, &sol, i) {
-                return hit;
-            }
-        }
-    }
-    let mut obs = Observer::new(Metrics::enabled(), None);
-    obs.metrics.set_span_lane(i as u32);
-    obs.metrics.span_open(SpanKind::Restart, 0);
-    let result = partition_multilevel_observed_keyed(graph, constraints, &cfg, &mlc, &mut obs, gk);
-    let mut metrics = obs.metrics;
-    metrics.bump(Counter::Runs);
-    let span_stats = match &result {
-        Ok(outcome) => SpanStats {
-            nodes: graph.node_count() as u64,
-            nets: graph.net_count() as u64,
-            moves: outcome.total_moves as u64,
-            ..SpanStats::default()
-        },
-        Err(_) => SpanStats::default(),
-    };
-    metrics.span_close(span_stats);
-    record_memo_solution(&mlc, memo_key, &result);
-    (result, metrics)
-}
-
-/// Rebuilds a restart's outcome from a memoized solution, after
-/// verifying the stored assignment against the live graph (coverage,
-/// block-id range, and a full reassembly cross-check of cut,
-/// feasibility, and block structure). Returns `None` — fall back to the
-/// cold search — on any disagreement, so even a fingerprint collision
-/// can never degrade quality.
-fn replay_memo_solution(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    sol: &crate::memo::MemoSolution,
-    i: usize,
-) -> Option<(Result<PartitionOutcome, PartitionError>, Metrics)> {
-    let start = Instant::now();
-    if sol.assignment.len() != graph.node_count()
-        || sol.device_count == 0
-        || sol.assignment.iter().any(|&b| b as usize >= sol.device_count)
-    {
-        return None;
-    }
-    let mut metrics = Metrics::enabled();
-    metrics.set_span_lane(i as u32);
-    metrics.span_open(SpanKind::Restart, 0);
-    metrics.bump(Counter::MemoWarmStarts);
-    let m = lower_bound(graph, constraints);
-    let state = PartitionState::from_assignment(graph, sol.assignment.clone(), sol.device_count);
-    let outcome = crate::driver::assemble_outcome(
+    search(
         graph,
-        &state,
         constraints,
-        m,
-        sol.iterations,
-        sol.improve_calls,
-        sol.total_moves,
-        start.elapsed(),
-        Trace::disabled(),
-        metrics.clone(),
-        Completion::Complete,
-    );
-    // The reassembled outcome must agree with everything the cold
-    // restart recorded; a collision shows up as a mismatch here.
-    if outcome.assignment != sol.assignment
-        || outcome.device_count != sol.device_count
-        || outcome.cut != sol.cut
-        || outcome.feasible != sol.feasible
-    {
-        return None;
-    }
-    metrics.bump(Counter::Runs);
-    metrics.span_close(SpanStats {
-        nodes: graph.node_count() as u64,
-        nets: graph.net_count() as u64,
-        moves: sol.total_moves as u64,
-        ..SpanStats::default()
-    });
-    Some((Ok(outcome), metrics))
+        config,
+        Algorithm::Multilevel(ml),
+        &Restarts { count: restarts, threads, ..Restarts::default() },
+        &mut Observer::new(Metrics::enabled(), None),
+    )
 }
 
 #[cfg(test)]
@@ -909,11 +701,14 @@ mod tests {
         let constraints = Device::XC3020.constraints(0.9);
         let config = FpartConfig::default();
         let ml = MultilevelConfig { coarsen_floor: 64, ..MultilevelConfig::default() };
-        let sequential =
-            partition_multilevel_restarts(&g, constraints, &config, &ml, 3, 1).unwrap();
+        let run = |threads| {
+            partition_multilevel_restarts_observed(&g, constraints, &config, &ml, 3, threads)
+                .unwrap()
+                .outcome
+        };
+        let sequential = run(1);
         for threads in [2, 4] {
-            let parallel =
-                partition_multilevel_restarts(&g, constraints, &config, &ml, 3, threads).unwrap();
+            let parallel = run(threads);
             assert_eq!(sequential.assignment, parallel.assignment, "threads={threads}");
             assert_eq!(sequential.device_count, parallel.device_count);
             assert_eq!(sequential.cut, parallel.cut);
@@ -924,7 +719,7 @@ mod tests {
     fn multilevel_restarts_validate_search_parameters() {
         let g = window_circuit(&WindowConfig::new("w", 60, 8), 1);
         let constraints = Device::XC3020.constraints(0.9);
-        let err = partition_multilevel_restarts(
+        let err = partition_multilevel_restarts_observed(
             &g,
             constraints,
             &FpartConfig::default(),

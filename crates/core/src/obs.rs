@@ -16,7 +16,7 @@
 //!   broadcasts to several sinks.
 //! * [`SpanStack`] — a hierarchical phase profiler: every pipeline
 //!   phase (parse, coarsen level, initial, refine level, pair job,
-//!   restart, ECO apply/place/repair) opens a [`SpanKind`] span whose
+//!   restart, ECO place/repair) opens a [`SpanKind`] span whose
 //!   self/total wall time, counter deltas, and structural stats
 //!   ([`SpanStats`]) aggregate into [`SpanRecord`]s. Children fork and
 //!   merge in job-index order exactly like the counters, so the record
@@ -305,8 +305,6 @@ pub enum SpanKind {
     RefineLevel,
     /// One block-pair boundary-refinement job on an intra-run worker.
     PairJob,
-    /// Applying a netlist edit script (ECO flow).
-    EcoApply,
     /// Re-placing cells affected by an edit script (ECO flow).
     EcoPlace,
     /// Dirty-block boundary repair (ECO flow).
@@ -315,7 +313,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every span kind, in serialization order.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Parse,
         SpanKind::Restart,
         SpanKind::CoarsenLevel,
@@ -324,7 +322,6 @@ impl SpanKind {
         SpanKind::Improve,
         SpanKind::RefineLevel,
         SpanKind::PairJob,
-        SpanKind::EcoApply,
         SpanKind::EcoPlace,
         SpanKind::EcoRepair,
     ];
@@ -343,7 +340,6 @@ impl SpanKind {
             SpanKind::Improve => "improve",
             SpanKind::RefineLevel => "refine_level",
             SpanKind::PairJob => "pair_job",
-            SpanKind::EcoApply => "eco_apply",
             SpanKind::EcoPlace => "eco_place",
             SpanKind::EcoRepair => "eco_repair",
         }
@@ -1064,6 +1060,16 @@ impl<'s> Observer<'s> {
     #[must_use]
     pub fn new(metrics: Metrics, sink: Option<&'s mut dyn EventSink>) -> Self {
         Observer { metrics, heartbeat: Heartbeat::disabled(), sink }
+    }
+
+    /// An observer for one sub-run that records into `metrics` and
+    /// borrows this observer's sink and heartbeat.
+    pub(crate) fn lend(&mut self, metrics: Metrics) -> Observer<'_> {
+        let sink: Option<&mut dyn EventSink> = match &mut self.sink {
+            Some(sink) => Some(&mut **sink),
+            None => None,
+        };
+        Observer { metrics, heartbeat: self.heartbeat.clone(), sink }
     }
 
     /// Emits an event to the sink, constructing it lazily — nothing is

@@ -67,50 +67,6 @@ pub fn run_indexed<T: Send>(
     slots.into_iter().map(|s| s.expect("every job index is executed")).collect()
 }
 
-/// [`run_indexed`] with per-job metrics: each job records into its own
-/// forked child registry (so workers never share mutable state), and the
-/// children are merged back into `metrics` **in job-index order** after
-/// the join — the aggregate is bit-identical at every thread count.
-///
-/// When `metrics` is disabled every child is disabled too, so the jobs
-/// keep the one-branch-per-event cost.
-///
-/// # Example
-///
-/// ```
-/// use fpart_core::obs::{Counter, Metrics};
-/// use fpart_core::parallel::run_indexed_metered;
-///
-/// let mut metrics = Metrics::enabled();
-/// let sums = run_indexed_metered(4, 2, &mut metrics, &|i, m| {
-///     m.add(Counter::Runs, 1);
-///     i * 2
-/// });
-/// assert_eq!(sums, vec![0, 2, 4, 6]);
-/// assert_eq!(metrics.get(Counter::Runs), 4);
-/// ```
-#[must_use]
-pub fn run_indexed_metered<T: Send>(
-    count: usize,
-    threads: usize,
-    metrics: &mut crate::obs::Metrics,
-    job: &(dyn Fn(usize, &mut crate::obs::Metrics) -> T + Sync),
-) -> Vec<T> {
-    let seed = metrics.fork();
-    let wrapped = |i: usize| {
-        let mut child = seed.fork();
-        let out = job(i, &mut child);
-        (out, child)
-    };
-    let results = run_indexed(count, threads, &wrapped);
-    let mut out = Vec::with_capacity(results.len());
-    for (value, child) in results {
-        metrics.merge(&child);
-        out.push(value);
-    }
-    out
-}
-
 /// A job that panicked inside a caught fan-out.
 ///
 /// The payload message is recovered when the panic carried a `String` or
@@ -149,18 +105,23 @@ pub fn run_indexed_caught<T: Send>(
     threads: usize,
     job: &(dyn Fn(usize) -> T + Sync),
 ) -> Vec<Result<T, JobPanic>> {
-    run_indexed(count, threads, &|i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i)))
-            .map_err(|payload| JobPanic { index: i, message: panic_message(payload.as_ref()) })
-    })
+    run_indexed(count, threads, &|i| catch_panic(i, || job(i)))
 }
 
-/// [`run_indexed_metered`] with per-job panic isolation.
-///
-/// Surviving jobs merge their forked metrics children back into
-/// `metrics` in job-index order exactly like [`run_indexed_metered`]; a
+/// Runs job `index` on the calling thread, catching a panic as a
+/// [`JobPanic`].
+pub(crate) fn catch_panic<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+        .map_err(|payload| JobPanic { index, message: panic_message(payload.as_ref()) })
+}
+
+/// [`run_indexed_caught`] with per-job metrics: each job records into
+/// its own forked child registry (so workers never share mutable state),
+/// and the surviving children merge back into `metrics` **in job-index
+/// order** — the aggregate is bit-identical at every thread count. A
 /// panicked job contributes nothing here (the caller decides how to
-/// account for it, e.g. by synthesizing a placeholder registry).
+/// account for it). When `metrics` is disabled every child is disabled
+/// too, so the jobs keep the one-branch-per-event cost.
 #[must_use]
 pub fn run_indexed_caught_metered<T: Send>(
     count: usize,
@@ -208,7 +169,7 @@ mod tests {
     fn metered_aggregate_is_thread_count_invariant() {
         let run = |threads: usize| {
             let mut metrics = Metrics::enabled();
-            let out = run_indexed_metered(9, threads, &mut metrics, &|i, m| {
+            let out = run_indexed_caught_metered(9, threads, &mut metrics, &|i, m| {
                 m.add(Counter::MovesApplied, (i as u64 + 1) * 3);
                 m.bump(Counter::Runs);
                 i
@@ -285,12 +246,12 @@ mod tests {
     #[test]
     fn metered_disabled_parent_disables_children() {
         let mut metrics = Metrics::disabled();
-        let out = run_indexed_metered(3, 2, &mut metrics, &|i, m| {
+        let out = run_indexed_caught_metered(3, 2, &mut metrics, &|i, m| {
             assert!(!m.is_enabled());
             m.bump(Counter::Runs);
             i
         });
-        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(out, vec![Ok(0), Ok(1), Ok(2)]);
         assert_eq!(metrics.get(Counter::Runs), 0);
     }
 }

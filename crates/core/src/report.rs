@@ -241,7 +241,6 @@ mod tests {
             improve_calls: 0,
             total_moves: 0,
             elapsed: std::time::Duration::ZERO,
-            trace: crate::Trace::disabled(),
             metrics: crate::obs::Metrics::disabled(),
             completion: crate::budget::Completion::Complete,
         }

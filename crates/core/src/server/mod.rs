@@ -10,11 +10,11 @@
 //!
 //! Guarantees:
 //!
-//! * **Determinism** — a protocol `partition` is bit-identical to the
-//!   library's [`crate::partition_multilevel_restarts`] (or
-//!   [`crate::partition_restarts`]) with the same seed, restarts, and
-//!   config, at any thread count; streaming progress does not perturb
-//!   the search.
+//! * **Determinism** — a protocol `partition` or `eco` runs the
+//!   library's one restart search, [`crate::search`], and is
+//!   bit-identical to calling it with the same seed, restarts and
+//!   config, at any thread count; streaming a `partition`'s progress
+//!   does not perturb the search.
 //! * **Typed failure** — malformed lines, unknown commands, unknown
 //!   sessions, and oversized lines produce error replies, never a
 //!   disconnect or a panic.
@@ -49,14 +49,11 @@ use fpart_hypergraph::{
 
 use crate::budget::{CancelToken, Completion, RunBudget};
 use crate::config::FpartConfig;
-use crate::driver::{partition_observed, partition_restarts_observed, RestartsReport};
-use crate::eco::{repartition_eco_restarts_observed, EcoConfig};
-use crate::multilevel::{
-    partition_multilevel_observed, partition_multilevel_restarts_observed, split_thread_budget,
-    MultilevelConfig,
-};
+use crate::eco::EcoConfig;
+use crate::multilevel::MultilevelConfig;
 use crate::obs::{event_to_json, Counter, EventSink, Heartbeat, Metrics, Observer};
 use crate::persist::write_atomic;
+use crate::search::{search, Algorithm, Restarts, RestartsReport};
 use crate::trace::TraceEvent;
 
 /// Tuning knobs of a [`Server`].
@@ -118,6 +115,21 @@ struct Session {
     totals: Metrics,
     /// Requests served (successful runs).
     requests: u64,
+}
+
+impl Session {
+    /// Books one finished request: its metrics, the server counters, and
+    /// the winning assignment as the session's latest.
+    fn record(&mut self, report: &RestartsReport) {
+        self.requests += 1;
+        self.totals.merge(&report.totals);
+        self.totals.bump(Counter::ServerRequests);
+        if report.completion == Completion::Cancelled {
+            self.totals.bump(Counter::ServerCancelled);
+        }
+        self.last = Some(report.outcome.assignment.clone());
+        self.blocks = report.outcome.blocks.len();
+    }
 }
 
 /// A sessionful partition server. See the [module docs](self).
@@ -499,7 +511,19 @@ impl Server {
         }
     }
 
-    fn budgeted_config(&self, params: &RunParams, cancel: &CancelToken) -> (FpartConfig, usize) {
+    /// Runs one request's restart search: `params` shape the budget,
+    /// seed, restarts and threads (clamped to the server's total), and a
+    /// single-restart run streams heartbeats to `progress` when given.
+    /// Returns the report and the thread budget it ran with.
+    fn run_search(
+        &self,
+        graph: &Hypergraph,
+        constraints: DeviceConstraints,
+        algorithm: Algorithm<'_>,
+        params: &RunParams,
+        cancel: &CancelToken,
+        progress: Option<&mut dyn EventSink>,
+    ) -> Result<(RestartsReport, usize), ProtocolError> {
         let mut cfg = FpartConfig::default();
         if let Some(seed) = params.seed {
             cfg.seed = seed;
@@ -512,7 +536,21 @@ impl Server {
         };
         let total = self.config.threads.max(1);
         let threads = params.threads.unwrap_or(total).clamp(1, total);
-        (cfg, threads)
+        let streaming = progress.is_some();
+        let mut obs = Observer::new(Metrics::enabled(), progress);
+        if streaming {
+            obs.heartbeat = Heartbeat::every(Duration::from_millis(self.config.heartbeat_ms));
+        }
+        let restarts = Restarts { count: params.restarts, threads, ..Restarts::default() };
+        let report =
+            search(graph, constraints, &cfg, algorithm, &restarts, &mut obs).map_err(run_failed)?;
+        Ok((report, threads))
+    }
+
+    /// The n-level options of every served run: defaults plus the
+    /// server's memo store.
+    fn multilevel(&self) -> MultilevelConfig {
+        MultilevelConfig { memo: self.config.memo.clone(), ..MultilevelConfig::default() }
     }
 
     fn run_partition<W: Write + Send>(
@@ -528,73 +566,22 @@ impl Server {
             let s = session.lock().unwrap();
             (Arc::clone(&s.graph), s.constraints)
         };
-        let (cfg, threads) = self.budgeted_config(params, cancel);
-        let restarts = params.restarts;
-        let started = Instant::now();
-        // With one restart a streamed run is bit-identical to the
-        // restarts path: the per-restart seed offset is zero at index
-        // 0 and the intra-run thread budget is the same split.
-        let report = match (params.progress && restarts == 1, out) {
-            (true, Some(out)) => {
-                let mut sink = WireSink { out, id };
-                let mut obs = Observer::new(Metrics::enabled(), Some(&mut sink));
-                obs.heartbeat = Heartbeat::every(Duration::from_millis(self.config.heartbeat_ms));
-                let outcome = match params.method {
-                    Method::Multilevel => {
-                        let (_, inner) = split_thread_budget(threads, 1);
-                        let ml = MultilevelConfig {
-                            threads: inner,
-                            memo: self.config.memo.clone(),
-                            ..MultilevelConfig::default()
-                        };
-                        partition_multilevel_observed(&graph, constraints, &cfg, &ml, &mut obs)
-                    }
-                    Method::Fpart => partition_observed(&graph, constraints, &cfg, &mut obs),
-                }
-                .map_err(run_failed)?;
-                let totals = obs.metrics;
-                let completion = outcome.completion;
-                RestartsReport {
-                    outcome,
-                    totals: totals.clone(),
-                    per_restart: vec![totals],
-                    completion,
-                    failed: Vec::new(),
-                }
-            }
-            _ => match params.method {
-                Method::Multilevel => partition_multilevel_restarts_observed(
-                    &graph,
-                    constraints,
-                    &cfg,
-                    &MultilevelConfig {
-                        memo: self.config.memo.clone(),
-                        ..MultilevelConfig::default()
-                    },
-                    restarts,
-                    threads,
-                )
-                .map_err(run_failed)?,
-                Method::Fpart => {
-                    partition_restarts_observed(&graph, constraints, &cfg, restarts, threads)
-                        .map_err(run_failed)?
-                }
-            },
+        let ml = self.multilevel();
+        let algorithm = match params.method {
+            Method::Multilevel => Algorithm::Multilevel(&ml),
+            Method::Fpart => Algorithm::Flat,
         };
+        let mut sink = out.filter(|_| params.progress).map(|out| WireSink { out, id });
+        let progress = sink.as_mut().map(|sink| sink as &mut dyn EventSink);
+        let started = Instant::now();
+        let (report, threads) =
+            self.run_search(&graph, constraints, algorithm, params, cancel, progress)?;
         let elapsed_ms = started.elapsed().as_millis();
         if let Some(path) = &params.output {
             write_assignment_atomic(path, &graph, &report.outcome)?;
         }
-        let mut s = session.lock().unwrap();
-        s.requests += 1;
-        s.totals.merge(&report.totals);
-        s.totals.bump(Counter::ServerRequests);
-        if report.completion == Completion::Cancelled {
-            s.totals.bump(Counter::ServerCancelled);
-        }
-        s.last = Some(report.outcome.assignment.clone());
-        s.blocks = report.outcome.blocks.len();
-        Ok(render_run_result(name, &report, restarts, threads, elapsed_ms, params, ""))
+        session.lock().unwrap().record(&report);
+        Ok(render_run_result(name, &report, params.restarts, threads, elapsed_ms, params, ""))
     }
 
     fn run_eco(
@@ -615,7 +602,6 @@ impl Server {
             })?;
             (Arc::clone(&s.graph), s.constraints, previous, s.fingerprint)
         };
-        let (cfg, threads) = self.budgeted_config(params, cancel);
         let started = Instant::now();
         let edited = apply_script(&graph, script)
             .map_err(|e| ProtocolError::new("bad_request", format!("edit script failed: {e}")))?;
@@ -623,24 +609,11 @@ impl Server {
         // the edit's XOR delta instead of an O(pins) rehash.
         let fp_after = fp_before ^ edited.fingerprint_delta;
         debug_assert_eq!(fp_after, fingerprint_graph(&edited.graph));
-        let eco = EcoConfig {
-            multilevel: MultilevelConfig {
-                memo: self.config.memo.clone(),
-                ..MultilevelConfig::default()
-            },
-            ..EcoConfig::default()
-        };
-        let report = repartition_eco_restarts_observed(
-            &edited.graph,
-            constraints,
-            &cfg,
-            &eco,
-            &previous,
-            &edited.node_map,
-            params.restarts,
-            threads,
-        )
-        .map_err(run_failed)?;
+        let eco = EcoConfig { multilevel: self.multilevel(), ..EcoConfig::default() };
+        let algorithm =
+            Algorithm::Eco { eco: &eco, previous: &previous, node_map: &edited.node_map };
+        let (report, threads) =
+            self.run_search(&edited.graph, constraints, algorithm, params, cancel, None)?;
         let elapsed_ms = started.elapsed().as_millis();
         let edited_graph = Arc::new(edited.graph);
         if let Some(path) = &params.output {
@@ -654,16 +627,9 @@ impl Server {
             edited_graph.node_count(),
         );
         let mut s = session.lock().unwrap();
-        s.requests += 1;
-        s.totals.merge(&report.totals);
-        s.totals.bump(Counter::ServerRequests);
-        if report.completion == Completion::Cancelled {
-            s.totals.bump(Counter::ServerCancelled);
-        }
+        s.record(&report);
         s.graph = edited_graph;
         s.fingerprint = fp_after;
-        s.last = Some(report.outcome.assignment.clone());
-        s.blocks = report.outcome.blocks.len();
         Ok(render_run_result(name, &report, params.restarts, threads, elapsed_ms, params, &extra))
     }
 

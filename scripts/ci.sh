@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, tests, parser fuzz,
-# degradation smoke, kill-resume durability gate, quality-regression
-# gate, observability smoke, partition-server smoke, smoke bench.
+# Local CI gate: formatting, lints, release build, tests, benchmark
+# harness tests, parser fuzz, degradation smoke, kill-resume durability
+# gate, quality-regression gate, observability smoke, partition-server
+# smoke, smoke bench.
 #
 # Usage: scripts/ci.sh [--skip-bench]
 #
@@ -46,6 +47,13 @@ for fpart_threads in $fpart_threads_list; do
     echo "--- FPART_THREADS=$fpart_threads"
     FPART_THREADS=$fpart_threads cargo test --workspace -q
 done
+
+step "benchmark harness tests (perfbench)"
+# perfbench/harness is its own cargo workspace that links the library
+# crates by path, so this is the step that compiles it against the
+# current API (an API removal fails here, not in a benchmark run), then
+# checks the input generator and the independent result checker.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 step "parser fuzz (20k seeded mutations x 7 targets)"
 # Every parser (.fhg, hMETIS, BLIF, edit script, checkpoint, server

@@ -6,9 +6,9 @@
 use std::path::PathBuf;
 
 use fpart_core::{
-    fingerprint_run, partition_restarts_durable, read_checkpoint, write_checkpoint, AtomicFile,
-    Checkpoint, CheckpointWriter, Counter, FpartConfig, MultilevelConfig, ReadCheckpointError,
-    SCHEMA_VERSION,
+    fingerprint_run, read_checkpoint, search, write_checkpoint, Algorithm, AtomicFile, Checkpoint,
+    CheckpointWriter, Counter, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionError,
+    ReadCheckpointError, Restarts, RestartsReport, SCHEMA_VERSION,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
@@ -26,7 +26,28 @@ fn device() -> DeviceConstraints {
     DeviceConstraints::new(20, 24)
 }
 
-/// Runs the durable search end to end with a live [`CheckpointWriter`]
+/// The observed restart search on [`device`], flat or n-level, with an
+/// optional checkpoint to resume and writer to stream snapshots to.
+fn durable(
+    graph: &Hypergraph,
+    config: &FpartConfig,
+    ml: Option<&MultilevelConfig>,
+    restarts: usize,
+    threads: usize,
+    resume: Option<&Checkpoint>,
+    writer: Option<&CheckpointWriter>,
+) -> Result<RestartsReport, PartitionError> {
+    search(
+        graph,
+        device(),
+        config,
+        ml.map_or(Algorithm::Flat, Algorithm::Multilevel),
+        &Restarts { count: restarts, threads, resume, writer },
+        &mut Observer::new(Metrics::enabled(), None),
+    )
+}
+
+/// Runs the search end to end with a live [`CheckpointWriter`]
 /// and returns the final on-disk checkpoint (every restart completed).
 fn full_checkpoint(
     graph: &Hypergraph,
@@ -35,11 +56,9 @@ fn full_checkpoint(
     restarts: usize,
     dir: &std::path::Path,
 ) -> Checkpoint {
-    let fp = fingerprint_run(graph, device(), config, ml, restarts);
     let path = dir.join("full.ckpt");
     let writer = CheckpointWriter::spawn(path.clone(), std::time::Duration::ZERO);
-    partition_restarts_durable(graph, device(), config, ml, restarts, 1, fp, None, Some(&writer))
-        .expect("search succeeds");
+    durable(graph, config, ml, restarts, 1, None, Some(&writer)).expect("search succeeds");
     let writes = writer.finish().expect("writer flushes");
     assert!(writes >= 1, "at least the final snapshot must hit disk");
     let checkpoint = read_checkpoint(&path).expect("final checkpoint parses");
@@ -68,11 +87,8 @@ proptest! {
         let config = FpartConfig::default();
         let ml_cfg = MultilevelConfig { coarsen_floor: 16, ..MultilevelConfig::default() };
         let ml = multilevel.then_some(&ml_cfg);
-        let fp = fingerprint_run(&graph, device(), &config, ml, restarts);
-
         let baseline =
-            partition_restarts_durable(&graph, device(), &config, ml, restarts, 1, fp, None, None)
-                .expect("baseline search succeeds");
+            durable(&graph, &config, ml, restarts, 1, None, None).expect("baseline search succeeds");
 
         let dir = temp_dir("kill-resume");
         let full = full_checkpoint(&graph, &config, ml, restarts, &dir);
@@ -87,10 +103,8 @@ proptest! {
         let saved = read_checkpoint(&path).expect("round-trips");
 
         for threads in [1usize, 4] {
-            let resumed = partition_restarts_durable(
-                &graph, device(), &config, ml, restarts, threads, fp, Some(&saved), None,
-            )
-            .expect("resumed search succeeds");
+            let resumed = durable(&graph, &config, ml, restarts, threads, Some(&saved), None)
+                .expect("resumed search succeeds");
             prop_assert_eq!(&resumed.outcome.assignment, &baseline.outcome.assignment);
             prop_assert_eq!(resumed.outcome.cut, baseline.outcome.cut);
             prop_assert_eq!(resumed.outcome.device_count, baseline.outcome.device_count);
@@ -231,19 +245,40 @@ fn fingerprint_mismatch_refuses_to_merge() {
         full.verify(fp_other),
         Err(ReadCheckpointError::FingerprintMismatch { found: fp, expected: fp_other })
     );
-    let err = partition_restarts_durable(
-        &other,
-        device(),
-        &config,
-        None,
-        2,
-        1,
-        fp_other,
-        Some(&full),
-        None,
-    )
-    .unwrap_err();
+    let err = durable(&other, &config, None, 2, 1, Some(&full), None).unwrap_err();
     assert!(err.to_string().contains("fingerprint"), "{err}");
+}
+
+/// A checkpoint entry that does not check out against the live graph —
+/// here restart 0's assignment is one node short — is recomputed, never
+/// trusted: the resumed search equals the uninterrupted one, flat and
+/// n-level, and only the intact restarts count as resumed.
+#[test]
+fn damaged_checkpoint_entry_is_recomputed() {
+    let graph = window_circuit(&WindowConfig::new("damaged", 60, 6), 7);
+    let config = FpartConfig::default();
+    let ml_cfg = MultilevelConfig { coarsen_floor: 16, ..MultilevelConfig::default() };
+    let restarts = 3;
+    for ml in [None, Some(&ml_cfg)] {
+        let dir = temp_dir(if ml.is_some() { "damaged-ml" } else { "damaged" });
+        let baseline = durable(&graph, &config, ml, restarts, 1, None, None).expect("baseline");
+        let mut damaged = full_checkpoint(&graph, &config, ml, restarts, &dir);
+        assert_eq!(damaged.completed[0].restart, 0);
+        damaged.completed[0].assignment.pop();
+        let path = dir.join("damaged.ckpt");
+        write_checkpoint(&path, &damaged).expect("write");
+        let saved = read_checkpoint(&path).expect("a short assignment still parses");
+
+        for threads in [1usize, 4] {
+            let resumed = durable(&graph, &config, ml, restarts, threads, Some(&saved), None)
+                .expect("resumed search succeeds");
+            assert_eq!(resumed.outcome.assignment, baseline.outcome.assignment);
+            assert_eq!(resumed.outcome.cut, baseline.outcome.cut);
+            assert_eq!(resumed.outcome.device_count, baseline.outcome.device_count);
+            assert_eq!(resumed.outcome.completion, baseline.outcome.completion);
+            assert_eq!(resumed.totals.get(Counter::RestartsResumed), restarts as u64 - 1);
+        }
+    }
 }
 
 /// A writer killed mid-write (simulated by dropping an [`AtomicFile`]
@@ -274,9 +309,7 @@ fn kill_mid_checkpoint_write_preserves_the_previous_snapshot() {
         .collect();
     assert!(leftovers.is_empty(), "no temp litter: {leftovers:?}");
 
-    let fp = fingerprint_run(&graph, device(), &config, None, 2);
-    let resumed =
-        partition_restarts_durable(&graph, device(), &config, None, 2, 1, fp, Some(&back), None)
-            .expect("resume from the surviving snapshot");
+    let resumed = durable(&graph, &config, None, 2, 1, Some(&back), None)
+        .expect("resume from the surviving snapshot");
     assert_eq!(resumed.totals.get(Counter::RestartsResumed), 2);
 }

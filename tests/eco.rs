@@ -10,13 +10,15 @@
 //! * **Degradation** — repairing under an already-expired deadline
 //!   still returns full-coverage, structurally valid output with only
 //!   capacity violations possible (property test).
-//! * **Thread invariance** — the restarts entry point returns a
+//! * **Thread invariance** — the ECO restart search returns a
 //!   bit-identical winner at 1, 2, and 4 threads (property test).
 
 use std::time::Duration;
 
 use fpart_core::verify::{verify_assignment, Violation};
-use fpart_core::{repartition_eco, repartition_eco_restarts, EcoConfig, FpartConfig, RunBudget};
+use fpart_core::{
+    repartition_eco, search, Algorithm, EcoConfig, FpartConfig, Observer, Restarts, RunBudget,
+};
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph};
@@ -175,17 +177,18 @@ proptest! {
         let previous = baseline(&graph, constraints);
         let script = random_edit(&graph, removals, adds, edit_seed);
         let applied = apply_script(&graph, &script).expect("edit applies");
+        let eco = EcoConfig::default();
+        let algorithm =
+            Algorithm::Eco { eco: &eco, previous: &previous, node_map: &applied.node_map };
         let run = |threads: usize| {
-            repartition_eco_restarts(
+            search(
                 &applied.graph,
                 constraints,
                 &FpartConfig::default(),
-                &EcoConfig::default(),
-                &previous,
-                &applied.node_map,
-                3,
-                threads,
-            ).expect("repairs")
+                algorithm,
+                &Restarts { count: 3, threads, ..Restarts::default() },
+                &mut Observer::none(),
+            ).expect("repairs").outcome
         };
         let sequential = run(1);
         for threads in [2usize, 4] {

@@ -122,8 +122,11 @@ fn trace_matches_untraced_result() {
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3042.constraints(0.9);
     let plain = partition(&graph, constraints, &FpartConfig::default()).expect("runs");
-    let traced = fpart_core::partition_traced(&graph, constraints, &FpartConfig::default(), true)
-        .expect("runs");
+    let mut trace = fpart_core::Trace::enabled();
+    let mut obs = fpart_core::Observer::new(fpart_core::Metrics::disabled(), Some(&mut trace));
+    let traced =
+        fpart_core::partition_observed(&graph, constraints, &FpartConfig::default(), &mut obs)
+            .expect("runs");
     assert_eq!(plain.assignment, traced.assignment);
-    assert!(traced.trace.events().len() > plain.trace.events().len());
+    assert!(!trace.events().is_empty());
 }

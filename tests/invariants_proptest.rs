@@ -4,14 +4,27 @@
 use fpart_core::bucket::GainBucket;
 use fpart_core::cost::CostEvaluator;
 use fpart_core::{
-    partition, partition_multilevel, partition_multilevel_restarts, partition_restarts, Completion,
-    FpartConfig, KeyTracker, MultilevelConfig, PartitionState, RunBudget, SolutionKey,
+    partition, partition_multilevel, search, Algorithm, Completion, FpartConfig, KeyTracker,
+    MultilevelConfig, Observer, PartitionError, PartitionOutcome, PartitionState, Restarts,
+    RunBudget, SolutionKey,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::coarsen::coarsen_to_floor;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::{Hypergraph, NodeId};
 use proptest::prelude::*;
+
+/// Three unobserved restarts of `algorithm` on `threads` workers.
+fn three_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    algorithm: Algorithm<'_>,
+    threads: usize,
+) -> Result<PartitionOutcome, PartitionError> {
+    let shape = Restarts { count: 3, threads, ..Restarts::default() };
+    search(graph, constraints, &FpartConfig::default(), algorithm, &shape, &mut Observer::none())
+        .map(|report| report.outcome)
+}
 
 /// Strategy: a small random hypergraph (connected enough to be
 /// interesting, with random sizes and a few terminals).
@@ -147,9 +160,8 @@ proptest! {
         let constraints = DeviceConstraints::new(s_max, t_max);
         let max_node = graph.node_ids().map(|v| u64::from(graph.node_size(v))).max().unwrap_or(0);
         prop_assume!(max_node <= s_max);
-        let config = FpartConfig::default();
-        let sequential = partition_restarts(&graph, constraints, &config, 3, 1);
-        let parallel = partition_restarts(&graph, constraints, &config, 3, threads);
+        let sequential = three_restarts(&graph, constraints, Algorithm::Flat, 1);
+        let parallel = three_restarts(&graph, constraints, Algorithm::Flat, threads);
         match (sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.assignment, b.assignment);
@@ -319,11 +331,9 @@ proptest! {
         let constraints = DeviceConstraints::new(s_max, t_max);
         let max_node = graph.node_ids().map(|v| u64::from(graph.node_size(v))).max().unwrap_or(0);
         prop_assume!(max_node <= s_max);
-        let config = FpartConfig::default();
         let ml = MultilevelConfig { coarsen_floor: 8, ..MultilevelConfig::default() };
-        let sequential = partition_multilevel_restarts(&graph, constraints, &config, &ml, 3, 1);
-        let parallel =
-            partition_multilevel_restarts(&graph, constraints, &config, &ml, 3, threads);
+        let sequential = three_restarts(&graph, constraints, Algorithm::Multilevel(&ml), 1);
+        let parallel = three_restarts(&graph, constraints, Algorithm::Multilevel(&ml), threads);
         match (sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.assignment, b.assignment);

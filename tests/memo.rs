@@ -13,8 +13,8 @@
 //!   cleanly and never degrade the quality of the cold result.
 
 use fpart_core::{
-    partition_multilevel_restarts, verify_assignment, FpartConfig, MemoStore, MultilevelConfig,
-    PartitionOutcome,
+    search, verify_assignment, Algorithm, FpartConfig, MemoStore, MultilevelConfig, Observer,
+    PartitionOutcome, Restarts,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{
@@ -24,6 +24,21 @@ use fpart_hypergraph::gen::{
 use fpart_hypergraph::Hypergraph;
 
 use proptest::prelude::*;
+
+/// The unobserved n-level restart search.
+fn ml_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    cfg: &FpartConfig,
+    ml: &MultilevelConfig,
+    restarts: usize,
+    threads: usize,
+) -> PartitionOutcome {
+    let shape = Restarts { count: restarts, threads, ..Restarts::default() };
+    search(graph, constraints, cfg, Algorithm::Multilevel(ml), &shape, &mut Observer::none())
+        .unwrap()
+        .outcome
+}
 
 fn assert_bit_identical(cold: &PartitionOutcome, warm: &PartitionOutcome, what: &str) {
     assert_eq!(cold.assignment, warm.assignment, "{what}: assignment");
@@ -48,15 +63,8 @@ proptest! {
         let graph = window_circuit(&WindowConfig::new("memoprop", nodes, 8), 13);
         let constraints = DeviceConstraints::new(40, 24);
         let cfg = FpartConfig { seed, ..FpartConfig::default() };
-        let cold = partition_multilevel_restarts(
-            &graph,
-            constraints,
-            &cfg,
-            &MultilevelConfig::default(),
-            restarts,
-            1,
-        )
-        .unwrap();
+        let cold =
+            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 1);
 
         let store = MemoStore::shared();
         for threads in [1usize, 4] {
@@ -65,10 +73,7 @@ proptest! {
                 ..MultilevelConfig::default()
             };
             for pass in ["populating", "warm"] {
-                let warm = partition_multilevel_restarts(
-                    &graph, constraints, &cfg, &ml, restarts, threads,
-                )
-                .unwrap();
+                let warm = ml_restarts(&graph, constraints, &cfg, &ml, restarts, threads);
                 assert_bit_identical(
                     &cold,
                     &warm,
@@ -119,22 +124,13 @@ fn warm_started_restarts_never_degrade_on_quality_gate_circuits() {
     let restarts = 2;
     for (graph, constraints) in quality_gate_circuits() {
         let cfg = FpartConfig::default();
-        let cold = partition_multilevel_restarts(
-            &graph,
-            constraints,
-            &cfg,
-            &MultilevelConfig::default(),
-            restarts,
-            2,
-        )
-        .unwrap();
+        let cold =
+            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 2);
 
         let store = MemoStore::shared();
         let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
-        let populate =
-            partition_multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
-        let warm =
-            partition_multilevel_restarts(&graph, constraints, &cfg, &ml, restarts, 2).unwrap();
+        let populate = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 2);
+        let warm = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 2);
 
         let name = graph.name().to_owned();
         assert_bit_identical(&cold, &populate, &format!("{name}: populating run"));

@@ -3,7 +3,7 @@
 //! * **Non-interference** — instrumented (metrics + sinks enabled) and
 //!   uninstrumented runs produce **bit-identical partitions**, at 1 and
 //!   4 threads, over randomized circuits and devices (property test).
-//! * **Deterministic aggregation** — `partition_restarts_observed`
+//! * **Deterministic aggregation** — the observed restart search's
 //!   totals equal the field-wise per-restart sums and are invariant to
 //!   the thread count.
 //! * **Consistency** — counters cross-check against the outcome
@@ -14,8 +14,8 @@
 
 use fpart_core::fm::{bipartition_fm, bipartition_fm_metered, FmConfig};
 use fpart_core::{
-    partition, partition_observed, partition_restarts, partition_restarts_observed, Counter,
-    EventSink, FpartConfig, JsonlSink, Metrics, Observer, Trace, TraceEvent,
+    partition, partition_observed, search, Algorithm, Counter, EventSink, FpartConfig, JsonlSink,
+    Metrics, Observer, PartitionError, Restarts, RestartsReport, Trace, TraceEvent,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
@@ -32,6 +32,19 @@ fn arb_workload() -> impl Strategy<Value = (Hypergraph, DeviceConstraints)> {
             (graph, DeviceConstraints::new(s_max, t_max))
         },
     )
+}
+
+/// The flat restart search, recording into `metrics` (enabled or not).
+fn flat_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    restarts: usize,
+    threads: usize,
+    metrics: Metrics,
+) -> Result<RestartsReport, PartitionError> {
+    let shape = Restarts { count: restarts, threads, ..Restarts::default() };
+    let config = FpartConfig::default();
+    search(graph, constraints, &config, Algorithm::Flat, &shape, &mut Observer::new(metrics, None))
 }
 
 /// A sink that counts events without retaining them, to prove the
@@ -88,10 +101,11 @@ proptest! {
 
         // Observed restarts match plain restarts at 1 and 4 threads.
         for threads in [1usize, 4] {
-            let plain = partition_restarts(&graph, constraints, &config, 4, threads);
-            let observed = partition_restarts_observed(&graph, constraints, &config, 4, threads);
+            let plain = flat_restarts(&graph, constraints, 4, threads, Metrics::disabled());
+            let observed = flat_restarts(&graph, constraints, 4, threads, Metrics::enabled());
             match (plain, observed) {
-                (Ok(a), Ok(r)) => {
+                (Ok(p), Ok(r)) => {
+                    let a = &p.outcome;
                     prop_assert_eq!(&a.assignment, &r.outcome.assignment, "threads={}", threads);
                     prop_assert_eq!(a.device_count, r.outcome.device_count);
                     prop_assert_eq!(a.cut, r.outcome.cut);
@@ -106,8 +120,7 @@ proptest! {
     /// thread-count invariant.
     #[test]
     fn restart_aggregation_is_deterministic((graph, constraints) in arb_workload()) {
-        let config = FpartConfig::default();
-        let Ok(reference) = partition_restarts_observed(&graph, constraints, &config, 3, 1)
+        let Ok(reference) = flat_restarts(&graph, constraints, 3, 1, Metrics::enabled())
         else { return Ok(()); };
 
         prop_assert_eq!(reference.per_restart.len(), 3);
@@ -118,7 +131,7 @@ proptest! {
         }
 
         for threads in [2usize, 4] {
-            let report = partition_restarts_observed(&graph, constraints, &config, 3, threads)
+            let report = flat_restarts(&graph, constraints, 3, threads, Metrics::enabled())
                 .expect("succeeded at 1 thread");
             prop_assert_eq!(&report.outcome.assignment, &reference.outcome.assignment);
             for counter in Counter::ALL {

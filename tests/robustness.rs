@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use fpart_core::verify::{verify_assignment, Violation};
 use fpart_core::{
-    partition, partition_restarts, partition_restarts_observed, CancelToken, Completion, Counter,
-    FaultPlan, FpartConfig, PartitionError, PartitionOutcome, RunBudget,
+    partition, search, Algorithm, CancelToken, Completion, Counter, FaultPlan, FpartConfig,
+    Metrics, Observer, PartitionError, PartitionOutcome, Restarts, RestartsReport, RunBudget,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
@@ -45,6 +45,20 @@ fn quiet_injected_panics() {
             }
         }));
     });
+}
+
+/// The flat restart search under `config`, recording into `metrics`
+/// (enabled or not).
+fn flat_restarts(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    restarts: usize,
+    threads: usize,
+    metrics: Metrics,
+) -> Result<RestartsReport, PartitionError> {
+    let shape = Restarts { count: restarts, threads, ..Restarts::default() };
+    search(graph, constraints, config, Algorithm::Flat, &shape, &mut Observer::new(metrics, None))
 }
 
 /// Strategy: a random circuit plus device constraints tight enough to
@@ -175,7 +189,7 @@ proptest! {
             ..FpartConfig::default()
         };
 
-        let reference = match partition_restarts_observed(&graph, constraints, &config, 3, 1) {
+        let reference = match flat_restarts(&graph, constraints, &config, 3, 1, Metrics::enabled()) {
             Ok(report) => report,
             // All-failed only happens when every restart panics; with a
             // single victim that means restarts were collapsed — not
@@ -207,7 +221,7 @@ proptest! {
         assert_structurally_valid(&graph, &reference.outcome);
 
         for threads in [2usize, 4] {
-            let report = partition_restarts_observed(&graph, constraints, &config, 3, threads)
+            let report = flat_restarts(&graph, constraints, &config, 3, threads, Metrics::enabled())
                 .expect("succeeded at 1 thread");
             prop_assert_eq!(&report.outcome.assignment, &reference.outcome.assignment, "threads={}", threads);
             prop_assert_eq!(report.outcome.cut, reference.outcome.cut);
@@ -232,13 +246,12 @@ proptest! {
             }
         }
 
-        // The plain facade agrees with the observed one and degrades the
-        // winner's completion (it has no report channel to carry it).
-        if let Ok(outcome) = partition_restarts(&graph, constraints, &config, 3, 4) {
-            prop_assert_eq!(&outcome.assignment, &reference.outcome.assignment);
-            if !reference.failed.is_empty() {
-                prop_assert_eq!(outcome.completion, Completion::Degraded);
-            }
+        // The unobserved search agrees with the observed one, lost
+        // restarts and degraded completion included.
+        if let Ok(plain) = flat_restarts(&graph, constraints, &config, 3, 4, Metrics::disabled()) {
+            prop_assert_eq!(&plain.outcome.assignment, &reference.outcome.assignment);
+            prop_assert_eq!(plain.completion, reference.completion);
+            prop_assert_eq!(&plain.failed, &reference.failed);
         }
     }
 }
@@ -258,7 +271,7 @@ fn every_restart_panicking_is_a_typed_error() {
         ..FpartConfig::default()
     };
     for threads in [1usize, 4] {
-        let err = partition_restarts_observed(&graph, constraints, &config, 2, threads)
+        let err = flat_restarts(&graph, constraints, &config, 2, threads, Metrics::enabled())
             .expect_err("all restarts panic");
         match err {
             PartitionError::RestartPanicked { restart, message } => {
@@ -267,7 +280,7 @@ fn every_restart_panicking_is_a_typed_error() {
             }
             other => panic!("expected RestartPanicked, got {other:?}"),
         }
-        let err = partition_restarts(&graph, constraints, &config, 2, threads)
+        let err = flat_restarts(&graph, constraints, &config, 2, threads, Metrics::disabled())
             .expect_err("all restarts panic");
         assert!(matches!(err, PartitionError::RestartPanicked { restart: 0, .. }), "{err:?}");
     }
@@ -323,13 +336,15 @@ fn degenerate_search_configs_are_rejected_up_front() {
     let (graph, constraints) = busy_workload();
     let config = FpartConfig::default();
     for (restarts, threads) in [(0usize, 1usize), (1, 0), (0, 0)] {
-        let err = partition_restarts(&graph, constraints, &config, restarts, threads)
-            .expect_err("invalid config");
+        let err =
+            flat_restarts(&graph, constraints, &config, restarts, threads, Metrics::disabled())
+                .expect_err("invalid config");
         assert!(matches!(err, PartitionError::InvalidConfig { .. }), "{err:?}");
         let text = err.to_string();
         assert!(text.contains("at least 1"), "{text}");
-        let err = partition_restarts_observed(&graph, constraints, &config, restarts, threads)
-            .expect_err("invalid config");
+        let err =
+            flat_restarts(&graph, constraints, &config, restarts, threads, Metrics::enabled())
+                .expect_err("invalid config");
         assert!(matches!(err, PartitionError::InvalidConfig { .. }), "{err:?}");
     }
 }
@@ -340,13 +355,15 @@ fn degenerate_search_configs_are_rejected_up_front() {
 fn delayed_restart_does_not_change_the_winner() {
     let (graph, constraints) = busy_workload();
     let plain =
-        partition_restarts(&graph, constraints, &FpartConfig::default(), 3, 1).expect("partitions");
+        flat_restarts(&graph, constraints, &FpartConfig::default(), 3, 1, Metrics::disabled())
+            .expect("partitions");
     let config = FpartConfig {
         fault_plan: Some(FaultPlan::delay_at(1, Duration::from_millis(30)).for_only_restart(0)),
         ..FpartConfig::default()
     };
-    let delayed = partition_restarts(&graph, constraints, &config, 3, 4).expect("partitions");
-    assert_eq!(delayed.assignment, plain.assignment);
+    let delayed =
+        flat_restarts(&graph, constraints, &config, 3, 4, Metrics::disabled()).expect("partitions");
+    assert_eq!(delayed.outcome.assignment, plain.outcome.assignment);
     assert_eq!(delayed.completion, Completion::Complete);
 }
 

@@ -1,9 +1,25 @@
 //! Paper-fidelity tests of the §3.1 improvement schedule, checked
 //! against recorded traces.
 
-use fpart_core::{partition_traced, FpartConfig, ImproveKind, TraceEvent};
-use fpart_device::Device;
+use fpart_core::{
+    partition_observed, FpartConfig, ImproveKind, Metrics, Observer, PartitionOutcome, Trace,
+    TraceEvent,
+};
+use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
+use fpart_hypergraph::Hypergraph;
+
+/// Runs FPART with an in-memory trace as the observer's event sink.
+fn traced(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+) -> (PartitionOutcome, Trace) {
+    let mut trace = Trace::enabled();
+    let mut obs = Observer::new(Metrics::disabled(), Some(&mut trace));
+    let outcome = partition_observed(graph, constraints, config, &mut obs).expect("runs");
+    (outcome, trace)
+}
 
 /// Collects `(iteration, kind)` pairs of all Improve events.
 fn improve_kinds(trace: &fpart_core::Trace) -> Vec<(usize, ImproveKind)> {
@@ -25,12 +41,11 @@ fn small_m_schedule_follows_algorithm_1() {
     let profile = find_profile("s5378").expect("known circuit");
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
-    let outcome =
-        partition_traced(&graph, constraints, &FpartConfig::default(), true).expect("runs");
+    let (outcome, trace) = traced(&graph, constraints, &FpartConfig::default());
     let m = outcome.lower_bound;
     assert!(m <= 15, "premise: small-M circuit");
 
-    let kinds = improve_kinds(&outcome.trace);
+    let kinds = improve_kinds(&trace);
     assert!(!kinds.is_empty());
 
     // 1. The first Improve of every iteration is the last-pair pass.
@@ -74,11 +89,10 @@ fn large_m_schedule_skips_all_block_pass() {
     let profile = find_profile("s13207").expect("known circuit");
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
-    let outcome =
-        partition_traced(&graph, constraints, &FpartConfig::default(), true).expect("runs");
+    let (outcome, trace) = traced(&graph, constraints, &FpartConfig::default());
     assert!(outcome.lower_bound > 15, "premise: large-M circuit");
 
-    let kinds = improve_kinds(&outcome.trace);
+    let kinds = improve_kinds(&trace);
     assert!(kinds.iter().all(|&(_, k)| k != ImproveKind::AllBlocks));
     assert!(kinds.iter().all(|&(_, k)| k != ImproveKind::FinalSweep));
     assert!(kinds.iter().any(|&(_, k)| k == ImproveKind::MinSize));
@@ -92,8 +106,8 @@ fn ablated_schedule_runs_last_pair_only() {
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
     let config = FpartConfig { use_improvement_schedule: false, ..FpartConfig::default() };
-    let outcome = partition_traced(&graph, constraints, &config, true).expect("runs");
-    let kinds = improve_kinds(&outcome.trace);
+    let (_, trace) = traced(&graph, constraints, &config);
+    let kinds = improve_kinds(&trace);
     assert!(!kinds.is_empty());
     assert!(kinds.iter().all(|&(_, k)| k == ImproveKind::LastPair));
 }
@@ -106,9 +120,8 @@ fn intermediate_solutions_are_semi_feasible() {
     let profile = find_profile("s9234").expect("known circuit");
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
-    let outcome =
-        partition_traced(&graph, constraints, &FpartConfig::default(), true).expect("runs");
-    for event in outcome.trace.events() {
+    let (_, trace) = traced(&graph, constraints, &FpartConfig::default());
+    for event in trace.events() {
         if let TraceEvent::Solution { iteration, class, .. } = event {
             assert_ne!(
                 *class,

@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use fpart_core::server::protocol;
 use fpart_core::{
-    partition_multilevel_restarts, verify_assignment, FpartConfig, Json, MultilevelConfig, Server,
-    ServerConfig,
+    partition_multilevel_restarts_observed, verify_assignment, Counter, FpartConfig, Json,
+    MultilevelConfig, Server, ServerConfig,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{rent_circuit, window_circuit, RentConfig, WindowConfig};
@@ -59,7 +59,8 @@ proptest! {
 
     /// A protocol `partition` returns exactly what the library's
     /// restarts search returns for the same seed, restarts, and thread
-    /// budget — streamed progress included (restarts == 1 path).
+    /// budget — streamed progress included (restarts == 1 path) — and
+    /// reports the same counters as the search's totals.
     #[test]
     fn protocol_partition_matches_library(
         nodes in 60usize..160,
@@ -94,7 +95,7 @@ proptest! {
         let result = final_reply(&replies, "p").get("result").unwrap();
 
         let cfg = FpartConfig { seed, ..FpartConfig::default() };
-        let expected = partition_multilevel_restarts(
+        let report = partition_multilevel_restarts_observed(
             &graph,
             constraints,
             &cfg,
@@ -103,6 +104,7 @@ proptest! {
             threads,
         )
         .unwrap();
+        let expected = &report.outcome;
 
         prop_assert_eq!(assignment_of(result), expected.assignment.clone());
         prop_assert_eq!(result.get("cut").unwrap().as_u64().unwrap() as usize, expected.cut);
@@ -114,6 +116,14 @@ proptest! {
             result.get("completion").unwrap().as_str().unwrap(),
             expected.completion.as_str()
         );
+        let counters = result.get("counters").unwrap();
+        for counter in [Counter::Runs, Counter::Passes, Counter::MovesApplied] {
+            prop_assert_eq!(
+                counters.get(counter.name()).and_then(Json::as_u64),
+                Some(report.totals.get(counter)),
+                "{}", counter.name()
+            );
+        }
     }
 }
 
