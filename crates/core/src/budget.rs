@@ -283,8 +283,10 @@ impl FaultPlan {
 /// reporting [`Completion::Degraded`]. It does not count the
 /// [`crate::PartitionState`] net-by-block matrix, which dominates at
 /// large device counts: at 47,906 nets and ~200 devices (row stride
-/// 256) one state is about 47 MiB on its own. The default (`None`)
-/// costs nothing and changes nothing.
+/// 256) one state is about 47 MiB on its own. Boundary refinement keeps
+/// one state live per refine worker (the caller's own plus a clone per
+/// extra worker), so one at `--threads 1`. The default (`None`) costs
+/// nothing and changes nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryBudget {
     /// Estimated-byte cap for hierarchy construction; `None` = unlimited.

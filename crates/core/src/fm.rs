@@ -170,7 +170,7 @@ pub fn bipartition_fm_metered(
     // Each run enforces the shared budget with its own tracker (checked
     // at the engine's pass boundaries) and is panic-isolated: a run lost
     // to a panic is dropped from the reduction below.
-    let run_one = |run: usize, metrics: &mut Metrics| -> Bipartition {
+    let run_one = |run: usize, (): &mut (), metrics: &mut Metrics| -> Bipartition {
         metrics.bump(Counter::Runs);
         metrics.set_span_lane(run as u32);
         metrics.span_open(crate::obs::SpanKind::Bipartition, 0);
@@ -208,7 +208,7 @@ pub fn bipartition_fm_metered(
     };
     let candidates = crate::parallel::run_indexed_caught_metered(
         config.runs.max(1),
-        config.threads,
+        &mut vec![(); config.threads.max(1)],
         metrics,
         &run_one,
     );

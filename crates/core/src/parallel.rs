@@ -6,7 +6,7 @@
 //! is bit-identical at every thread count. This module provides the
 //! fan-out half of that contract using only `std::thread::scope` — no
 //! external dependencies, no shared mutable state beyond disjoint result
-//! slots.
+//! slots and one caller-supplied state per worker.
 
 /// The default worker count for configs that carry one: the
 /// `FPART_THREADS` environment variable when set to a positive integer,
@@ -45,20 +45,37 @@ pub fn run_indexed<T: Send>(
     threads: usize,
     job: &(dyn Fn(usize) -> T + Sync),
 ) -> Vec<T> {
+    run_on_workers(count, &mut vec![(); threads.max(1)], &|i, ()| job(i))
+}
+
+/// The fan-out behind every `run_indexed*`: one worker per entry of
+/// `workers` (clamped to `1..=count`), worker `w` running the `w`-th
+/// contiguous chunk of job indices in order and handing each job
+/// `&mut workers[w]`. One worker runs everything inline on the calling
+/// thread.
+fn run_on_workers<S: Send, T: Send>(
+    count: usize,
+    workers: &mut [S],
+    job: &(dyn Fn(usize, &mut S) -> T + Sync),
+) -> Vec<T> {
+    assert!(!workers.is_empty(), "a fan-out needs at least one worker");
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(count, || None);
-    let threads = threads.max(1).min(count);
+    let threads = workers.len().min(count);
     if threads <= 1 {
+        let worker = &mut workers[0];
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(job(i));
+            *slot = Some(job(i, worker));
         }
     } else {
         let chunk = count.div_ceil(threads);
         std::thread::scope(|scope| {
-            for (w, worker_slots) in slots.chunks_mut(chunk).enumerate() {
+            for ((w, worker_slots), worker) in
+                slots.chunks_mut(chunk).enumerate().zip(workers.iter_mut())
+            {
                 scope.spawn(move || {
                     for (i, slot) in worker_slots.iter_mut().enumerate() {
-                        *slot = Some(job(w * chunk + i));
+                        *slot = Some(job(w * chunk + i, worker));
                     }
                 });
             }
@@ -115,27 +132,43 @@ pub(crate) fn catch_panic<T>(index: usize, job: impl FnOnce() -> T) -> Result<T,
         .map_err(|payload| JobPanic { index, message: panic_message(payload.as_ref()) })
 }
 
-/// [`run_indexed_caught`] with per-job metrics: each job records into
-/// its own forked child registry (so workers never share mutable state),
-/// and the surviving children merge back into `metrics` **in job-index
-/// order** — the aggregate is bit-identical at every thread count. A
-/// panicked job contributes nothing here (the caller decides how to
-/// account for it). When `metrics` is disabled every child is disabled
-/// too, so the jobs keep the one-branch-per-event cost.
+/// [`run_indexed_caught`] with per-worker state and per-job metrics.
+///
+/// One worker thread runs per entry of `workers` (clamped to
+/// `1..=count`); each job gets its worker's `&mut S`, so a worker can
+/// carry state from one job to the next without sharing it. Jobs are
+/// chunked as in [`run_indexed`], so which jobs share a worker depends
+/// only on `count` and `workers.len()`. A panicking job leaves its
+/// worker's state as the panic found it: a job that mutates `S` must
+/// restore it while unwinding if the worker's later jobs rely on it.
+///
+/// Each job records into its own forked child registry (so workers never
+/// share mutable metrics), and the surviving children merge back into
+/// `metrics` **in job-index order** — the aggregate is bit-identical at
+/// every thread count. A panicked job contributes nothing here (the
+/// caller decides how to account for it). When `metrics` is disabled
+/// every child is disabled too, so the jobs keep the
+/// one-branch-per-event cost.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty.
 #[must_use]
-pub fn run_indexed_caught_metered<T: Send>(
+pub fn run_indexed_caught_metered<S: Send, T: Send>(
     count: usize,
-    threads: usize,
+    workers: &mut [S],
     metrics: &mut crate::obs::Metrics,
-    job: &(dyn Fn(usize, &mut crate::obs::Metrics) -> T + Sync),
+    job: &(dyn Fn(usize, &mut S, &mut crate::obs::Metrics) -> T + Sync),
 ) -> Vec<Result<T, JobPanic>> {
     let seed = metrics.fork();
-    let wrapped = |i: usize| {
-        let mut child = seed.fork();
-        let out = job(i, &mut child);
-        (out, child)
+    let wrapped = |i: usize, worker: &mut S| {
+        catch_panic(i, || {
+            let mut child = seed.fork();
+            let out = job(i, worker, &mut child);
+            (out, child)
+        })
     };
-    run_indexed_caught(count, threads, &wrapped)
+    run_on_workers(count, workers, &wrapped)
         .into_iter()
         .map(|result| match result {
             Ok((value, child)) => {
@@ -166,14 +199,39 @@ mod tests {
     }
 
     #[test]
+    fn workers_run_contiguous_chunks_on_their_own_state() {
+        for threads in [1usize, 3] {
+            // Each worker logs the jobs it ran, in the order it ran them.
+            let mut workers = vec![Vec::new(); threads];
+            let out = run_indexed_caught_metered(
+                7,
+                &mut workers,
+                &mut Metrics::disabled(),
+                &|i, log: &mut Vec<usize>, _| {
+                    log.push(i);
+                    log.len()
+                },
+            );
+            let expected: Vec<Vec<usize>> = match threads {
+                1 => vec![(0..7).collect()],
+                _ => vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]],
+            };
+            assert_eq!(workers, expected, "threads={threads}");
+            let position: Vec<usize> = expected.iter().flat_map(|chunk| 1..=chunk.len()).collect();
+            assert_eq!(out, position.into_iter().map(Ok).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
     fn metered_aggregate_is_thread_count_invariant() {
         let run = |threads: usize| {
             let mut metrics = Metrics::enabled();
-            let out = run_indexed_caught_metered(9, threads, &mut metrics, &|i, m| {
-                m.add(Counter::MovesApplied, (i as u64 + 1) * 3);
-                m.bump(Counter::Runs);
-                i
-            });
+            let out =
+                run_indexed_caught_metered(9, &mut vec![(); threads], &mut metrics, &|i, (), m| {
+                    m.add(Counter::MovesApplied, (i as u64 + 1) * 3);
+                    m.bump(Counter::Runs);
+                    i
+                });
             (out, metrics)
         };
         let (seq_out, seq_metrics) = run(1);
@@ -226,11 +284,16 @@ mod tests {
         with_quiet_panics(|| {
             let run = |threads: usize| {
                 let mut metrics = Metrics::enabled();
-                let results = run_indexed_caught_metered(5, threads, &mut metrics, &|i, m| {
-                    m.bump(Counter::Runs);
-                    assert!(i != 3, "boom");
-                    i
-                });
+                let results = run_indexed_caught_metered(
+                    5,
+                    &mut vec![(); threads],
+                    &mut metrics,
+                    &|i, (), m| {
+                        m.bump(Counter::Runs);
+                        assert!(i != 3, "boom");
+                        i
+                    },
+                );
                 (results, metrics)
             };
             let (seq_results, seq_metrics) = run(1);
@@ -246,7 +309,7 @@ mod tests {
     #[test]
     fn metered_disabled_parent_disables_children() {
         let mut metrics = Metrics::disabled();
-        let out = run_indexed_caught_metered(3, 2, &mut metrics, &|i, m| {
+        let out = run_indexed_caught_metered(3, &mut [(), ()], &mut metrics, &|i, (), m| {
             assert!(!m.is_enabled());
             m.bump(Counter::Runs);
             i

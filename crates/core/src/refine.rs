@@ -6,12 +6,16 @@
 //! block obeys the same move window.
 //!
 //! Boundary refinement rounds run their pair passes as independent
-//! *jobs*: [`top_crossing_pairs`] returns block-disjoint pairs, every
-//! job refines a private clone of the round-start snapshot, and the
-//! surviving moves are committed to the master state in pair-index
-//! order. Because each job's input is the snapshot (never a sibling's
-//! output) and the commit order is fixed, the result is bit-identical
-//! whether the jobs run on one worker or many
+//! *jobs*: [`top_crossing_pairs`] returns block-disjoint pairs, and every
+//! job refines its worker's partition state in place, reads off the
+//! boundary cells it moved, and moves them back, so each job starts from
+//! the round-start assignment. After the round the surviving moves are
+//! committed to the master state in pair-index order. Worker 0 refines
+//! the master state itself, so one worker copies nothing; every other
+//! worker clones it once per call and replays each round's commits.
+//! Because each job's input is the round-start assignment (never a
+//! sibling's output) and the commit order is fixed, the result is
+//! bit-identical whether the jobs run on one worker or many
 //! ([`RefineConfig::workers`]).
 
 use fpart_hypergraph::{NetId, NodeId};
@@ -32,10 +36,13 @@ pub struct RefineConfig {
     pub rounds: usize,
     /// Block pairs refined per round (each block at most once a round).
     pub pairs_per_round: usize,
-    /// Worker threads for the boundary pair jobs of one round. The
-    /// result is bit-identical for every value (jobs read the
-    /// round-start snapshot and commit in pair order); values are
-    /// clamped to at least 1.
+    /// Worker threads for the boundary pair jobs of one round. Each
+    /// worker refines one partition state in place — the caller's for
+    /// the first worker, a clone for each other — so boundary
+    /// refinement keeps one state live per worker, and one worker
+    /// copies none. The result is bit-identical for every value (jobs
+    /// start from the round-start assignment and commit in pair order);
+    /// values are clamped to at least 1.
     pub workers: usize,
 }
 
@@ -144,8 +151,7 @@ pub fn refine_boundary_dirty_metered(
 }
 
 /// One pair job's contribution to a boundary round: the moves to commit
-/// (boundary cells whose block changed in the job's private snapshot),
-/// plus its stats delta.
+/// (boundary cells whose block the job changed), plus its stats delta.
 struct PairOutcome {
     moved: Vec<(NodeId, usize)>,
     stats: BoundaryRefineStats,
@@ -172,6 +178,9 @@ fn refine_boundary_inner(
     let config = FpartConfig { eps_min_two: config.eps_min_multi, ..config.clone() };
     let config = &config;
     let workers = refine.workers.max(1);
+    // The states of workers 1.. (worker 0 refines `state` itself), each
+    // kept at the round-start assignment by replaying every commit.
+    let mut clones: Vec<PartitionState<'_>> = Vec::new();
     // Global pair-job counter across rounds: the index a worker-targeted
     // [`crate::FaultPlan`] matches on, and the budget fork identity.
     let mut next_job = 0usize;
@@ -193,68 +202,88 @@ fn refine_boundary_inner(
             budget.map(|t| (0..pairs.len()).map(|i| t.fork_worker(next_job + i)).collect());
         let forks_ref = forks.as_deref();
         let pairs_ref = &pairs[..];
-        let snapshot: &PartitionState<'_> = state;
-        // Chrome-trace lane of each job: mirror `run_indexed`'s chunked
-        // worker layout (lane 0 stays the enclosing flow). Lanes are
+        // Jobs per worker, as the fan-out chunks them, and the number of
+        // workers that get a chunk. Each worker's chunk doubles as its
+        // Chrome-trace lane (lane 0 stays the enclosing flow). Lanes are
         // cosmetic — span *records* never depend on them.
         let lane_chunk = pairs.len().div_ceil(workers.min(pairs.len()));
-        let results = run_indexed_caught_metered(pairs.len(), workers, metrics, &|i, child| {
-            let (a, b) = pairs_ref[i];
-            child.bump(Counter::PairJobs);
-            child.set_span_lane(1 + (i / lane_chunk) as u32);
-            child.span_open(crate::obs::SpanKind::PairJob, 0);
-            let mut local = snapshot.clone();
-            let mut boundary: Vec<NodeId> = Vec::new();
-            boundary_cells(&local, a, b, &mut boundary);
-            if boundary.is_empty() {
-                child.span_close(crate::obs::SpanStats::default());
-                return PairOutcome {
-                    moved: Vec::new(),
-                    stats: BoundaryRefineStats::default(),
-                    improved: false,
+        let busy = pairs.len().div_ceil(lane_chunk);
+        while clones.len() + 1 < busy {
+            clones.push(state.clone());
+        }
+        let mut locals: Vec<&mut PartitionState<'_>> =
+            std::iter::once(&mut *state).chain(clones.iter_mut()).take(busy).collect();
+        let results =
+            run_indexed_caught_metered(pairs.len(), &mut locals, metrics, &|i, local, child| {
+                let (a, b) = pairs_ref[i];
+                child.bump(Counter::PairJobs);
+                child.set_span_lane(1 + (i / lane_chunk) as u32);
+                child.span_open(crate::obs::SpanKind::PairJob, 0);
+                let mut boundary: Vec<NodeId> = Vec::new();
+                boundary_cells(local, a, b, &mut boundary);
+                if boundary.is_empty() {
+                    child.span_close(crate::obs::SpanStats::default());
+                    return PairOutcome {
+                        moved: Vec::new(),
+                        stats: BoundaryRefineStats::default(),
+                        improved: false,
+                    };
+                }
+                let ctx = ImproveContext {
+                    evaluator,
+                    config,
+                    remainder: NO_REMAINDER,
+                    minimum_reached: true, // strict S_MAX cap during refinement
+                    budget: forks_ref.map(|f| &f[i]),
                 };
-            }
-            let ctx = ImproveContext {
-                evaluator,
-                config,
-                remainder: NO_REMAINDER,
-                minimum_reached: true, // strict S_MAX cap during refinement
-                budget: forks_ref.map(|f| &f[i]),
-            };
-            let started = child.start();
-            let stats = improve_cells_metered(&mut local, &[a, b], &boundary, &ctx, child);
-            child.stop_improve(ImproveKind::Boundary, started);
-            child.bump(Counter::BoundaryRefinements);
-            child.span_close(crate::obs::SpanStats {
-                boundary: boundary.len() as u64,
-                moves: stats.moves as u64,
-                gain: stats.initial_key.cut as i64 - stats.final_key.cut as i64,
-                ..crate::obs::SpanStats::default()
+                // The boundary's round-start blocks: the job's moves are read
+                // off this record and then undone, so the worker's next job
+                // starts from the round-start assignment too.
+                let start: Vec<(NodeId, usize)> =
+                    boundary.iter().map(|&v| (v, local.block_of(v))).collect();
+                let started = child.start();
+                let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    improve_cells_metered(local, &[a, b], &boundary, &ctx, child)
+                }))
+                .unwrap_or_else(|panic| {
+                    // The panic may have stopped inside a move, so rewrite
+                    // the record and recount rather than move cells back.
+                    local.reset_blocks(&start);
+                    std::panic::resume_unwind(panic)
+                });
+                child.stop_improve(ImproveKind::Boundary, started);
+                child.bump(Counter::BoundaryRefinements);
+                child.span_close(crate::obs::SpanStats {
+                    boundary: boundary.len() as u64,
+                    moves: stats.moves as u64,
+                    gain: stats.initial_key.cut as i64 - stats.final_key.cut as i64,
+                    ..crate::obs::SpanStats::default()
+                });
+                let moved: Vec<(NodeId, usize)> = start
+                    .iter()
+                    .filter_map(|&(v, from)| {
+                        let to = local.block_of(v);
+                        (to != from).then_some((v, to))
+                    })
+                    .collect();
+                local.apply(start);
+                PairOutcome {
+                    moved,
+                    stats: BoundaryRefineStats {
+                        calls: 1,
+                        moves: stats.moves,
+                        improved: usize::from(stats.final_key.better_than(&stats.initial_key)),
+                        boundary: boundary.len(),
+                    },
+                    improved: stats.final_key.better_than(&stats.initial_key),
+                }
             });
-            let moved: Vec<(NodeId, usize)> = boundary
-                .iter()
-                .copied()
-                .filter_map(|v| {
-                    let to = local.block_of(v);
-                    (to != snapshot.block_of(v)).then_some((v, to))
-                })
-                .collect();
-            PairOutcome {
-                moved,
-                stats: BoundaryRefineStats {
-                    calls: 1,
-                    moves: stats.moves,
-                    improved: usize::from(stats.final_key.better_than(&stats.initial_key)),
-                    boundary: boundary.len(),
-                },
-                improved: stats.final_key.better_than(&stats.initial_key),
-            }
-        });
         next_job += pairs.len();
         // Commit in pair-index order: absorb every job's budget
         // consumption (even a panicked job's — its fault counts), apply
         // surviving moves, drop a panicked pair's moves deterministically.
         let mut improved = false;
+        let mut committed: Vec<(NodeId, usize)> = Vec::new();
         for (i, result) in results.into_iter().enumerate() {
             if let (Some(t), Some(forks)) = (budget, &forks) {
                 t.absorb(&forks[i]);
@@ -265,13 +294,16 @@ fn refine_boundary_inner(
                     stats_total.moves += outcome.stats.moves;
                     stats_total.improved += outcome.stats.improved;
                     stats_total.boundary += outcome.stats.boundary;
-                    state.apply(outcome.moved);
+                    committed.extend(outcome.moved);
                     improved |= outcome.improved;
                 }
                 Err(_panic) => {
                     metrics.bump(Counter::PairPanics);
                 }
             }
+        }
+        for local in std::iter::once(&mut *state).chain(clones.iter_mut()) {
+            local.apply(committed.iter().copied());
         }
         if !improved {
             break;
@@ -417,6 +449,71 @@ mod tests {
         assert!(state.cut_count() < before);
         assert_eq!(metrics.get(Counter::BoundaryRefinements), improved.calls as u64);
         assert_eq!(metrics.improve_time(ImproveKind::Boundary).count, improved.calls as u64);
+    }
+
+    #[test]
+    fn pair_job_panic_drops_only_its_own_moves() {
+        // Eight clusters give four block-disjoint pairs in one round. At
+        // three workers jobs 0–1 run on the caller's state and jobs 2–3
+        // on a clone; at one worker every job runs on the caller's state.
+        let (g, planted) = clustered_circuit(&ClusteredConfig::new("cl", 8, 12), 9);
+        let mut assignment = planted;
+        for i in (0..assignment.len()).step_by(3) {
+            assignment[i] = (assignment[i] + 1) % 8;
+        }
+        let config = FpartConfig::default();
+        let evaluator =
+            CostEvaluator::new(DeviceConstraints::new(17, 100), &config, 8, g.terminal_count());
+        let run = |workers: usize, lost_job: Option<usize>| {
+            // Pass 2, so the job has moved cells before it panics.
+            let plan = lost_job
+                .map(|job| crate::FaultPlan::panic_at(2, "injected fault").for_only_pair_job(job));
+            let tracker = BudgetTracker::new(&crate::RunBudget::default(), plan);
+            let mut state = PartitionState::from_assignment(&g, assignment.clone(), 8);
+            let mut metrics = Metrics::enabled();
+            let refine = RefineConfig { rounds: 1, workers, ..RefineConfig::default() };
+            refine_boundary_metered(
+                &mut state,
+                &evaluator,
+                &config,
+                &refine,
+                Some(&tracker),
+                &mut metrics,
+            );
+            state.assert_consistent();
+            (state.into_assignment(), metrics.get(Counter::PairPanics))
+        };
+        let start = PartitionState::from_assignment(&g, assignment.clone(), 8);
+        let pairs = top_crossing_pairs(&start, RefineConfig::default().pairs_per_round);
+        assert_eq!(pairs.len(), 4);
+        let (clean, _) = run(1, None);
+        for job in [0, 2] {
+            // Every job starts from the round-start assignment, so the
+            // lost job's cells stay put and the others commit as in the
+            // clean round.
+            let (a, b) = pairs[job];
+            let expected: Vec<u32> = assignment
+                .iter()
+                .zip(&clean)
+                .map(
+                    |(&before, &after)| {
+                        if [a, b].contains(&(before as usize)) {
+                            before
+                        } else {
+                            after
+                        }
+                    },
+                )
+                .collect();
+            assert_ne!(expected, clean, "job {job} must have moves to lose");
+            for workers in [1, 3] {
+                assert_eq!(
+                    run(workers, Some(job)),
+                    (expected.clone(), 1),
+                    "job {job}, workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -294,8 +294,9 @@ impl<'a> PartitionState<'a> {
         }
     }
 
-    /// Recomputes every counter from the assignment. Quadratic-ish; used
-    /// at construction and by [`Self::assert_consistent`].
+    /// Recomputes every counter from the assignment in O(pins) after
+    /// clearing the pin matrix; used at construction and by
+    /// [`Self::assert_consistent`].
     pub fn recount(&mut self) {
         self.block_sizes.iter_mut().for_each(|s| *s = 0);
         self.block_terminals.iter_mut().for_each(|t| *t = 0);
@@ -307,30 +308,44 @@ impl<'a> PartitionState<'a> {
             self.block_sizes[self.assignment[v.index()] as usize] +=
                 u64::from(self.graph.node_size(v));
         }
+        // The blocks each net touches, noted as their pin count leaves 0.
+        let mut touched: Vec<usize> = Vec::new();
         for e in self.graph.net_ids() {
             let base = e.index() * self.stride;
+            touched.clear();
             for &p in self.graph.pins(e) {
-                self.dist[base + self.assignment[p.index()] as usize] += 1;
+                let b = self.assignment[p.index()] as usize;
+                if self.dist[base + b] == 0 {
+                    touched.push(b);
+                }
+                self.dist[base + b] += 1;
             }
-            let span = (0..self.k).filter(|&b| self.dist[base + b] > 0).count() as u32;
+            let span = touched.len() as u32;
             self.span[e.index()] = span;
             if span >= 2 {
                 self.cut_nets += 1;
             }
             let term_count = self.graph.net_terminal_count(e);
             let exposed = span >= 2 || term_count > 0;
-            for b in 0..self.k {
-                if self.dist[base + b] > 0 {
-                    if exposed {
-                        self.block_terminals[b] += 1;
-                    }
-                    if term_count > 0 {
-                        self.block_externals[b] += term_count;
-                    }
+            for &b in &touched {
+                if exposed {
+                    self.block_terminals[b] += 1;
                 }
+                self.block_externals[b] += term_count;
             }
         }
         self.terminal_total = self.block_terminals.iter().sum();
+    }
+
+    /// Puts each `(node, block)` back by writing the assignment directly,
+    /// then recounts: the recovery for a state whose move loop a panic
+    /// may have stopped half way through a move, where reverse moves
+    /// would read torn counters.
+    pub(crate) fn reset_blocks(&mut self, blocks: &[(NodeId, usize)]) {
+        for &(node, block) in blocks {
+            self.assignment[node.index()] = block as u32;
+        }
+        self.recount();
     }
 
     /// Verifies the incremental counters against a fresh recount.

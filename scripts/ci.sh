@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, release build, tests, benchmark
-# harness tests, parser fuzz, degradation smoke, kill-resume durability
-# gate, quality-regression gate, observability smoke, partition-server
-# smoke, smoke bench.
+# harness tests, parser fuzz, degradation smoke, peak-RSS gate,
+# kill-resume durability gate, quality-regression gate, observability
+# smoke, partition-server smoke, smoke bench.
 #
 # Usage: scripts/ci.sh [--skip-bench]
 #
@@ -97,6 +97,29 @@ esac
 case "$err" in
     *RUST_BACKTRACE*) echo "parse error printed a backtrace: $err" >&2; exit 1 ;;
 esac
+
+step "peak-RSS gate (40k-cell n-level run on XC3064 at --threads 1 <= 100 MiB)"
+# One partition state of this run (47,863 nets x ~200 devices, dense
+# row stride 256) is ~47 MiB. One-worker boundary refinement refines
+# the caller's state in place, so the whole run peaks near 73 MiB; a
+# per-job or per-level copy of the state coming back pushes it past
+# 100 MiB. Memory, unlike time, does not vary with machine load, so
+# this gate catches such a copy where a timing gate could not.
+./target/release/fpart gen rent --nodes 40000 --terminals 1200 --seed 42 \
+    --output "$smoke_dir/rent40k.fhg"
+timeout 120 python3 - ./target/release/fpart "$smoke_dir" <<'EOF'
+import os, subprocess, sys
+fpart, work = sys.argv[1], sys.argv[2]
+proc = subprocess.Popen([fpart, "partition", f"{work}/rent40k.fhg", "--multilevel",
+                         "--device", "XC3064", "--threads", "1",
+                         "--output", f"{work}/rent40k.txt"], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+peak_mib = usage.ru_maxrss / 1024.0
+assert proc.returncode == 0, f"fpart partition exited {proc.returncode}"
+print(f"peak RSS {peak_mib:.1f} MiB (limit 100 MiB)")
+assert peak_mib <= 100.0, f"peak RSS {peak_mib:.1f} MiB exceeds 100 MiB"
+EOF
 
 step "kill-resume durability gate (SIGKILL mid-run, resume, bit-identical)"
 # The crash-safety contract end to end, against a real process: a

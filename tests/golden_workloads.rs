@@ -6,19 +6,42 @@
 //! pin a structural fingerprint of each workload; if a generator change
 //! alters them, the calibration and the recorded results must be redone,
 //! and this failing test is the reminder.
+//!
+//! The same hash also pins the *results* of the multi-device flows that
+//! run boundary pair refinement (n-level partitioning, ECO repair, and a
+//! pair job lost to an injected panic), so a refactor of the refiner
+//! must reproduce them exactly.
 
-use fpart_hypergraph::gen::{mcnc_profiles, synthesize_mcnc, Technology};
-use fpart_hypergraph::Hypergraph;
+use std::sync::Once;
+
+use fpart_core::{
+    partition_multilevel, partition_multilevel_observed, repartition_eco, Counter, EcoConfig,
+    FaultPlan, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionOutcome,
+};
+use fpart_device::DeviceConstraints;
+use fpart_hypergraph::gen::{mcnc_profiles, rent_circuit, synthesize_mcnc, RentConfig, Technology};
+use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph};
+
+/// Incremental FNV-1a over little-endian `u64` words.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn mix(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
 
 /// FNV-1a over the full net/pin/terminal structure.
 fn fingerprint(graph: &Hypergraph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |value: u64| {
-        for byte in value.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
+    let mut mix = |value: u64| h.mix(value);
     mix(graph.node_count() as u64);
     mix(graph.net_count() as u64);
     mix(graph.terminal_count() as u64);
@@ -31,7 +54,7 @@ fn fingerprint(graph: &Hypergraph) -> u64 {
     for t in graph.terminal_ids() {
         mix(graph.terminal_net(t).index() as u64);
     }
-    h
+    h.0
 }
 
 #[test]
@@ -79,4 +102,113 @@ const PINNED_XC3000: [(&str, u64); 10] = [
     ("s15850", 0x78646ce7a3efb2fa),
     ("s38417", 0x7194927b51eac60c),
     ("s38584", 0x67b5f986566263a0),
+];
+
+/// FNV-1a over a per-node block assignment.
+fn assignment_hash(assignment: &[u32]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.mix(assignment.len() as u64);
+    for &block in assignment {
+        h.mix(u64::from(block));
+    }
+    h.0
+}
+
+/// `(assignment hash, devices, cut)` of one outcome.
+fn result_key(outcome: &PartitionOutcome) -> (u64, usize, usize) {
+    (assignment_hash(&outcome.assignment), outcome.device_count, outcome.cut)
+}
+
+/// A 4,000-cell Rent circuit on devices of 120 cells: the n-level flow
+/// needs 30+ blocks, so an uncoarsening round can fill all 16 of its
+/// block-disjoint pairs.
+fn pinned_circuit() -> (Hypergraph, DeviceConstraints) {
+    (rent_circuit(&RentConfig::new("pinned", 4000, 120), 1), DeviceConstraints::new(120, 64))
+}
+
+/// Removes 24 cells spread over the design and adds 12 fresh cells,
+/// each wired to a surviving cell: a small edit, so ECO takes the
+/// dirty-block repair path.
+fn pinned_edit(graph: &Hypergraph) -> EditScript {
+    let n = graph.node_count() as u64;
+    let removed: Vec<u64> = (0..24u64).map(|i| (i * 7919 + 13) % n).collect();
+    let mut ops: Vec<EditOp> =
+        removed.iter().map(|&i| EditOp::RemoveNode { name: format!("x{i}") }).collect();
+    for i in 0..12u64 {
+        let anchor = (i * 4099 + 5) % n;
+        assert!(!removed.contains(&anchor), "anchors must survive the edit");
+        ops.push(EditOp::AddNode { name: format!("eco{i}"), size: 1 });
+        ops.push(EditOp::AddNet {
+            name: format!("eco_net{i}"),
+            pins: vec![format!("eco{i}"), format!("x{anchor}")],
+        });
+    }
+    EditScript::new(ops)
+}
+
+/// Keeps the deliberately injected pair-job panic out of the test output.
+fn quiet_injected_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|m| m.contains("injected fault"));
+            if !injected {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// The exact n-level, ECO and pair-panic results on the pinned circuit,
+/// at whatever worker count `FPART_THREADS` selects (every count must
+/// give the same values). If an intentional algorithm change moves
+/// them, re-pin from the failed assertion's left-hand side in the same
+/// commit that refreshes the quality gate's golden.
+#[test]
+fn refinement_results_are_pinned() {
+    quiet_injected_panics();
+    let (graph, constraints) = pinned_circuit();
+    let config = FpartConfig::default();
+    let ml = MultilevelConfig::default();
+
+    let multilevel = partition_multilevel(&graph, constraints, &config, &ml).expect("partitions");
+    assert!(multilevel.device_count >= 30, "{} devices", multilevel.device_count);
+
+    let applied = apply_script(&graph, &pinned_edit(&graph)).expect("edit applies");
+    let eco = repartition_eco(
+        &applied.graph,
+        constraints,
+        &config,
+        &EcoConfig::default(),
+        &multilevel.assignment,
+        &applied.node_map,
+    )
+    .expect("repairs");
+    assert!(eco.repaired, "the edit must take the dirty-block repair path");
+
+    let faulted_config = FpartConfig {
+        fault_plan: Some(FaultPlan::panic_at(2, "injected fault").for_only_pair_job(0)),
+        ..FpartConfig::default()
+    };
+    let mut obs = Observer::new(Metrics::enabled(), None);
+    let faulted =
+        partition_multilevel_observed(&graph, constraints, &faulted_config, &ml, &mut obs)
+            .expect("a lost pair job still partitions");
+    assert!(obs.metrics.get(Counter::PairPanics) >= 1, "the fault must hit a pair job");
+
+    let measured = [result_key(&multilevel), result_key(&eco.outcome), result_key(&faulted)];
+    assert_eq!(measured, PINNED_REFINEMENT_RESULTS);
+}
+
+/// `(assignment hash, devices, cut)` for the n-level run, the ECO repair
+/// and the faulted n-level run of [`refinement_results_are_pinned`].
+/// The faulted run loses five pair jobs and ends two nets worse.
+const PINNED_REFINEMENT_RESULTS: [(u64, usize, usize); 3] = [
+    (0xd3fc_24a4_a03f_54fd, 34, 209),
+    (0xf24e_1f75_e49a_2a46, 34, 215),
+    (0x1afe_db44_13e2_b33c, 34, 211),
 ];
