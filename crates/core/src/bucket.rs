@@ -51,6 +51,21 @@ impl GainBucket {
         self.len == 0
     }
 
+    /// Removes every cell, keeping all allocations. The bucket is then
+    /// indistinguishable from a new one of the same capacity: the same
+    /// inserts leave the same cells in the same order.
+    pub fn clear(&mut self) {
+        let pos = &mut self.pos;
+        for bucket in &mut self.buckets {
+            for &cell in bucket.iter() {
+                pos[cell as usize] = u32::MAX;
+            }
+            bucket.clear();
+        }
+        self.max_gain = -self.offset;
+        self.len = 0;
+    }
+
     /// Returns whether `cell` is present.
     #[inline]
     #[must_use]

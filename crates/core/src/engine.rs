@@ -7,8 +7,17 @@
 //! active blocks, then (when enabled) restart series from every solution
 //! retained in the semi-feasible and infeasible stacks, keeping the
 //! overall best solution under the lexicographic key of §3.4.
+//!
+//! A call builds one pass engine and keeps it for all of its passes. The
+//! gain buckets, lock flags and scratch buffers are cleared between
+//! passes rather than reallocated, and each cell's first-level gain
+//! towards every other active block is kept across passes. Before a pass
+//! only the gains of cells sharing a net with a cell whose block changed
+//! since the previous pass are recomputed; the buckets are then refilled
+//! from the kept gains in cell order, so every pass sees exactly the
+//! buckets a fresh build would give it.
 
-use fpart_hypergraph::NodeId;
+use fpart_hypergraph::{Hypergraph, NodeId};
 
 use crate::bucket::GainBucket;
 use crate::config::{FpartConfig, GainObjective};
@@ -30,6 +39,12 @@ const MAX_TIE_LEVELS: usize = 3;
 
 /// Sentinel for [`ImproveContext::remainder`] meaning "no remainder".
 pub const NO_REMAINDER: usize = usize::MAX;
+
+/// A kept gain that was never computed (a cell's gain towards its own
+/// block). It lies outside every bucket's range, so a refresh that is
+/// missed when a cell changes block fails loudly instead of inserting a
+/// plausible stale gain.
+const GAIN_UNSET: i32 = i32::MIN;
 
 /// The remainder as an `Option`, guarding the sentinel and stale indices.
 fn remainder_opt(ctx: &ImproveContext<'_>, state: &PartitionState<'_>) -> Option<usize> {
@@ -72,78 +87,105 @@ pub struct ImproveStats {
     pub final_key: SolutionKey,
 }
 
-/// Reusable scratch buffers for the inner move loop.
+/// Reusable scratch buffers of one improvement call.
 ///
-/// All capacities are reserved when the pass engine is built, so the
-/// per-move hot path (`select_move` + `apply_move`) performs **no heap
-/// allocation**; debug builds assert the capacities never grow.
+/// Every buffer is allocated when the pass engine is built, once per
+/// [`improve_cells_metered`] call, and reused by all of its passes. The
+/// per-move hot path (`select_move` + `apply_move`) therefore performs
+/// **no heap allocation**; debug builds assert the capacities never grow.
 struct PassScratch {
     /// Pre-move `(pins_in(from), pins_in(to))` per net of the moved cell.
     pre: Vec<(u32, u32)>,
     /// Enabled directions with their optimistic max gains (`select_move`).
     dir_max: Vec<(usize, usize, i32)>,
     /// Epoch stamps per cell: `visited[v] == epoch` ⇔ `v` was already
-    /// seen while processing the current move (replaces the former
-    /// sort+dedup of a freshly allocated `touched` vector).
+    /// seen in the current step — one move's I/O-gain update (replacing
+    /// the former sort+dedup of a freshly allocated `touched` vector), or
+    /// the gain refresh before a pass.
     visited: Vec<u32>,
+    /// Epoch stamps per net, so the refresh before a pass visits the pins
+    /// of each net once however many of them moved.
+    net_visited: Vec<u32>,
     /// Unique unlocked neighbours of the current move (I/O objective).
     touched: Vec<u32>,
     /// Per-(neighbour, target-slot) accumulated I/O gain deltas; rows are
     /// lazily zeroed when a neighbour is first stamped.
     io_delta: Vec<i32>,
-    /// Current epoch for `visited` (0 means "never stamped").
+    /// The current pass's applied moves `(cell, from, to)`.
+    move_log: Vec<(NodeId, usize, usize)>,
+    /// Current epoch for `visited` and `net_visited` (0 means "never
+    /// stamped").
     epoch: u32,
 }
 
 impl PassScratch {
-    fn new(n: usize, max_degree: usize, slots: usize, io_pins: bool) -> Self {
+    fn new(graph: &Hypergraph, cells: usize, slots: usize, io_pins: bool) -> Self {
+        let n = graph.node_count();
         PassScratch {
-            pre: Vec::with_capacity(max_degree),
+            pre: Vec::with_capacity(graph.max_node_degree()),
             dir_max: Vec::with_capacity(slots * slots),
+            visited: vec![0; n],
+            net_visited: vec![0; graph.net_count()],
             // The I/O-pin buffers are only touched by `update_io_gains`;
             // keep them empty under the cut-net objective.
-            visited: if io_pins { vec![0; n] } else { Vec::new() },
             touched: if io_pins { Vec::with_capacity(n) } else { Vec::new() },
             io_delta: if io_pins { vec![0; n * slots] } else { Vec::new() },
+            // A pass moves each cell at most once.
+            move_log: Vec::with_capacity(cells),
             epoch: 0,
         }
     }
 
-    /// Starts a new move: advances the visited epoch (clearing the stamp
-    /// array only on the once-in-4-billion wraparound).
+    /// Starts a new step: advances the visited epoch (clearing the stamp
+    /// arrays only on the once-in-4-billion wraparound).
     #[inline]
     fn next_epoch(&mut self) -> u32 {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.visited.fill(0);
+            self.net_visited.fill(0);
             self.epoch = 1;
         }
         self.epoch
     }
 }
 
-/// Internal per-pass bookkeeping shared by the selection and update steps.
+/// The pass engine of one improvement call: built once, then reused by
+/// every FM pass of the call's first series and of its restart series.
 struct PassEngine<'s, 'g, 'c> {
     state: &'s mut PartitionState<'g>,
     ctx: &'c ImproveContext<'c>,
+    /// Cells eligible to move, in bucket insertion order.
+    cells: &'c [NodeId],
     /// Blocks participating in this improvement call.
     active: Vec<usize>,
     /// `block_to_slot[block]` = index into `active`, or `usize::MAX`.
     block_to_slot: Vec<usize>,
-    /// One bucket per ordered (from-slot, to-slot) pair.
+    /// One bucket per ordered (from-slot, to-slot) pair, cleared (not
+    /// reallocated) before each pass.
     buckets: Vec<GainBucket>,
     locked: Vec<bool>,
     regions: MoveRegions,
     /// Gains live in `[-gain_bound, gain_bound]` (depends on objective).
     gain_bound: i32,
+    /// Kept first-level gains: `gains[i * slots + t]` is the gain of
+    /// moving `cells[i]` to active slot `t`, exact for the current state
+    /// except around the cells in `moved` ([`GAIN_UNSET`] where never
+    /// computed).
+    gains: Vec<i32>,
+    /// Cells whose block changed since the kept gains were last
+    /// refreshed (duplicates allowed).
+    moved: Vec<NodeId>,
     /// Zero-allocation scratch for the move loop.
     scratch: PassScratch,
 }
 
 impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
+    /// Builds the engine for one call and computes every cell's gains.
     fn new(
         state: &'s mut PartitionState<'g>,
         active: &[usize],
+        cells: &'c [NodeId],
         ctx: &'c ImproveContext<'c>,
     ) -> Self {
         let kind = if active.len() == 2 { PassKind::TwoBlock } else { PassKind::MultiBlock };
@@ -165,25 +207,32 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             GainObjective::CutNets => state.graph().max_node_degree(),
             GainObjective::IoPins => 2 * state.graph().max_node_degree(),
         };
-        let dirs = active.len() * active.len();
-        let buckets = (0..dirs).map(|_| GainBucket::new(n, p_max)).collect();
+        let slots = active.len();
+        let buckets = (0..slots * slots).map(|_| GainBucket::new(n, p_max)).collect();
         let scratch = PassScratch::new(
-            n,
-            state.graph().max_node_degree(),
-            active.len(),
+            state.graph(),
+            cells.len(),
+            slots,
             ctx.config.gain_objective == GainObjective::IoPins,
         );
-        PassEngine {
+        let mut engine = PassEngine {
             state,
             ctx,
+            cells,
             active: active.to_vec(),
             block_to_slot,
             buckets,
             locked: vec![false; n],
             regions,
             gain_bound: p_max as i32,
+            gains: vec![GAIN_UNSET; cells.len() * slots],
+            moved: Vec::new(),
             scratch,
+        };
+        for i in 0..cells.len() {
+            engine.refresh_gains(i);
         }
+        engine
     }
 
     #[inline]
@@ -200,21 +249,94 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         }
     }
 
-    /// Fills the buckets with the level-1 gains of every active cell.
-    fn build_buckets(&mut self, cells: &[NodeId]) {
-        for &v in cells {
-            let c = self.state.block_of(v);
-            let from_slot = self.block_to_slot[c];
-            debug_assert_ne!(from_slot, usize::MAX, "active cell in inactive block");
-            for to_slot in 0..self.active.len() {
+    /// Recomputes the kept gains of `cells[i]` towards every other active
+    /// slot.
+    fn refresh_gains(&mut self, i: usize) {
+        let v = self.cells[i];
+        let from_slot = self.block_to_slot[self.state.block_of(v)];
+        debug_assert_ne!(from_slot, usize::MAX, "active cell in inactive block");
+        let row = i * self.active.len();
+        for to_slot in 0..self.active.len() {
+            if to_slot != from_slot {
+                self.gains[row + to_slot] = self.move_gain(v, self.active[to_slot]);
+            }
+        }
+    }
+
+    /// Readies the engine for the next pass: refreshes the kept gains
+    /// around every cell in `moved`, unlocks the cells and refills the
+    /// buckets from the kept gains in `cells` order, so each bucket holds
+    /// the same cells in the same LIFO order as a freshly built one.
+    ///
+    /// Refreshing only the cells that share a net with a moved cell is
+    /// exact because a cell's gain ([`level1_gain`], [`io_gain`]) reads
+    /// only its own block and the pin counts and spans of its own nets,
+    /// and a net's counts change only when one of its pins changes block.
+    /// A moved cell is refreshed in its own right as well: on no net, it
+    /// is nobody's neighbour, yet its own block changed.
+    fn start_pass(&mut self) {
+        let graph = self.state.graph();
+        let epoch = self.scratch.next_epoch();
+        for &m in &self.moved {
+            self.scratch.visited[m.index()] = epoch;
+            for &net in graph.nets(m) {
+                if self.scratch.net_visited[net.index()] != epoch {
+                    self.scratch.net_visited[net.index()] = epoch;
+                    for &u in graph.pins(net) {
+                        self.scratch.visited[u.index()] = epoch;
+                    }
+                }
+            }
+        }
+        self.moved.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        let slots = self.active.len();
+        for (i, &v) in self.cells.iter().enumerate() {
+            self.locked[v.index()] = false;
+            if self.scratch.visited[v.index()] == epoch {
+                self.refresh_gains(i);
+            }
+            let from_slot = self.block_to_slot[self.state.block_of(v)];
+            let row = i * slots;
+            for to_slot in 0..slots {
                 if to_slot == from_slot {
                     continue;
                 }
-                let gain = self.move_gain(v, self.active[to_slot]);
+                let gain = self.gains[row + to_slot];
+                debug_assert_eq!(
+                    gain,
+                    self.move_gain(v, self.active[to_slot]),
+                    "stale kept gain for cell {} towards slot {to_slot}",
+                    v.index()
+                );
                 let d = self.dir(from_slot, to_slot);
                 self.buckets[d].insert(v.index() as u32, gain);
             }
         }
+    }
+
+    /// The block of every cell, in `cells` order.
+    fn snapshot(&self) -> Vec<u32> {
+        self.cells.iter().map(|&v| self.state.block_of(v) as u32).collect()
+    }
+
+    /// Restores a [`Self::snapshot`], queueing every cell it moves for the
+    /// next pass's gain refresh.
+    fn restore(&mut self, snapshot: &[u32]) {
+        debug_assert_eq!(self.cells.len(), snapshot.len());
+        for (&v, &b) in self.cells.iter().zip(snapshot) {
+            if self.state.block_of(v) != b as usize {
+                self.state.move_node(v, b as usize);
+                self.moved.push(v);
+            }
+        }
+    }
+
+    /// The solution key of the current state.
+    fn key(&self) -> SolutionKey {
+        self.ctx.evaluator.key(self.state, remainder_opt(self.ctx, self.state))
     }
 
     /// Selects the best legal move: maximum level-1 gain, ties broken by
@@ -474,29 +596,28 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
     }
 }
 
-/// Runs a single FM pass over `cells` (the cells of the active blocks).
+/// Runs a single FM pass over the engine's cells.
 ///
 /// Returns `(improved, moves_kept, best_key)`. The state is left at the
-/// best prefix of the move sequence (classical FM rollback).
+/// best prefix of the move sequence (classical FM rollback), and the kept
+/// prefix's cells are queued for the next pass's gain refresh.
 fn run_pass(
-    state: &mut PartitionState<'_>,
-    cells: &[NodeId],
-    ctx: &ImproveContext<'_>,
-    active: &[usize],
+    engine: &mut PassEngine<'_, '_, '_>,
     stacks: Option<&mut DualStacks>,
     metrics: &mut Metrics,
 ) -> (bool, usize, SolutionKey) {
+    let ctx = engine.ctx;
     metrics.bump(Counter::Passes);
-    let initial_key = ctx.evaluator.key(state, remainder_opt(ctx, state));
+    let initial_key = engine.key();
     metrics.bump(Counter::KeyEvaluations);
-    let mut engine = PassEngine::new(state, active, ctx);
-    engine.build_buckets(cells);
+    engine.start_pass();
 
     // Incremental key maintenance: one O(k) scan here, then O(1) updates
     // per applied move (bit-identical to the from-scratch evaluation —
     // asserted per move in debug builds).
     let mut tracker = KeyTracker::new(ctx.evaluator, engine.state);
-    let mut move_log: Vec<(NodeId, usize, usize)> = Vec::with_capacity(cells.len());
+    let mut move_log = std::mem::take(&mut engine.scratch.move_log);
+    move_log.clear();
     let mut best_key = initial_key;
     let mut best_len = 0usize;
     // Copy-on-accept stacking: during the move loop only the move-log
@@ -518,7 +639,7 @@ fn run_pass(
         metrics.bump(Counter::KeyEvaluations);
         debug_assert_eq!(
             key,
-            ctx.evaluator.key(engine.state, remainder_opt(ctx, engine.state)),
+            engine.key(),
             "incremental key diverged from the from-scratch evaluation"
         );
         if key.better_than(&best_key) {
@@ -540,14 +661,8 @@ fn run_pass(
     metrics.add(Counter::MovesReverted, (move_log.len() - best_len) as u64);
     match (prefix_stacks, stacks) {
         (Some(prefix_stacks), Some(stacks)) => {
-            let materialized = materialize_snapshots(
-                &mut engine,
-                &prefix_stacks,
-                stacks,
-                cells,
-                &move_log,
-                best_len,
-            );
+            let materialized =
+                materialize_snapshots(engine, &prefix_stacks, stacks, &move_log, best_len);
             metrics.add(Counter::SnapshotsMaterialized, materialized as u64);
         }
         _ => {
@@ -555,6 +670,8 @@ fn run_pass(
             walk_to(engine.state, &move_log, move_log.len(), best_len);
         }
     }
+    engine.moved.extend(move_log[..best_len].iter().map(|&(node, _, _)| node));
+    engine.scratch.move_log = move_log;
     (best_key.better_than(&initial_key), best_len, best_key)
 }
 
@@ -590,7 +707,6 @@ fn materialize_snapshots(
     engine: &mut PassEngine<'_, '_, '_>,
     prefix_stacks: &DualStacks<usize>,
     stacks: &mut DualStacks,
-    cells: &[NodeId],
     move_log: &[(NodeId, usize, usize)],
     best_len: usize,
 ) -> usize {
@@ -601,8 +717,7 @@ fn materialize_snapshots(
     let mut cursor = move_log.len();
     for (key, len) in retained {
         cursor = walk_to(engine.state, move_log, cursor, len);
-        let snapshot_state = &*engine.state;
-        stacks.offer(key, || cells.iter().map(|&v| snapshot_state.block_of(v) as u32).collect());
+        stacks.offer(key, || engine.snapshot());
     }
     walk_to(engine.state, move_log, cursor, best_len);
     materialized
@@ -610,13 +725,11 @@ fn materialize_snapshots(
 
 /// Runs FM passes until a pass fails to improve or `max_passes` is hit.
 fn run_series(
-    state: &mut PartitionState<'_>,
-    cells: &[NodeId],
-    ctx: &ImproveContext<'_>,
-    active: &[usize],
+    engine: &mut PassEngine<'_, '_, '_>,
     mut stacks: Option<&mut DualStacks>,
     metrics: &mut Metrics,
 ) -> (usize, usize) {
+    let ctx = engine.ctx;
     let mut passes = 0usize;
     let mut moves = 0usize;
     loop {
@@ -626,8 +739,7 @@ fn run_series(
         if ctx.budget.is_some_and(super::budget::BudgetTracker::before_pass) {
             return (passes, moves);
         }
-        let (improved, pass_moves, _) =
-            run_pass(state, cells, ctx, active, stacks.as_deref_mut(), metrics);
+        let (improved, pass_moves, _) = run_pass(engine, stacks.as_deref_mut(), metrics);
         passes += 1;
         moves += pass_moves;
         if let Some(budget) = ctx.budget {
@@ -689,6 +801,11 @@ pub fn improve_metered(
 /// blocks (they are never inserted into a bucket and never moved); block
 /// sizes, move regions, and the solution key still account for them.
 ///
+/// Every pass of the call, restart series included, runs on one pass
+/// engine built here: its buckets and buffers are allocated once, and
+/// the cells' first-level gains are computed once and then refreshed
+/// before each pass only around the cells whose block changed.
+///
 /// # Panics
 ///
 /// Panics if `active` lists fewer than two blocks, contains an index
@@ -730,15 +847,16 @@ pub fn improve_cells_metered(
         };
     }
 
+    let mut engine = PassEngine::new(state, active, cells, ctx);
     let mut stacks =
         ctx.config.use_solution_stacks.then(|| DualStacks::new(ctx.config.stack_depth));
 
     // First execution (records the stacks).
-    let (mut passes, mut moves) = run_series(state, cells, ctx, active, stacks.as_mut(), metrics);
+    let (mut passes, mut moves) = run_series(&mut engine, stacks.as_mut(), metrics);
 
-    let mut best_key = ctx.evaluator.key(state, remainder_opt(ctx, state));
+    let mut best_key = engine.key();
     metrics.bump(Counter::KeyEvaluations);
-    let mut best_snapshot: Vec<u32> = cells.iter().map(|&v| state.block_of(v) as u32).collect();
+    let mut best_snapshot = engine.snapshot();
     let mut restarts = 0usize;
 
     if let Some(stacks) = stacks {
@@ -749,22 +867,22 @@ pub fn improve_cells_metered(
             if ctx.budget.is_some_and(crate::budget::BudgetTracker::check) {
                 break;
             }
-            restore(state, cells, &snapshot);
-            let (p, m) = run_series(state, cells, ctx, active, None, metrics);
+            engine.restore(&snapshot);
+            let (p, m) = run_series(&mut engine, None, metrics);
             passes += p;
             moves += m;
             restarts += 1;
             metrics.bump(Counter::StackRestarts);
-            let key = ctx.evaluator.key(state, remainder_opt(ctx, state));
+            let key = engine.key();
             metrics.bump(Counter::KeyEvaluations);
             if key.better_than(&best_key) {
                 best_key = key;
-                best_snapshot = cells.iter().map(|&v| state.block_of(v) as u32).collect();
+                best_snapshot = engine.snapshot();
             }
         }
     }
 
-    restore(state, cells, &best_snapshot);
+    engine.restore(&best_snapshot);
     debug_assert!(!initial_key.better_than(&best_key), "improve made things worse");
     metrics.span_close(crate::obs::SpanStats {
         nodes: cells.len() as u64,
@@ -773,14 +891,6 @@ pub fn improve_cells_metered(
         ..crate::obs::SpanStats::default()
     });
     ImproveStats { passes, moves, restarts, initial_key, final_key: best_key }
-}
-
-/// Restores a snapshot of block assignments over the active cells.
-fn restore(state: &mut PartitionState<'_>, cells: &[NodeId], snapshot: &[u32]) {
-    debug_assert_eq!(cells.len(), snapshot.len());
-    for (&v, &b) in cells.iter().zip(snapshot) {
-        state.move_node(v, b as usize);
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //!    retained.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use fpart_hypergraph::NodeId;
 
@@ -431,13 +430,14 @@ fn sweep_from(
     // cov_a[net] = pins in A; pins_in_set[net] = pins among `cells`.
     let mut cov_a = vec![0u32; graph.net_count()];
     let mut pins_in_set = vec![0u32; graph.net_count()];
-    for e in graph.net_ids() {
-        pins_in_set[e.index()] = graph.pins(e).iter().filter(|p| in_set[p.index()]).count() as u32;
+    for &c in cells {
+        for &net in graph.nets(c) {
+            pins_in_set[net.index()] += 1;
+        }
     }
 
     let mut in_a = vec![false; graph.node_count()];
-    let mut conn = vec![0u32; graph.node_count()];
-    let mut heap: BinaryHeap<(u32, u32, Reverse<usize>)> = BinaryHeap::new();
+    let mut heap = SweepHeap::new(graph.node_count());
     let mut order: Vec<NodeId> = Vec::with_capacity(cells.len());
 
     let mut s_a = 0u64;
@@ -448,8 +448,7 @@ fn sweep_from(
     let absorb = |v: NodeId,
                   in_a: &mut Vec<bool>,
                   cov_a: &mut Vec<u32>,
-                  conn: &mut Vec<u32>,
-                  heap: &mut BinaryHeap<(u32, u32, Reverse<usize>)>,
+                  heap: &mut SweepHeap,
                   s_a: &mut u64,
                   cut: &mut i64,
                   t_a: &mut i64,
@@ -486,55 +485,25 @@ fn sweep_from(
 
             for &u in graph.pins(net) {
                 if in_set[u.index()] && !in_a[u.index()] {
-                    conn[u.index()] += 1;
-                    heap.push((conn[u.index()], graph.node_size(u), Reverse(u.index())));
+                    heap.connect(u.index(), graph.node_size(u));
                 }
             }
         }
     };
 
-    absorb(
-        seed,
-        &mut in_a,
-        &mut cov_a,
-        &mut conn,
-        &mut heap,
-        &mut s_a,
-        &mut cut,
-        &mut t_a,
-        &mut t_rest,
-    );
+    absorb(seed, &mut in_a, &mut cov_a, &mut heap, &mut s_a, &mut cut, &mut t_a, &mut t_rest);
     order.push(seed);
 
     let mut best: Option<(f64, usize)> = None;
     let mut best_fill: Option<(u64, usize)> = None;
     let mut assigned = 1usize;
     while assigned < cells.len() {
-        // Pop the most-connected unabsorbed cell (lazy heap entries).
-        let next = loop {
-            match heap.pop() {
-                Some((c, _, Reverse(idx))) => {
-                    if !in_a[idx] && in_set[idx] && conn[idx] == c {
-                        break Some(NodeId::from_index(idx));
-                    }
-                }
-                None => break None,
-            }
-        };
+        // Pop the most-connected unabsorbed cell.
+        let next = heap.pop().map(NodeId::from_index);
         // Disconnected: take any unabsorbed cell.
         let next = next.or_else(|| cells.iter().copied().find(|&u| !in_a[u.index()]));
         let Some(v) = next else { break };
-        absorb(
-            v,
-            &mut in_a,
-            &mut cov_a,
-            &mut conn,
-            &mut heap,
-            &mut s_a,
-            &mut cut,
-            &mut t_a,
-            &mut t_rest,
-        );
+        absorb(v, &mut in_a, &mut cov_a, &mut heap, &mut s_a, &mut cut, &mut t_a, &mut t_rest);
         order.push(v);
         assigned += 1;
 
@@ -587,6 +556,87 @@ fn sweep_from(
         }
     };
     SweepOutcome { min_ratio, max_fill: fill_peel }
+}
+
+/// Indexed max-heap of the sweep's frontier: every unabsorbed cell with
+/// a pin on a net of `A`, keyed by `(conn, size, Reverse(index))` where
+/// `conn` counts the cell's connections to `A`. Each cell has one entry,
+/// whose key is raised in place as `A` grows; keys are distinct, so the
+/// pop order is fully determined by them.
+struct SweepHeap {
+    /// Heap-ordered entries `(conn, size, Reverse(cell index))`.
+    entries: Vec<(u32, u32, Reverse<usize>)>,
+    /// `pos[v]` = index of `v`'s entry, or `u32::MAX` when it has none.
+    pos: Vec<u32>,
+}
+
+impl SweepHeap {
+    fn new(n: usize) -> Self {
+        SweepHeap { entries: Vec::new(), pos: vec![u32::MAX; n] }
+    }
+
+    /// Counts one more connection of cell `v` (of the given size) to
+    /// `A`, entering it into the heap on its first.
+    fn connect(&mut self, v: usize, size: u32) {
+        let i = match self.pos[v] {
+            u32::MAX => {
+                self.entries.push((0, size, Reverse(v)));
+                self.entries.len() - 1
+            }
+            i => i as usize,
+        };
+        self.entries[i].0 += 1;
+        self.sift_up(i);
+    }
+
+    /// Removes and returns the cell with the largest key.
+    fn pop(&mut self) -> Option<usize> {
+        let (_, _, Reverse(top)) = *self.entries.first()?;
+        self.pos[top] = u32::MAX;
+        let last = self.entries.pop().expect("non-empty heap");
+        if !self.entries.is_empty() {
+            self.entries[0] = last;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.entries[parent] > self.entries[i] {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        self.pos[self.entries[i].2 .0] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let mut largest = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.entries.len() && self.entries[child] > self.entries[largest] {
+                    largest = child;
+                }
+            }
+            if largest == i {
+                break;
+            }
+            self.swap(i, largest);
+            i = largest;
+        }
+        self.pos[self.entries[i].2 .0] = i as u32;
+    }
+
+    /// Swaps entries `i` and `j`, recording the new position of the one
+    /// now at `i`; the moving entry's position is recorded once it
+    /// settles.
+    fn swap(&mut self, i: usize, j: usize) {
+        self.entries.swap(i, j);
+        self.pos[self.entries[i].2 .0] = i as u32;
+    }
 }
 
 /// Candidates one directional sweep yields: the paper's smallest-ratio

@@ -10,16 +10,22 @@
 //! The same hash also pins the *results* of the multi-device flows that
 //! run boundary pair refinement (n-level partitioning, ECO repair, and a
 //! pair job lost to an injected panic), so a refactor of the refiner
-//! must reproduce them exactly.
+//! must reproduce them exactly. Flat FPART runs pin their engine
+//! counters too, so a refactor of the pass engine must reproduce the
+//! search itself, not only where it lands.
 
 use std::sync::Once;
 
+use fpart_core::config::GainObjective;
 use fpart_core::{
-    partition_multilevel, partition_multilevel_observed, repartition_eco, Counter, EcoConfig,
-    FaultPlan, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionOutcome,
+    partition_multilevel, partition_multilevel_observed, partition_observed, repartition_eco,
+    Counter, EcoConfig, FaultPlan, FpartConfig, Metrics, MultilevelConfig, Observer,
+    PartitionOutcome,
 };
-use fpart_device::DeviceConstraints;
-use fpart_hypergraph::gen::{mcnc_profiles, rent_circuit, synthesize_mcnc, RentConfig, Technology};
+use fpart_device::{Device, DeviceConstraints};
+use fpart_hypergraph::gen::{
+    find_profile, mcnc_profiles, rent_circuit, synthesize_mcnc, RentConfig, Technology,
+};
 use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph};
 
 /// Incremental FNV-1a over little-endian `u64` words.
@@ -211,4 +217,75 @@ const PINNED_REFINEMENT_RESULTS: [(u64, usize, usize); 3] = [
     (0xd3fc_24a4_a03f_54fd, 34, 209),
     (0xf24e_1f75_e49a_2a46, 34, 215),
     (0x1afe_db44_13e2_b33c, 34, 211),
+];
+
+/// The engine counters that describe the work of a search, in the order
+/// [`SearchWork::counters`] lists them.
+const SEARCH_WORK_COUNTERS: [Counter; 7] = [
+    Counter::Passes,
+    Counter::MovesApplied,
+    Counter::MovesReverted,
+    Counter::GainBucketPops,
+    Counter::StackRestarts,
+    Counter::KeyEvaluations,
+    Counter::SnapshotsMaterialized,
+];
+
+/// The result of one flat run and the search work that produced it.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchWork {
+    /// `(assignment hash, devices, cut)`.
+    result: (u64, usize, usize),
+    /// The values of [`SEARCH_WORK_COUNTERS`].
+    counters: [u64; 7],
+}
+
+/// Flat FPART on one pinned XC3000 workload, with metrics enabled.
+fn flat_search_work(circuit: &str, device: Device, gain_objective: GainObjective) -> SearchWork {
+    let profile = find_profile(circuit).expect("known circuit");
+    let graph = synthesize_mcnc(profile, Technology::Xc3000);
+    let pinned = PINNED_XC3000.iter().find(|(name, _)| *name == circuit).expect("pinned circuit");
+    assert_eq!(fingerprint(&graph), pinned.1, "{circuit} is not the pinned workload");
+    let config = FpartConfig { gain_objective, ..FpartConfig::default() };
+    let mut obs = Observer::new(Metrics::enabled(), None);
+    let outcome =
+        partition_observed(&graph, device.constraints(0.9), &config, &mut obs).expect("partitions");
+    SearchWork {
+        result: result_key(&outcome),
+        counters: SEARCH_WORK_COUNTERS.map(|c| obs.metrics.get(c)),
+    }
+}
+
+/// The exact search work of flat FPART: c6288 on XC3020 (M = 15, so the
+/// all-block multi-way passes and the final pairwise sweep run), s13207
+/// on XC3020 (M = 16, two-block passes only) and c6288 under the I/O-pin
+/// gain objective. Result hashes alone would not catch a change that
+/// does more or different search work and still lands on the same
+/// answer; the counters do. Every worker count must give these values.
+/// If an intentional change to the search moves them, re-pin from the
+/// failed assertion's left-hand side and say why in the same commit.
+#[test]
+fn flat_search_work_is_pinned() {
+    let measured = [
+        flat_search_work("c6288", Device::XC3020, GainObjective::CutNets),
+        flat_search_work("s13207", Device::XC3020, GainObjective::CutNets),
+        flat_search_work("c6288", Device::XC3020, GainObjective::IoPins),
+    ];
+    assert_eq!(measured, PINNED_SEARCH_WORK);
+}
+
+/// [`SearchWork`] of the three runs of [`flat_search_work_is_pinned`].
+const PINNED_SEARCH_WORK: [SearchWork; 3] = [
+    SearchWork {
+        result: (0x6401_2de9_fd99_c3ba, 15, 207),
+        counters: [819, 160_937, 154_970, 1_519_555, 368, 162_226, 604],
+    },
+    SearchWork {
+        result: (0x9b6b_160f_0523_5398, 17, 405),
+        counters: [767, 86_739, 81_695, 581_951, 319, 87_913, 563],
+    },
+    SearchWork {
+        result: (0x17da_bc77_b8f6_97d4, 15, 210),
+        counters: [896, 206_092, 193_612, 1_601_605, 379, 207_469, 600],
+    },
 ];

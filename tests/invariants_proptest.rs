@@ -207,22 +207,35 @@ proptest! {
         }
     }
 
-    /// GainBucket behaves like a naive map from cell to gain.
+    /// GainBucket behaves like a naive map from cell to gain, and a
+    /// cleared bucket behaves exactly like a new one.
     #[test]
     fn gain_bucket_matches_model(
-        ops in proptest::collection::vec((0u32..64, -8i32..=8, any::<bool>()), 1..200)
+        ops in proptest::collection::vec((0u32..64, -8i32..=8, 0u8..16), 1..200)
     ) {
         let mut bucket = GainBucket::new(64, 8);
+        // Replays the operations since the last clear on a new bucket.
+        let mut fresh = GainBucket::new(64, 8);
         let mut model: std::collections::HashMap<u32, i32> = std::collections::HashMap::new();
-        for (cell, gain, insert) in ops {
-            if insert {
-                model.entry(cell).or_insert_with(|| {
-                    bucket.insert(cell, gain);
-                    gain
-                });
-            } else {
-                let was = model.remove(&cell).is_some();
-                prop_assert_eq!(bucket.remove(cell), was);
+        for (cell, gain, op) in ops {
+            match op {
+                0 => {
+                    bucket.clear();
+                    fresh = GainBucket::new(64, 8);
+                    model.clear();
+                }
+                1..=7 => {
+                    model.entry(cell).or_insert_with(|| {
+                        bucket.insert(cell, gain);
+                        fresh.insert(cell, gain);
+                        gain
+                    });
+                }
+                _ => {
+                    let was = model.remove(&cell).is_some();
+                    prop_assert_eq!(bucket.remove(cell), was);
+                    fresh.remove(cell);
+                }
             }
             prop_assert_eq!(bucket.len(), model.len());
         }
@@ -232,6 +245,11 @@ proptest! {
         for (&cell, &gain) in &model {
             prop_assert!(bucket.contains(cell));
             prop_assert_eq!(bucket.gain_of(cell), gain);
+        }
+        // Same cells in the same scan order as a bucket never cleared.
+        prop_assert_eq!(fresh.max_gain(), bucket.max_gain());
+        for gain in -8..=8 {
+            prop_assert_eq!(bucket.cells_at(gain), fresh.cells_at(gain));
         }
     }
 
