@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use fpart_core::cost::CostEvaluator;
 use fpart_core::fm::{bipartition_fm, FmConfig};
-use fpart_core::{FpartConfig, KeyTracker, PartitionState};
+use fpart_core::{FpartConfig, KeyTracker, Metrics, PartitionState};
 use fpart_device::Device;
 use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
 use fpart_hypergraph::NodeId;
@@ -66,7 +66,7 @@ fn bench_parallel_runs(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         let config = FmConfig { runs: 8, threads, ..FmConfig::default() };
         c.bench_function(&format!("bipartition_runs8_t{threads}"), |b| {
-            b.iter(|| black_box(bipartition_fm(&graph, &config)).cut);
+            b.iter(|| black_box(bipartition_fm(&graph, &config, &mut Metrics::disabled())).cut);
         });
     }
 }

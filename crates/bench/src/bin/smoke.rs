@@ -93,9 +93,10 @@ use fpart_core::cost::CostEvaluator;
 use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::server::protocol;
 use fpart_core::{
-    improve, partition_multilevel_observed, search, Algorithm, Checkpoint, CheckpointWriter,
-    Counter, FaultPlan, FpartConfig, ImproveContext, Json, KeyTracker, Metrics, MultilevelConfig,
-    Observer, PartitionState, Restarts, RestartsReport, RunBudget, Server, ServerConfig, SpanKind,
+    improve, partition_multilevel_restarts_observed, search, Algorithm, Checkpoint,
+    CheckpointWriter, Counter, FaultPlan, FpartConfig, ImproveContext, Json, KeyTracker, Metrics,
+    MultilevelConfig, Observer, PartitionState, Restarts, RestartsReport, RunBudget, Server,
+    ServerConfig, SpanKind,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{find_profile, rent_circuit, synthesize_mcnc, RentConfig, Technology};
@@ -263,7 +264,7 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let fm_config = FmConfig { runs: 8, threads, ..FmConfig::default() };
         let start = Instant::now();
-        let bp = bipartition_fm(&graph, &fm_config);
+        let bp = bipartition_fm(&graph, &fm_config, &mut Metrics::disabled());
         let bp_secs = start.elapsed().as_secs_f64();
         assert_eq!(*reference_cut.get_or_insert(bp.cut), bp.cut, "thread sweep diverged");
 
@@ -404,18 +405,24 @@ fn main() {
     let flat_secs = start.elapsed().as_secs_f64();
 
     let ml_config = MultilevelConfig::default();
-    let mut obs = Observer::new(Metrics::enabled(), None);
     let start = Instant::now();
-    let nlevel =
-        partition_multilevel_observed(&rent, rent_constraints, &config, &ml_config, &mut obs)
-            .expect("multilevel partitions");
+    let report = partition_multilevel_restarts_observed(
+        &rent,
+        rent_constraints,
+        &config,
+        &ml_config,
+        1,
+        ml_config.threads,
+    )
+    .expect("multilevel partitions");
     let ml_secs = start.elapsed().as_secs_f64();
+    let nlevel = report.outcome;
 
     let speedup = flat_secs / ml_secs.max(1e-9);
     let flat_key = quality_key(&rent, rent_constraints, &config, &flat);
     let ml_key = quality_key(&rent, rent_constraints, &config, &nlevel);
     let quality_not_worse = not_worse(&ml_key, &flat_key);
-    let coarsen_levels = obs.metrics.get(Counter::CoarsenLevels);
+    let coarsen_levels = report.totals.get(Counter::CoarsenLevels);
     println!(
         "multilevel: flat {flat_secs:.3}s ({} devices, cut {}), n-level {ml_secs:.3}s \
          ({} devices, cut {}, {coarsen_levels} levels) => {speedup:.1}x, \
@@ -437,12 +444,18 @@ fn main() {
     //     profiler kept, plus the share of wall time attributed to phase
     //     self-time. Pair-job lanes run inside a refine level, so their
     //     self-time is excluded from the coverage sum to avoid counting
-    //     the same wall-clock interval twice.
-    let span_records = obs.metrics.spans().records();
+    //     the same wall-clock interval twice. The restart span wraps the
+    //     whole run: its self-time is the unattributed remainder, so it
+    //     is excluded as well.
+    let span_records = report.totals.spans().records();
     #[allow(clippy::cast_precision_loss)]
     let attributed_secs = span_records
         .iter()
-        .filter(|r| r.kind != SpanKind::PairJob && r.parent != Some(SpanKind::PairJob))
+        .filter(|r| {
+            r.kind != SpanKind::Restart
+                && r.kind != SpanKind::PairJob
+                && r.parent != Some(SpanKind::PairJob)
+        })
         .map(|r| r.self_ns)
         .sum::<u64>() as f64
         / 1e9;

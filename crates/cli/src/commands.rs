@@ -51,7 +51,7 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
             "max-line-len",
             "max-memory-mb",
         ],
-        switches: &["trace", "multilevel", "progress", "cache"],
+        switches: &["trace", "multilevel", "progress"],
     };
     let args = Args::parse(raw, spec).map_err(CliError::Usage)?;
     let input = args
@@ -386,12 +386,10 @@ fn run_engine(
     Ok(report)
 }
 
-/// The n-level options of `--multilevel`: `--coarsen-floor`,
+/// The n-level options of `--multilevel`: `--coarsen-floor` and
 /// `--max-memory-mb` (caps the estimated bytes of the coarsening
 /// hierarchy only: coarsening stops early and the run completes
-/// `degraded`) and `--cache` (a fingerprint-keyed memo store; results
-/// are bit-identical with or without it, and the server is where it
-/// pays off across requests).
+/// `degraded`).
 fn multilevel_config(args: &Args) -> Result<fpart_core::MultilevelConfig, CliError> {
     let coarsen_floor: usize = args.option_parsed("coarsen-floor", 256).map_err(CliError::Usage)?;
     if coarsen_floor < 2 {
@@ -408,7 +406,6 @@ fn multilevel_config(args: &Args) -> Result<fpart_core::MultilevelConfig, CliErr
     Ok(fpart_core::MultilevelConfig {
         coarsen_floor,
         memory,
-        memo: args.switch("cache").then(fpart_core::MemoStore::shared),
         ..fpart_core::MultilevelConfig::default()
     })
 }
@@ -567,7 +564,7 @@ fn write_metrics_file(
         out.push_str(&format!(
             "{{\"restart\": {}, \"message\": {}}}",
             f.restart,
-            json_string(&f.message)
+            fpart_core::server::protocol::json_string(&f.message)
         ));
     }
     out.push_str(&format!("], \"totals\": {}, \"per_restart\": [", report.totals.to_json()));
@@ -584,26 +581,6 @@ fn write_metrics_file(
         fpart_core::write_atomic(Path::new(path), out.as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))
     }
-}
-
-/// Renders a string as a quoted JSON literal (panic payloads can carry
-/// quotes and control characters).
-fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Resolves the `--max-*` input limits: [`ParseLimits::default`]'s sane
@@ -771,7 +748,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
             "max-name-len",
             "max-line-len",
         ],
-        switches: &["cache"],
+        switches: &[],
     };
     let args = Args::parse(raw, spec).map_err(CliError::Usage)?;
     let input =
@@ -839,14 +816,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
         cancel: Some(CancelToken::from_static(&crate::INTERRUPTED)),
     };
     let config = FpartConfig { budget, ..FpartConfig::default() };
-    let eco_config = fpart_core::EcoConfig {
-        churn_threshold,
-        multilevel: fpart_core::MultilevelConfig {
-            memo: args.switch("cache").then(fpart_core::MemoStore::shared),
-            ..fpart_core::MultilevelConfig::default()
-        },
-        ..fpart_core::EcoConfig::default()
-    };
+    let eco_config = fpart_core::EcoConfig { churn_threshold, ..fpart_core::EcoConfig::default() };
 
     let algorithm =
         Algorithm::Eco { eco: &eco_config, previous: &previous, node_map: &applied.node_map };

@@ -132,9 +132,6 @@ PARTITION OPTIONS:
                       write the versioned assignment format
                       (`#%fpart-assignment v1 blocks <k>` header; the
                       format `fpart eco --assignment` expects)
-  --cache             enable the fingerprint-keyed memo store (hierarchy
-                      cache + solution memo) for this process; results
-                      are bit-identical with or without it
 
 DURABILITY OPTIONS (partition, --method fpart/multilevel):
   --checkpoint <FILE> maintain a crash-safe snapshot of completed
@@ -171,8 +168,7 @@ ECO OPTIONS:
                       fall back to full repartitioning when the edit
                       touches more than this fraction of cells (default 0.15)
   plus --device/--s-max/--t-max/--delta, --restarts, --threads,
-  --deadline-ms, --max-passes, --metrics, --output, --write-assignment,
-  --cache
+  --deadline-ms, --max-passes, --metrics, --output, --write-assignment
 
 SERVE OPTIONS:
   --listen <SOCKET>   accept connections on a Unix domain socket instead

@@ -110,23 +110,6 @@ fn render(doc: &Json, top: usize) -> String {
             );
         }
     }
-    // Fingerprint-keyed memoization activity (schema 10); omitted
-    // entirely for runs without a memo store, so old-style reports are
-    // byte-identical.
-    if let Some(c) = doc.get("totals").and_then(|t| t.get("counters")) {
-        let count = |k: &str| c.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let hits = count("hierarchy_cache_hits");
-        let misses = count("hierarchy_cache_misses");
-        let evictions = count("hierarchy_cache_evictions");
-        let warm = count("memo_warm_starts");
-        if hits + misses + evictions + warm > 0 {
-            let _ = writeln!(
-                out,
-                "cache: hierarchy {hits} hit(s) / {misses} miss(es) / {evictions} \
-                 eviction(s), {warm} warm-started restart(s)"
-            );
-        }
-    }
 
     let rows = span_rows(doc);
     if rows.is_empty() {
@@ -367,35 +350,6 @@ hot phases (top 3 by self time):
         // 20 + 10 + 25 + 5 (improve under initial) + 40 = 100 ms; the
         // 30 ms pair_job self and its 5 ms improve child are excluded.
         assert!(text.contains("self-time coverage: 100.0%"), "{text}");
-    }
-
-    #[test]
-    fn cache_line_renders_only_when_counters_are_live() {
-        // The pinned fixture has no counters object: no cache line.
-        let doc = Json::parse(FIXTURE).unwrap();
-        assert!(!render(&doc, 3).contains("cache:"));
-        let doc = Json::parse(
-            r#"{"schema_version": 10, "elapsed_ms": 10, "totals": {
-                "counters": {"hierarchy_cache_hits": 3, "hierarchy_cache_misses": 1,
-                             "hierarchy_cache_evictions": 0, "memo_warm_starts": 2},
-                "spans": []}}"#,
-        )
-        .unwrap();
-        let text = render(&doc, 3);
-        assert!(
-            text.contains(
-                "cache: hierarchy 3 hit(s) / 1 miss(es) / 0 eviction(s), \
-                 2 warm-started restart(s)"
-            ),
-            "{text}"
-        );
-        // All-zero counters (cache off) also stay silent.
-        let doc = Json::parse(
-            r#"{"schema_version": 10, "elapsed_ms": 10, "totals": {
-                "counters": {"hierarchy_cache_hits": 0, "moves_applied": 9}, "spans": []}}"#,
-        )
-        .unwrap();
-        assert!(!render(&doc, 3).contains("cache:"));
     }
 
     #[test]

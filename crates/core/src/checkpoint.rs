@@ -5,7 +5,7 @@
 //! a checkpoint holding any subset of completed restarts lets a resumed
 //! run re-execute only the missing indices (each fully determined by its
 //! index) and merge saved + fresh outcomes into a result
-//! **bit-identical** to an uninterrupted run. [`crate::search`] reads
+//! **bit-identical** to an uninterrupted run. [`crate::search()`] reads
 //! and writes checkpoints; it checks every saved restart against the
 //! live graph before replaying it, and recomputes one that does not
 //! check out.

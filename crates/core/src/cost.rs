@@ -369,10 +369,10 @@ impl CostEvaluator {
 /// Incrementally maintained key aggregates: the move loop's O(1)
 /// replacement for the O(k) [`CostEvaluator::key`] rescan.
 ///
-/// The tracker caches each block's [`BlockTerms`]; after a move only the
+/// The tracker caches each block's key terms; after a move only the
 /// two touched blocks are re-derived and the aggregate sums adjusted.
 /// Because all aggregates are integers and the final key is assembled by
-/// the same [`CostEvaluator::assemble_key`] as the from-scratch path,
+/// the same key assembly as the from-scratch [`CostEvaluator::key`],
 /// the produced keys are bit-identical regardless of move history —
 /// an invariant enforced by `tests/invariants_proptest.rs` and by
 /// debug assertions in the pass engine.

@@ -15,11 +15,14 @@
 use fpart_device::{lower_bound, DeviceConstraints};
 use fpart_hypergraph::{Hypergraph, NodeId};
 
+use crate::budget::Completion;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
 use crate::driver::{PartitionError, PartitionOutcome};
 use crate::engine::{improve, ImproveContext, NO_REMAINDER};
+use crate::obs::{Metrics, Observer};
 use crate::refine::{refine_pairs, RefineConfig};
+use crate::run::{RunCtx, Work};
 use crate::state::PartitionState;
 
 /// Options of the direct k-way mode.
@@ -81,30 +84,12 @@ pub fn partition_direct(
     config: &FpartConfig,
     direct: &DirectConfig,
 ) -> Result<PartitionOutcome, PartitionError> {
-    config.validate();
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
-    }
     let started = std::time::Instant::now();
-    let m = lower_bound(graph, constraints);
-    if graph.node_count() == 0 {
-        let state = PartitionState::single_block(graph);
-        return Ok(crate::driver::assemble_outcome(
-            graph,
-            &state,
-            constraints,
-            0,
-            0,
-            0,
-            0,
-            started.elapsed(),
-            crate::obs::Metrics::disabled(),
-            crate::budget::Completion::Complete,
-        ));
+    let mut obs = Observer::none();
+    if let Some(empty) = RunCtx::new(&mut obs, config, 0, 1).begin(graph, constraints, config)? {
+        return Ok(empty);
     }
+    let m = lower_bound(graph, constraints);
     let evaluator = CostEvaluator::new(constraints, config, m, graph.terminal_count());
 
     for attempt in 0..=direct.extra_attempts {
@@ -129,16 +114,13 @@ pub fn partition_direct(
             (0..k).all(|b| constraints.fits(state.block_size(b), state.block_terminals(b)));
         if feasible {
             return Ok(crate::driver::assemble_outcome(
-                graph,
                 &state,
                 constraints,
                 m,
-                attempt + 1,
-                0,
-                0,
+                Work { iterations: attempt + 1, ..Work::default() },
                 started.elapsed(),
-                crate::obs::Metrics::disabled(),
-                crate::budget::Completion::Complete,
+                Metrics::disabled(),
+                Completion::Complete,
             ));
         }
     }

@@ -21,12 +21,13 @@ use std::time::{Duration, Instant};
 use fpart_device::{lower_bound, BlockUsage, DeviceConstraints};
 use fpart_hypergraph::{Hypergraph, NodeId};
 
-use crate::budget::{BudgetTracker, Completion};
+use crate::budget::Completion;
 use crate::config::FpartConfig;
 use crate::cost::{classify, CostEvaluator};
-use crate::engine::{improve_metered, ImproveContext, ImproveStats};
+use crate::engine::{improve_cells, ImproveContext};
 use crate::initial::bipartition_remainder;
-use crate::obs::{Counter, Metrics, Observer};
+use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats};
+use crate::run::{RunCtx, Work};
 use crate::state::PartitionState;
 use crate::trace::{ImproveKind, TraceEvent};
 
@@ -193,58 +194,27 @@ pub fn partition_observed(
     config: &FpartConfig,
     obs: &mut Observer<'_>,
 ) -> Result<PartitionOutcome, PartitionError> {
-    config.validate();
-    // Execution budget for this run: a direct call counts as restart 0
-    // for fault-plan targeting. Unlimited budgets cost one branch per
-    // pass/peel boundary and never read the clock.
-    let tracker = BudgetTracker::new(
-        &config.budget,
-        config.fault_plan.as_ref().and_then(|plan| plan.for_restart(0)),
-    );
-    partition_with_tracker(graph, constraints, config, obs, &tracker)
+    fpart(graph, constraints, config, &mut RunCtx::new(obs, config, 0, 1))
 }
 
-/// [`partition_observed`] driven by a caller-owned [`BudgetTracker`], so
-/// an enclosing flow (the multilevel V-cycle) can account the peeling
-/// driver's passes against its own overall budget.
-pub(crate) fn partition_with_tracker(
+/// Flat FPART on `ctx`: the peel loop runs under the context's budget
+/// (checked at every peel and pass boundary), so the V-cycle's coarse
+/// peel spends the budget of the run that nests it.
+pub(crate) fn fpart(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     config: &FpartConfig,
-    obs: &mut Observer<'_>,
-    tracker: &BudgetTracker,
+    ctx: &mut RunCtx<'_, '_>,
 ) -> Result<PartitionOutcome, PartitionError> {
     let start = Instant::now();
-
-    if graph.node_count() == 0 {
-        return Ok(PartitionOutcome {
-            assignment: Vec::new(),
-            blocks: Vec::new(),
-            device_count: 0,
-            lower_bound: 0,
-            feasible: true,
-            cut: 0,
-            iterations: 0,
-            improve_calls: 0,
-            total_moves: 0,
-            elapsed: start.elapsed(),
-            metrics: obs.metrics.clone(),
-            completion: Completion::Complete,
-        });
-    }
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
+    if let Some(empty) = ctx.begin(graph, constraints, config)? {
+        return Ok(empty);
     }
 
     let m = lower_bound(graph, constraints);
     let evaluator = CostEvaluator::new(constraints, config, m, graph.terminal_count());
     let mut state = PartitionState::single_block(graph);
-    let mut iterations = 0usize;
-    let mut improve_calls = 0usize;
-    let mut total_moves = 0usize;
+    let mut work = Work::default();
     let iteration_cap = m * config.max_iterations_factor + 32;
 
     // The loop runs until the whole partition is feasible. Normally the
@@ -254,18 +224,19 @@ pub(crate) fn partition_with_tracker(
     // violating subset is the remainder*, so with `repair_violators` it
     // gets re-designated and split further (the greedy baseline instead
     // stops when the original remainder fits).
-    while let Some(violator) = next_remainder(&state, &evaluator, config) {
+    while let Some(remainder) = next_remainder(&state, &evaluator, config) {
         // Peel boundary: a stopped budget ends the loop cleanly; the
         // state already holds the best solution of every improve call,
         // so whatever has been peeled so far is returned as-is.
-        if tracker.check() {
+        if ctx.budget.check() {
             break;
         }
-        let remainder = violator;
-        iterations += 1;
+        work.iterations += 1;
+        let iterations = work.iterations;
         if iterations > iteration_cap {
             return Err(PartitionError::IterationLimit { iterations });
         }
+        let obs = &mut *ctx.obs;
         obs.metrics.bump(Counter::Iterations);
         obs.emit(|| TraceEvent::IterationStart {
             iteration: iterations,
@@ -273,22 +244,19 @@ pub(crate) fn partition_with_tracker(
             remainder_terminals: state.block_terminals(remainder),
         });
 
-        let ctx = ImproveContext {
+        let improve_ctx = ImproveContext {
             evaluator: &evaluator,
             config,
             remainder,
             minimum_reached: iterations > m,
-            budget: Some(tracker),
+            budget: Some(&ctx.budget),
         };
 
         let p = state.add_block();
-        obs.metrics.span_open(crate::obs::SpanKind::Bipartition, 0);
-        let method = bipartition_remainder(&mut state, remainder, p, &ctx);
+        obs.metrics.span_open(SpanKind::Bipartition, 0);
+        let method = bipartition_remainder(&mut state, remainder, p, &improve_ctx);
         obs.metrics.bump(Counter::Bipartitions);
-        obs.metrics.span_close(crate::obs::SpanStats {
-            nodes: state.block_size(p),
-            ..crate::obs::SpanStats::default()
-        });
+        obs.metrics.span_close(SpanStats { nodes: state.block_size(p), ..SpanStats::default() });
         obs.emit(|| TraceEvent::Bipartition {
             iteration: iterations,
             method,
@@ -296,18 +264,15 @@ pub(crate) fn partition_with_tracker(
             peeled_terminals: state.block_terminals(p),
         });
 
-        let mut run = |state: &mut PartitionState<'_>,
-                       kind: ImproveKind,
-                       blocks: Vec<usize>,
-                       obs: &mut Observer<'_>| {
+        let mut run = |state: &mut PartitionState<'_>, kind: ImproveKind, blocks: Vec<usize>| {
             if blocks.len() < 2 {
                 return;
             }
             let started = obs.metrics.start();
-            let stats: ImproveStats = improve_metered(state, &blocks, &ctx, &mut obs.metrics);
+            let stats = improve_cells(state, &blocks, None, &improve_ctx, &mut obs.metrics);
             obs.metrics.stop_improve(kind, started);
-            improve_calls += 1;
-            total_moves += stats.moves;
+            work.improve_calls += 1;
+            work.moves += stats.moves;
             obs.emit(|| TraceEvent::Improve {
                 iteration: iterations,
                 kind,
@@ -321,13 +286,13 @@ pub(crate) fn partition_with_tracker(
         };
 
         // 1. Two lately partitioned blocks.
-        run(&mut state, ImproveKind::LastPair, vec![remainder, p], obs);
+        run(&mut state, ImproveKind::LastPair, vec![remainder, p]);
 
         if config.use_improvement_schedule {
             // 2. All blocks together (small-M group only).
             if m <= config.n_small && state.block_count() >= 3 {
                 let all: Vec<usize> = (0..state.block_count()).collect();
-                run(&mut state, ImproveKind::AllBlocks, all, obs);
+                run(&mut state, ImproveKind::AllBlocks, all);
             }
 
             // 3. Remainder vs the smallest / fewest-I/O / most-free block.
@@ -343,7 +308,7 @@ pub(crate) fn partition_with_tracker(
                 if recent == Some(block) {
                     continue;
                 }
-                run(&mut state, kind, vec![block, remainder], obs);
+                run(&mut state, kind, vec![block, remainder]);
                 recent = Some(block);
             }
 
@@ -351,13 +316,13 @@ pub(crate) fn partition_with_tracker(
             if iterations == m && m <= config.n_small {
                 for b in 0..state.block_count() {
                     if b != remainder {
-                        run(&mut state, ImproveKind::FinalSweep, vec![b, remainder], obs);
+                        run(&mut state, ImproveKind::FinalSweep, vec![b, remainder]);
                     }
                 }
             }
         }
 
-        obs.emit(|| {
+        ctx.obs.emit(|| {
             let k = state.block_count();
             let feasible = (0..k)
                 .filter(|&b| constraints.fits(state.block_size(b), state.block_terminals(b)))
@@ -368,42 +333,11 @@ pub(crate) fn partition_with_tracker(
                 blocks: (0..k).map(|b| state.block_usage(b)).collect(),
             }
         });
-
-        // Progress heartbeat (throttled; a disabled heartbeat is one
-        // branch, no clock read). `level` is the peeling iteration.
-        if let Some(elapsed) = obs.heartbeat.due() {
-            let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
-            let cut = state.cut_count();
-            obs.emit(|| TraceEvent::Progress {
-                phase: crate::obs::SpanKind::Initial,
-                level: iterations,
-                passes,
-                moves: total_moves as u64,
-                cut: Some(cut),
-                elapsed_ms: elapsed.as_millis() as u64,
-                deadline_remaining_ms: snapshot.deadline_remaining.map(|d| d.as_millis() as u64),
-                passes_remaining: snapshot.passes_remaining,
-            });
-        }
+        // `level` of a peel heartbeat is the peeling iteration.
+        ctx.progress(SpanKind::Initial, iterations, work.moves, &state);
     }
 
-    if tracker.stopped() {
-        obs.metrics.bump(Counter::BudgetStops);
-    }
-    obs.metrics.add(Counter::FaultsInjected, tracker.faults_injected());
-    Ok(assemble_outcome(
-        graph,
-        &state,
-        constraints,
-        m,
-        iterations,
-        improve_calls,
-        total_moves,
-        start.elapsed(),
-        obs.metrics.clone(),
-        tracker.completion(),
-    ))
+    Ok(ctx.finish(&state, constraints, m, work, start, Completion::Complete))
 }
 
 /// Picks the block to split next: with `repair_violators`, the non-empty
@@ -462,21 +396,17 @@ fn select_max_free(
     )
 }
 
-/// Compacts empty blocks out and assembles the outcome (shared with the
-/// multilevel mode).
-#[allow(clippy::too_many_arguments)]
+/// Compacts empty blocks out and assembles the outcome of `state`.
 pub(crate) fn assemble_outcome(
-    graph: &Hypergraph,
     state: &PartitionState<'_>,
     constraints: DeviceConstraints,
     m: usize,
-    iterations: usize,
-    improve_calls: usize,
-    total_moves: usize,
+    work: Work,
     elapsed: Duration,
     metrics: Metrics,
     completion: Completion,
 ) -> PartitionOutcome {
+    let graph = state.graph();
     let k = state.block_count();
     let mut dense = vec![u32::MAX; k];
     let mut blocks = Vec::new();
@@ -502,9 +432,9 @@ pub(crate) fn assemble_outcome(
         lower_bound: m,
         feasible,
         cut: state.cut_count(),
-        iterations,
-        improve_calls,
-        total_moves,
+        iterations: work.iterations,
+        improve_calls: work.improve_calls,
+        total_moves: work.moves,
         elapsed,
         metrics,
         completion,

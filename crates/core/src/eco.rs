@@ -8,9 +8,10 @@
 //! [`fpart_hypergraph::apply_script`], new and orphaned cells are placed
 //! constructively into the most-connected block with free capacity, and
 //! only the *dirty* blocks — the ones an edit actually touched — are
-//! repaired with the boundary-only FM machinery
-//! ([`crate::refine::refine_boundary_dirty_metered`]) under the same
-//! infeasibility-distance cost as every other entry point.
+//! repaired with the boundary-only FM machinery of the n-level flow
+//! ([`crate::refine::refine_boundary_metered`], restricted to dirty
+//! blocks) under the same infeasibility-distance cost as every other
+//! entry point.
 //!
 //! Two safety valves keep repairs honest:
 //!
@@ -23,21 +24,24 @@
 //!   where degradation is the contract) also falls back.
 //!
 //! Budgets compose exactly like the other drivers: one
-//! [`BudgetTracker`] spans carry-over, placement, and repair; an expired
-//! deadline skips repair but still returns a full-coverage assignment.
+//! [`crate::BudgetTracker`] spans carry-over, placement, repair and any
+//! fallback repartition, so a fallback spends what the repair left; an
+//! expired deadline skips repair but still returns a full-coverage
+//! assignment.
 
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
 use fpart_hypergraph::{Hypergraph, NodeId};
 
-use crate::budget::BudgetTracker;
+use crate::budget::Completion;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
 use crate::driver::{PartitionError, PartitionOutcome};
-use crate::multilevel::{partition_multilevel_observed, MultilevelConfig};
-use crate::obs::{Counter, Observer};
-use crate::refine::{refine_boundary_dirty_metered, RefineConfig};
+use crate::multilevel::{vcycle, MultilevelConfig};
+use crate::obs::{Counter, Observer, SpanKind, SpanStats};
+use crate::refine::{refine_boundary, RefineConfig};
+use crate::run::{RunCtx, Work};
 use crate::state::PartitionState;
 use crate::verify::verify_assignment;
 
@@ -155,7 +159,6 @@ pub fn repartition_eco(
 /// # Errors
 ///
 /// See [`repartition_eco`].
-#[allow(clippy::too_many_lines)]
 pub fn repartition_eco_observed(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -165,76 +168,73 @@ pub fn repartition_eco_observed(
     node_map: &[Option<NodeId>],
     obs: &mut Observer<'_>,
 ) -> Result<EcoReport, PartitionError> {
-    config.validate();
+    let mut ctx = RunCtx::new(obs, config, 0, eco.multilevel.threads);
+    eco_repair(graph, constraints, config, eco, previous, node_map, &mut ctx)
+}
+
+/// ECO repair on `ctx`. The full-repartition fallback runs on the same
+/// context, so it spends what is left of the run's budget.
+pub(crate) fn eco_repair(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    eco: &EcoConfig,
+    previous: &[u32],
+    node_map: &[Option<NodeId>],
+    ctx: &mut RunCtx<'_, '_>,
+) -> Result<EcoReport, PartitionError> {
     eco.validate();
     let start = Instant::now();
-
     if previous.len() != node_map.len() {
         return Err(PartitionError::InvalidConfig {
             what: "previous assignment and node map must have the same length",
         });
     }
-    if graph.node_count() == 0 {
-        let outcome =
-            partition_multilevel_observed(graph, constraints, config, &eco.multilevel, obs)?;
+    let removed = node_map.iter().filter(|m| m.is_none()).count();
+    if let Some(outcome) = ctx.begin(graph, constraints, config)? {
         return Ok(EcoReport {
             outcome,
             repaired: true,
             carried: 0,
             placed: 0,
-            removed: node_map.iter().filter(|m| m.is_none()).count(),
+            removed,
             dirty_blocks: 0,
             churn: 0.0,
         });
-    }
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
     }
 
     // Carry surviving assignments over the mapping.
     let n = graph.node_count();
     let mut carried_blocks: Vec<Option<u32>> = vec![None; n];
-    let mut removed = 0usize;
     for (old, mapped) in node_map.iter().enumerate() {
-        match mapped {
-            Some(new) => carried_blocks[new.index()] = Some(previous[old]),
-            None => removed += 1,
+        if let Some(new) = mapped {
+            carried_blocks[new.index()] = Some(previous[old]);
         }
     }
     let carried = carried_blocks.iter().filter(|b| b.is_some()).count();
     let placed = n - carried;
     #[allow(clippy::cast_precision_loss)]
     let churn = (placed + removed) as f64 / n as f64;
+    let report = |outcome, repaired, dirty_blocks| EcoReport {
+        outcome,
+        repaired,
+        carried,
+        placed,
+        removed,
+        dirty_blocks,
+        churn,
+    };
 
     // Too much churn: local repair is the wrong tool.
     if churn > eco.churn_threshold {
-        obs.metrics.bump(Counter::EcoFallbacks);
-        let outcome =
-            partition_multilevel_observed(graph, constraints, config, &eco.multilevel, obs)?;
-        return Ok(EcoReport {
-            outcome,
-            repaired: false,
-            carried,
-            placed,
-            removed,
-            dirty_blocks: 0,
-            churn,
-        });
+        ctx.obs.metrics.bump(Counter::EcoFallbacks);
+        let outcome = vcycle(graph, constraints, config, &eco.multilevel, ctx)?;
+        return Ok(report(outcome, false, 0));
     }
-
-    // One budget for carry-over, placement, and repair (a direct call
-    // counts as restart 0 for fault-plan targeting, like the drivers).
-    let tracker = BudgetTracker::new(
-        &config.budget,
-        config.fault_plan.as_ref().and_then(|plan| plan.for_restart(0)),
-    );
 
     // Blocks of the previous partition stay addressable even when the
     // edit emptied them; new blocks open past them if placement needs to.
-    let place_started = obs.metrics.start();
+    let place_started = ctx.obs.metrics.start();
     let mut k = previous
         .iter()
         .enumerate()
@@ -315,107 +315,70 @@ pub fn repartition_eco_observed(
         }
     }
     let dirty_blocks = dirty.iter().filter(|&&d| d).count();
-    obs.metrics.add(Counter::EcoDirtyBlocks, dirty_blocks as u64);
+    ctx.obs.metrics.add(Counter::EcoDirtyBlocks, dirty_blocks as u64);
     if let Some(started) = place_started {
-        obs.metrics.record_span(
-            crate::obs::SpanKind::EcoPlace,
+        ctx.obs.metrics.record_span(
+            SpanKind::EcoPlace,
             0,
             started.elapsed(),
-            crate::obs::SpanStats {
+            SpanStats {
                 nodes: n as u64,
                 moves: placed as u64,
                 boundary: dirty_blocks as u64,
-                ..crate::obs::SpanStats::default()
+                ..SpanStats::default()
             },
         );
     }
 
     let m = lower_bound(graph, constraints);
     let evaluator = CostEvaluator::new(constraints, config, m, graph.terminal_count());
-    // The repair shares the multilevel worker knob: dirty-block pair
-    // jobs fan out exactly like an uncoarsening level's (and the full
-    // fallback engine below inherits the same count).
+    // The repair's pair jobs fan out over the run's workers exactly like
+    // an uncoarsening level's.
     let refine = RefineConfig {
         rounds: eco.refine_rounds,
         pairs_per_round: eco.pairs_per_round,
-        workers: eco.multilevel.threads.max(1),
+        workers: ctx.threads,
     };
 
-    let mut improve_calls = 0usize;
-    let mut total_moves = 0usize;
-    if !tracker.check() && dirty_blocks > 0 && k >= 2 {
-        obs.metrics.span_open(crate::obs::SpanKind::EcoRepair, 0);
-        let stats = refine_boundary_dirty_metered(
+    let mut work = Work::default();
+    if !ctx.budget.check() && dirty_blocks > 0 && k >= 2 {
+        ctx.obs.metrics.span_open(SpanKind::EcoRepair, 0);
+        let stats = refine_boundary(
             &mut state,
             &evaluator,
             config,
             &refine,
-            Some(&tracker),
-            &mut obs.metrics,
-            &dirty,
+            Some(&ctx.budget),
+            &mut ctx.obs.metrics,
+            Some(&dirty),
         );
-        improve_calls = stats.calls;
-        total_moves = stats.moves;
-        obs.metrics.span_close(crate::obs::SpanStats {
+        work = Work {
+            iterations: usize::from(stats.calls > 0),
+            improve_calls: stats.calls,
+            moves: stats.moves,
+        };
+        ctx.obs.metrics.span_close(SpanStats {
             nodes: n as u64,
             boundary: stats.boundary as u64,
             moves: stats.moves as u64,
-            ..crate::obs::SpanStats::default()
+            ..SpanStats::default()
         });
-        if let Some(elapsed) = obs.heartbeat.due() {
-            let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
-            let cut = state.cut_count();
-            obs.emit(|| crate::trace::TraceEvent::Progress {
-                phase: crate::obs::SpanKind::EcoRepair,
-                level: 0,
-                passes,
-                moves: total_moves as u64,
-                cut: Some(cut),
-                elapsed_ms: elapsed.as_millis() as u64,
-                deadline_remaining_ms: snapshot.deadline_remaining.map(|d| d.as_millis() as u64),
-                passes_remaining: snapshot.passes_remaining,
-            });
-        }
+        ctx.progress(SpanKind::EcoRepair, 0, work.moves, &state);
     }
-    if tracker.stopped() {
-        obs.metrics.bump(Counter::BudgetStops);
-    }
-    obs.metrics.add(Counter::FaultsInjected, tracker.faults_injected());
 
     // Every repair is verified from first principles; a completed repair
     // that does not verify falls back to the full engine. Budget stops
     // return the degraded-but-valid assignment instead — degradation is
     // the budget contract, and the fallback would blow the deadline.
     let verification = verify_assignment(graph, state.assignment(), k, constraints);
-    if !verification.is_feasible() && !tracker.stopped() {
-        obs.metrics.bump(Counter::EcoFallbacks);
-        let outcome =
-            partition_multilevel_observed(graph, constraints, config, &eco.multilevel, obs)?;
-        return Ok(EcoReport {
-            outcome,
-            repaired: false,
-            carried,
-            placed,
-            removed,
-            dirty_blocks,
-            churn,
-        });
+    if !verification.is_feasible() && !ctx.budget.stopped() {
+        ctx.obs.metrics.bump(Counter::EcoFallbacks);
+        let outcome = vcycle(graph, constraints, config, &eco.multilevel, ctx)?;
+        return Ok(report(outcome, false, dirty_blocks));
     }
 
-    let outcome = crate::driver::assemble_outcome(
-        graph,
-        &state,
-        constraints,
-        m,
-        usize::from(improve_calls > 0),
-        improve_calls,
-        total_moves,
-        start.elapsed(),
-        obs.metrics.clone(),
-        tracker.completion(),
-    );
-    Ok(EcoReport { outcome, repaired: true, carried, placed, removed, dirty_blocks, churn })
+    let outcome = ctx.finish(&state, constraints, m, work, start, Completion::Complete);
+    Ok(report(outcome, true, dirty_blocks))
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@ pub struct ImproveStats {
 /// Reusable scratch buffers of one improvement call.
 ///
 /// Every buffer is allocated when the pass engine is built, once per
-/// [`improve_cells_metered`] call, and reused by all of its passes. The
+/// [`improve_cells`] call, and reused by all of its passes. The
 /// per-move hot path (`select_move` + `apply_move`) therefore performs
 /// **no heap allocation**; debug builds assert the capacities never grow.
 struct PassScratch {
@@ -766,38 +766,16 @@ pub fn improve(
     active: &[usize],
     ctx: &ImproveContext<'_>,
 ) -> ImproveStats {
-    improve_metered(state, active, ctx, &mut Metrics::disabled())
+    improve_cells(state, active, None, ctx, &mut Metrics::disabled())
 }
 
-/// [`improve`] with engine metrics recorded into `metrics`.
+/// [`improve`] over `cells` — `None` for every cell of the active
+/// blocks — with engine metrics recorded into `metrics`.
 ///
-/// The registry never influences control flow: a metered run and an
-/// unmetered run produce bit-identical partitions and [`ImproveStats`]
-/// (proven by the `observability` property tests). A disabled registry
-/// costs one predictable branch per recorded event.
-pub fn improve_metered(
-    state: &mut PartitionState<'_>,
-    active: &[usize],
-    ctx: &ImproveContext<'_>,
-    metrics: &mut Metrics,
-) -> ImproveStats {
-    // Cells eligible to move: everything currently in an active block.
-    let mut in_active = vec![false; state.block_count()];
-    for &b in active {
-        in_active[b] = true;
-    }
-    let cells: Vec<NodeId> =
-        state.graph().node_ids().filter(|&v| in_active[state.block_of(v)]).collect();
-    improve_cells_metered(state, active, &cells, ctx, metrics)
-}
-
-/// [`improve_metered`] over an explicit cell set instead of every cell of
-/// the active blocks.
-///
-/// This is the boundary-refinement entry point of the n-level multilevel
-/// flow: the caller passes only the cells incident to nets crossing the
-/// active blocks, so each per-level FM pass builds gain buckets for the
-/// boundary rather than the whole level. Cells not listed keep their
+/// An explicit cell set is the boundary refinement of the n-level flow
+/// and of ECO repair: the caller passes only the cells incident to nets
+/// crossing the active blocks, so each FM pass builds gain buckets for
+/// the boundary rather than the whole level. Cells not listed keep their
 /// blocks (they are never inserted into a bucket and never moved); block
 /// sizes, move regions, and the solution key still account for them.
 ///
@@ -806,20 +784,35 @@ pub fn improve_metered(
 /// the cells' first-level gains are computed once and then refreshed
 /// before each pass only around the cells whose block changed.
 ///
+/// The registry never influences control flow: a metered run and an
+/// unmetered run produce bit-identical partitions and [`ImproveStats`]
+/// (proven by the `observability` property tests). A disabled registry
+/// costs one predictable branch per recorded event.
+///
 /// # Panics
 ///
-/// Panics if `active` lists fewer than two blocks, contains an index
-/// `≥ state.block_count()`, or (debug builds) `cells` contains a cell
+/// As [`improve`]; in debug builds also when `cells` contains a cell
 /// outside the active blocks or a duplicate.
-pub fn improve_cells_metered(
+pub(crate) fn improve_cells(
     state: &mut PartitionState<'_>,
     active: &[usize],
-    cells: &[NodeId],
+    cells: Option<&[NodeId]>,
     ctx: &ImproveContext<'_>,
     metrics: &mut Metrics,
 ) -> ImproveStats {
     assert!(active.len() >= 2, "improvement needs at least two blocks");
     assert!(active.iter().all(|&b| b < state.block_count()), "active block out of range");
+    let every_cell: Vec<NodeId>;
+    let cells = if let Some(cells) = cells {
+        cells
+    } else {
+        let mut in_active = vec![false; state.block_count()];
+        for &b in active {
+            in_active[b] = true;
+        }
+        every_cell = state.graph().node_ids().filter(|&v| in_active[state.block_of(v)]).collect();
+        &every_cell
+    };
     debug_assert!(
         {
             let mut seen = vec![false; state.graph().node_count()];

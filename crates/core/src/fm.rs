@@ -11,7 +11,7 @@ use fpart_hypergraph::{Hypergraph, NodeId};
 
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::engine::{improve_metered, ImproveContext, NO_REMAINDER};
+use crate::engine::{improve_cells, ImproveContext, NO_REMAINDER};
 use crate::obs::{Counter, Metrics};
 use crate::state::PartitionState;
 
@@ -34,8 +34,8 @@ pub struct FmConfig {
     /// fully determined by its index, and the winner is reduced over the
     /// completed runs in index order, exactly as the sequential loop
     /// would. Callers with a single total worker budget (the CLI's
-    /// `--threads`, [`crate::split_thread_budget`]) share it between
-    /// this fan-out and the intra-run stages of the multilevel flow.
+    /// `--threads`, [`crate::Restarts::threads`]) share it between this
+    /// fan-out and the intra-run stages of the multilevel flow.
     pub threads: usize,
     /// Seed for the initial splits.
     pub seed: u64,
@@ -88,10 +88,16 @@ impl Bipartition {
 }
 
 /// Bipartitions `graph` with classical FM under a symmetric balance
-/// tolerance.
+/// tolerance, recording engine metrics into `metrics` (pass
+/// [`Metrics::disabled`] to record nothing).
 ///
 /// Runs `config.runs` independent FM runs from different BFS-based
 /// initial splits and returns the best balanced result by cut size.
+/// Each run records into its own forked child registry; the children
+/// merge back in run-index order, so the aggregate — like the winning
+/// bipartition — is bit-identical at every thread count, and metering
+/// never changes the result. [`Counter::Runs`] counts the independent
+/// runs.
 ///
 /// # Panics
 ///
@@ -102,35 +108,16 @@ impl Bipartition {
 ///
 /// ```
 /// use fpart_core::fm::{bipartition_fm, FmConfig};
+/// use fpart_core::Metrics;
 /// use fpart_hypergraph::gen::{clustered_circuit, ClusteredConfig};
 ///
 /// let (graph, _) = clustered_circuit(&ClusteredConfig::new("demo", 2, 20), 1);
-/// let result = bipartition_fm(&graph, &FmConfig::default());
+/// let result = bipartition_fm(&graph, &FmConfig::default(), &mut Metrics::disabled());
 /// assert!(result.balance() > 0.39);
 /// assert!(result.cut < graph.net_count());
 /// ```
 #[must_use]
-pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig) -> Bipartition {
-    bipartition_fm_metered(graph, config, &mut Metrics::disabled())
-}
-
-/// [`bipartition_fm`] with engine metrics recorded into `metrics`.
-///
-/// Each independent run records into its own forked child registry
-/// ([`crate::parallel::run_indexed_caught_metered`]); the children merge back
-/// in run-index order, so the aggregate — like the winning bipartition —
-/// is bit-identical at every thread count. [`Counter::Runs`] counts the
-/// independent runs.
-///
-/// # Panics
-///
-/// See [`bipartition_fm`].
-#[must_use]
-pub fn bipartition_fm_metered(
-    graph: &Hypergraph,
-    config: &FmConfig,
-    metrics: &mut Metrics,
-) -> Bipartition {
+pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig, metrics: &mut Metrics) -> Bipartition {
     assert!(
         (0.0..0.5).contains(&config.balance_tolerance),
         "balance tolerance must be in [0, 0.5)"
@@ -187,7 +174,7 @@ pub fn bipartition_fm_metered(
             minimum_reached: false,
             budget: Some(&budget),
         };
-        let stats = improve_metered(&mut state, &[0, 1], &ctx, metrics);
+        let stats = improve_cells(&mut state, &[0, 1], None, &ctx, metrics);
         if budget.stopped() {
             metrics.bump(Counter::BudgetStops);
         }
@@ -309,7 +296,7 @@ mod tests {
     fn finds_planted_bipartition() {
         let cfg = ClusteredConfig::new("cl", 2, 30);
         let (g, _) = clustered_circuit(&cfg, 3);
-        let result = bipartition_fm(&g, &FmConfig::default());
+        let result = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
         assert!(result.balance() > 0.4, "balance {}", result.balance());
         assert!(
             result.cut <= cfg.inter_nets + 2,
@@ -323,7 +310,7 @@ mod tests {
     fn respects_balance_window() {
         let g = window_circuit(&WindowConfig::new("w", 200, 10), 5);
         let config = FmConfig { balance_tolerance: 0.05, ..FmConfig::default() };
-        let result = bipartition_fm(&g, &config);
+        let result = bipartition_fm(&g, &config, &mut Metrics::disabled());
         let cap = (g.total_size() as f64 * 0.55).ceil() as u64;
         assert!(result.size0.max(result.size1) <= cap);
         assert_eq!(result.size0 + result.size1, g.total_size());
@@ -332,7 +319,7 @@ mod tests {
     #[test]
     fn cut_matches_recount() {
         let g = window_circuit(&WindowConfig::new("w", 120, 8), 9);
-        let result = bipartition_fm(&g, &FmConfig::default());
+        let result = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
         let state = PartitionState::from_assignment(&g, result.side.clone(), 2);
         assert_eq!(state.cut_count(), result.cut);
         assert_eq!(state.block_size(0), result.size0);
@@ -342,16 +329,24 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = window_circuit(&WindowConfig::new("w", 150, 8), 2);
-        let a = bipartition_fm(&g, &FmConfig::default());
-        let b = bipartition_fm(&g, &FmConfig::default());
+        let a = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
+        let b = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
         assert_eq!(a, b);
     }
 
     #[test]
     fn more_runs_never_hurt() {
         let g = window_circuit(&WindowConfig::new("w", 180, 12), 4);
-        let one = bipartition_fm(&g, &FmConfig { runs: 1, ..FmConfig::default() });
-        let four = bipartition_fm(&g, &FmConfig { runs: 4, ..FmConfig::default() });
+        let one = bipartition_fm(
+            &g,
+            &FmConfig { runs: 1, ..FmConfig::default() },
+            &mut Metrics::disabled(),
+        );
+        let four = bipartition_fm(
+            &g,
+            &FmConfig { runs: 4, ..FmConfig::default() },
+            &mut Metrics::disabled(),
+        );
         assert!(four.cut <= one.cut);
     }
 
@@ -362,9 +357,10 @@ mod tests {
     fn parallel_runs_match_sequential() {
         let g = window_circuit(&WindowConfig::new("w", 220, 12), 8);
         let base = FmConfig { runs: 8, ..FmConfig::default() };
-        let sequential = bipartition_fm(&g, &base);
+        let sequential = bipartition_fm(&g, &base, &mut Metrics::disabled());
         for threads in [2, 3, 4, 8, 16] {
-            let parallel = bipartition_fm(&g, &FmConfig { threads, ..base.clone() });
+            let parallel =
+                bipartition_fm(&g, &FmConfig { threads, ..base.clone() }, &mut Metrics::disabled());
             assert_eq!(sequential, parallel, "threads = {threads}");
         }
     }
@@ -376,7 +372,7 @@ mod tests {
         let y = b.add_node("y", 1);
         b.add_net("e", [x, y]).unwrap();
         let g = b.finish().unwrap();
-        let result = bipartition_fm(&g, &FmConfig::default());
+        let result = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
         assert_eq!(result.size0 + result.size1, 2);
         assert_eq!(result.cut, 1);
     }
@@ -389,6 +385,10 @@ mod tests {
         let y = b.add_node("y", 1);
         b.add_net("e", [x, y]).unwrap();
         let g = b.finish().unwrap();
-        let _ = bipartition_fm(&g, &FmConfig { balance_tolerance: 0.7, ..FmConfig::default() });
+        let _ = bipartition_fm(
+            &g,
+            &FmConfig { balance_tolerance: 0.7, ..FmConfig::default() },
+            &mut Metrics::disabled(),
+        );
     }
 }

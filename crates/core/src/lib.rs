@@ -83,6 +83,7 @@ pub mod parallel;
 pub mod persist;
 pub mod refine;
 pub mod report;
+mod run;
 pub mod search;
 pub mod server;
 pub mod stack;
@@ -107,17 +108,14 @@ pub use cost::{classify, CostEvaluator, FeasibilityClass, KeyTracker, SolutionKe
 pub use direct::{partition_direct, DirectConfig};
 pub use driver::{partition, partition_observed, BlockReport, PartitionError, PartitionOutcome};
 pub use eco::{repartition_eco, repartition_eco_observed, EcoConfig, EcoReport};
-pub use engine::{
-    improve, improve_cells_metered, improve_metered, ImproveContext, ImproveStats, NO_REMAINDER,
-};
+pub use engine::{improve, ImproveContext, ImproveStats, NO_REMAINDER};
 pub use hetero::{partition_hetero, HeteroOutcome};
 pub use initial::{bipartition_remainder, InitialMethod};
 pub use interconnect::InterconnectReport;
 pub use json::{Json, JsonParseError};
 pub use memo::{CacheStats, CachedHierarchy, HierarchyKey, MemoConfig, MemoStore};
 pub use multilevel::{
-    partition_multilevel, partition_multilevel_observed, partition_multilevel_restarts_observed,
-    split_thread_budget, MultilevelConfig,
+    partition_multilevel, partition_multilevel_restarts_observed, MultilevelConfig,
 };
 pub use obs::{
     event_to_json, Counter, EventSink, FanoutSink, Heartbeat, JsonlSink, Metrics, Observer,

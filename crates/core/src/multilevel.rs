@@ -29,14 +29,15 @@ use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
 use fpart_hypergraph::coarsen::coarsen_to_floor_budgeted;
-use fpart_hypergraph::{fingerprint_graph, order_checksum, Fingerprint, Hypergraph};
+use fpart_hypergraph::Hypergraph;
 
-use crate::budget::{BudgetTracker, Completion};
+use crate::budget::Completion;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::driver::{partition_with_tracker, PartitionError, PartitionOutcome};
+use crate::driver::{fpart, PartitionError, PartitionOutcome};
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats};
-use crate::refine::{refine_boundary_metered, RefineConfig};
+use crate::refine::{refine_boundary, RefineConfig};
+use crate::run::{RunCtx, Work};
 use crate::search::{search, Algorithm, Restarts, RestartsReport};
 use crate::state::PartitionState;
 
@@ -62,9 +63,9 @@ pub struct MultilevelConfig {
     pub seed: u64,
     /// Intra-run worker threads for the parallel stages of one V-cycle
     /// (heavy-edge matching proposals, net projection, boundary pair
-    /// jobs). The partition is bit-identical for every value; the
-    /// restart search derives it from its total thread budget. Clamped
-    /// to at least 1.
+    /// jobs) of [`partition_multilevel`]; the restart search instead
+    /// derives the count from its total thread budget. The partition is
+    /// bit-identical for every value. Clamped to at least 1.
     pub threads: usize,
     /// Estimated-byte cap for hierarchy construction. When the next
     /// coarsening level would exceed it, coarsening stops at the current
@@ -114,36 +115,18 @@ impl MultilevelConfig {
     }
 }
 
-/// The memoization identity of one input graph: its content
-/// fingerprint and id-order checksum. Both are O(graph) to compute, so
-/// the restart search computes them **once per run** and threads the pair
-/// through every restart's solution and hierarchy keys — the graph
-/// never changes between restarts, and recomputing per restart is
-/// exactly the kind of cold-path overhead the memo layer must not add.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GraphKey {
-    /// [`fingerprint_graph`] of the input.
-    pub(crate) fp: Fingerprint,
-    /// [`order_checksum`] of the input.
-    pub(crate) order: u64,
-}
-
-/// Computes a graph's [`GraphKey`] (one O(graph) pass of each hash).
-pub(crate) fn graph_key(graph: &Hypergraph) -> GraphKey {
-    GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
-}
-
-/// The per-run [`GraphKey`] the restart search precomputes: `Some` only
-/// when a memo store is configured — without one, no fingerprinting
-/// happens at all.
-pub(crate) fn run_graph_key(graph: &Hypergraph, ml: &MultilevelConfig) -> Option<GraphKey> {
-    ml.memo.as_ref().map(|_| graph_key(graph))
-}
-
 /// Partitions `graph` through the n-level multilevel flow: coarsen to
 /// the configured floor, run FPART on the coarsest hypergraph, then
 /// project the solution back one level at a time with boundary-only FM
 /// refinement at every level.
+///
+/// The whole V-cycle runs under **one** [`crate::BudgetTracker`] built
+/// from `config.budget`: the coarse partition's passes, every level's
+/// refinement passes, and the level boundaries all check the same
+/// deadline/caps. When the budget stops the run mid-uncoarsening, the
+/// remaining levels only project (no refinement), so the returned
+/// assignment always covers the input graph and verifies. An observed
+/// V-cycle is a [`crate::search()`] over [`Algorithm::Multilevel`].
 ///
 /// # Errors
 ///
@@ -177,94 +160,37 @@ pub fn partition_multilevel(
     ml: &MultilevelConfig,
 ) -> Result<PartitionOutcome, PartitionError> {
     let mut obs = Observer::none();
-    partition_multilevel_observed(graph, constraints, config, ml, &mut obs)
+    vcycle(graph, constraints, config, ml, &mut RunCtx::new(&mut obs, config, 0, ml.threads))
 }
 
-/// [`partition_multilevel`] with metrics and driver events recorded into
-/// the given [`Observer`] — coarsening depth, per-level boundary
-/// refinement timing ([`crate::ImproveKind::Boundary`]), and everything
-/// the coarse-level driver records.
-///
-/// The whole V-cycle runs under **one** [`BudgetTracker`] built from
-/// `config.budget`: the coarse partition's passes, every level's
-/// refinement passes, and the level boundaries all check the same
-/// deadline/caps. When the budget stops the run mid-uncoarsening, the
-/// remaining levels only project (no refinement), so the returned
-/// assignment always covers the input graph and verifies.
-///
-/// # Errors
-///
-/// See [`partition_multilevel`].
-pub fn partition_multilevel_observed(
+/// The n-level V-cycle on `ctx`: coarsening and boundary refinement use
+/// the context's workers, and the coarse peel runs on the context too.
+pub(crate) fn vcycle(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     config: &FpartConfig,
     ml: &MultilevelConfig,
-    obs: &mut Observer<'_>,
+    ctx: &mut RunCtx<'_, '_>,
 ) -> Result<PartitionOutcome, PartitionError> {
-    let gk = run_graph_key(graph, ml);
-    partition_multilevel_observed_keyed(graph, constraints, config, ml, obs, gk.as_ref())
-}
-
-/// [`partition_multilevel_observed`] with the graph's memoization
-/// identity precomputed by the caller — the restart search hashes the
-/// graph once and reuses the key for every restart.
-pub(crate) fn partition_multilevel_observed_keyed(
-    graph: &Hypergraph,
-    constraints: DeviceConstraints,
-    config: &FpartConfig,
-    ml: &MultilevelConfig,
-    obs: &mut Observer<'_>,
-    gk: Option<&GraphKey>,
-) -> Result<PartitionOutcome, PartitionError> {
-    config.validate();
     ml.validate();
     let start = Instant::now();
-
-    if graph.node_count() == 0 {
-        return Ok(PartitionOutcome {
-            assignment: Vec::new(),
-            blocks: Vec::new(),
-            device_count: 0,
-            lower_bound: 0,
-            feasible: true,
-            cut: 0,
-            iterations: 0,
-            improve_calls: 0,
-            total_moves: 0,
-            elapsed: start.elapsed(),
-            metrics: obs.metrics.clone(),
-            completion: Completion::Complete,
-        });
+    if let Some(empty) = ctx.begin(graph, constraints, config)? {
+        return Ok(empty);
     }
-    for v in graph.node_ids() {
-        let size = graph.node_size(v);
-        if u64::from(size) > constraints.s_max {
-            return Err(PartitionError::OversizedNode { node: v, size, s_max: constraints.s_max });
-        }
-    }
-
-    // One budget tracker for the whole V-cycle (a direct call counts as
-    // restart 0 for fault-plan targeting, like the flat driver).
-    let tracker = BudgetTracker::new(
-        &config.budget,
-        config.fault_plan.as_ref().and_then(|plan| plan.for_restart(0)),
-    );
 
     // Coarsen until the floor (or saturation) — the n-level hierarchy.
     // The worker count never changes the hierarchy (sharded proposals
     // commit serially), so intra-run parallelism keeps determinism.
     let cap = ((constraints.s_max as f64 * ml.cluster_cap_fraction) as u64).max(2);
-    let cached = obtain_hierarchy(graph, cap, ml, obs, gk);
+    let cached = obtain_hierarchy(graph, cap, ml, ctx);
     let hierarchy = &cached.hierarchy;
-    let memory_truncated = cached.truncated;
-    obs.metrics.add(Counter::CoarsenLevels, hierarchy.level_count() as u64);
+    ctx.obs.metrics.add(Counter::CoarsenLevels, hierarchy.level_count() as u64);
 
-    // Partition the coarsest level under the shared tracker.
+    // Partition the coarsest level on the same context.
     let coarsest = hierarchy.coarsest().unwrap_or(graph);
-    obs.metrics.span_open(SpanKind::Initial, 0);
-    let coarse_result = partition_with_tracker(coarsest, constraints, config, obs, &tracker);
-    obs.metrics.span_close(match &coarse_result {
+    ctx.obs.metrics.span_open(SpanKind::Initial, 0);
+    let coarse_result = fpart(coarsest, constraints, config, ctx);
+    ctx.obs.metrics.span_close(match &coarse_result {
         Ok(outcome) => SpanStats {
             nodes: coarsest.node_count() as u64,
             nets: coarsest.net_count() as u64,
@@ -273,23 +199,23 @@ pub(crate) fn partition_multilevel_observed_keyed(
         },
         Err(_) => SpanStats::default(),
     });
-    let coarse_outcome = coarse_result?;
-    let coarse_stopped = tracker.stopped();
-    let faults_after_coarse = tracker.faults_injected();
+    let coarse = coarse_result?;
 
     let m = lower_bound(graph, constraints);
     let evaluator = CostEvaluator::new(constraints, config, m, graph.terminal_count());
     let refine = RefineConfig {
         rounds: ml.refine_rounds,
         pairs_per_round: ml.pairs_per_round,
-        workers: ml.threads.max(1),
+        workers: ctx.threads,
     };
 
-    let mut iterations = coarse_outcome.iterations;
-    let mut improve_calls = coarse_outcome.improve_calls;
-    let mut total_moves = coarse_outcome.total_moves;
-    let mut assignment = coarse_outcome.assignment;
-    let mut k = coarse_outcome.device_count.max(1);
+    let mut work = Work {
+        iterations: coarse.iterations,
+        improve_calls: coarse.improve_calls,
+        moves: coarse.total_moves,
+    };
+    let mut assignment = coarse.assignment;
+    let mut k = coarse.device_count.max(1);
 
     // Uncoarsen: project one level at a time (into a reused buffer) and
     // refine the boundary. The fine side of level i is the coarse side
@@ -301,77 +227,41 @@ pub(crate) fn partition_multilevel_observed_keyed(
     for i in (0..hierarchy.level_count()).rev() {
         hierarchy.levels[i].project_into(&assignment, &mut next);
         std::mem::swap(&mut assignment, &mut next);
-        if tracker.check() {
+        if ctx.budget.check() {
             continue;
         }
         let fine: &Hypergraph = if i == 0 { graph } else { &hierarchy.levels[i - 1].coarse };
-        obs.metrics.span_open(SpanKind::RefineLevel, i as u32);
+        ctx.obs.metrics.span_open(SpanKind::RefineLevel, i as u32);
         let mut state = PartitionState::from_assignment(fine, std::mem::take(&mut assignment), k);
-        let stats = refine_boundary_metered(
+        let stats = refine_boundary(
             &mut state,
             &evaluator,
             config,
             &refine,
-            Some(&tracker),
-            &mut obs.metrics,
+            Some(&ctx.budget),
+            &mut ctx.obs.metrics,
+            None,
         );
-        improve_calls += stats.calls;
-        total_moves += stats.moves;
-        iterations += usize::from(stats.calls > 0);
+        work.improve_calls += stats.calls;
+        work.moves += stats.moves;
+        work.iterations += usize::from(stats.calls > 0);
         k = state.block_count();
-        obs.metrics.span_close(SpanStats {
+        ctx.obs.metrics.span_close(SpanStats {
             nodes: fine.node_count() as u64,
             nets: fine.net_count() as u64,
             boundary: stats.boundary as u64,
             moves: stats.moves as u64,
             ..SpanStats::default()
         });
-        if let Some(elapsed) = obs.heartbeat.due() {
-            let snapshot = tracker.remaining();
-            let passes = obs.metrics.get(Counter::Passes);
-            let cut = state.cut_count();
-            obs.emit(|| crate::trace::TraceEvent::Progress {
-                phase: SpanKind::RefineLevel,
-                level: i,
-                passes,
-                moves: total_moves as u64,
-                cut: Some(cut),
-                elapsed_ms: elapsed.as_millis() as u64,
-                deadline_remaining_ms: snapshot.deadline_remaining.map(|d| d.as_millis() as u64),
-                passes_remaining: snapshot.passes_remaining,
-            });
-        }
+        ctx.progress(SpanKind::RefineLevel, i, work.moves, &state);
         assignment = state.into_assignment();
     }
 
-    // The coarse run already accounted its own budget stop and faults;
-    // record only what refinement added.
-    if tracker.stopped() && !coarse_stopped {
-        obs.metrics.bump(Counter::BudgetStops);
-    }
-    obs.metrics.add(Counter::FaultsInjected, tracker.faults_injected() - faults_after_coarse);
-
+    // A memory-capped hierarchy is a graceful degradation: the run
+    // finished, just on a shallower V-cycle.
+    let floor = if cached.truncated { Completion::Degraded } else { Completion::Complete };
     let state = PartitionState::from_assignment(graph, assignment, k);
-    Ok(crate::driver::assemble_outcome(
-        graph,
-        &state,
-        constraints,
-        m,
-        iterations,
-        improve_calls,
-        total_moves,
-        start.elapsed(),
-        obs.metrics.clone(),
-        {
-            let mut completion = tracker.completion().worst(coarse_outcome.completion);
-            if memory_truncated {
-                // A memory-capped hierarchy is a graceful degradation:
-                // the run finished, just on a shallower V-cycle.
-                completion = completion.worst(Completion::Degraded);
-            }
-            completion
-        },
-    ))
+    Ok(ctx.finish(&state, constraints, m, work, start, floor))
 }
 
 /// Builds or reuses the coarsening hierarchy of one V-cycle.
@@ -388,11 +278,10 @@ fn obtain_hierarchy(
     graph: &Hypergraph,
     cap: u64,
     ml: &MultilevelConfig,
-    obs: &mut Observer<'_>,
-    gk: Option<&GraphKey>,
+    ctx: &mut RunCtx<'_, '_>,
 ) -> Arc<crate::memo::CachedHierarchy> {
     let key = ml.memo.as_ref().map(|_| {
-        let gk = gk.copied().unwrap_or_else(|| graph_key(graph));
+        let gk = ctx.graph_key(graph);
         crate::memo::HierarchyKey {
             graph: gk.fp,
             order: gk.order,
@@ -403,12 +292,13 @@ fn obtain_hierarchy(
             max_bytes: ml.memory.max_bytes,
         }
     });
+    let metrics = &mut ctx.obs.metrics;
     if let (Some(store), Some(key)) = (ml.memo.as_deref(), key.as_ref()) {
         if let Some(cached) = store.lookup_hierarchy(key) {
-            obs.metrics.bump(Counter::HierarchyCacheHits);
-            if obs.metrics.is_enabled() {
+            metrics.bump(Counter::HierarchyCacheHits);
+            if metrics.is_enabled() {
                 for (level, c) in cached.hierarchy.levels.iter().enumerate() {
-                    obs.metrics.record_span(
+                    metrics.record_span(
                         SpanKind::CoarsenLevel,
                         level as u32,
                         std::time::Duration::ZERO,
@@ -422,14 +312,13 @@ fn obtain_hierarchy(
             }
             return cached;
         }
-        obs.metrics.bump(Counter::HierarchyCacheMisses);
+        metrics.bump(Counter::HierarchyCacheMisses);
     }
     let (hierarchy, truncated) = {
         // Per-level coarsening spans: timing happens inside the
         // coarsener (clock reads only when metrics are on) and lands
         // here as externally-timed records.
-        let spans_on = obs.metrics.is_enabled();
-        let metrics = &mut obs.metrics;
+        let spans_on = metrics.is_enabled();
         let mut on_level = |level: usize,
                             c: &fpart_hypergraph::coarsen::Coarsening,
                             elapsed: std::time::Duration| {
@@ -452,7 +341,7 @@ fn obtain_hierarchy(
             ml.coarsen_floor,
             ml.max_levels,
             ml.seed,
-            ml.threads.max(1),
+            ctx.threads,
             ml.memory.max_bytes,
             on_level,
         )
@@ -460,32 +349,18 @@ fn obtain_hierarchy(
     let cached = Arc::new(crate::memo::CachedHierarchy { hierarchy, truncated });
     if let (Some(store), Some(key)) = (ml.memo.as_deref(), key) {
         let evicted = store.insert_hierarchy(key, Arc::clone(&cached));
-        obs.metrics.add(Counter::HierarchyCacheEvictions, evicted as u64);
+        metrics.add(Counter::HierarchyCacheEvictions, evicted as u64);
     }
     cached
 }
 
-/// Splits a total worker budget between the restart fan-out and the
-/// intra-run stages of each restart: restarts claim workers first (they
-/// parallelize with no cloning overhead), and any surplus becomes
-/// intra-run workers shared evenly. Neither number changes any result —
-/// restarts reduce in index order and the intra-run stages are
-/// thread-count invariant — so the split is purely a throughput choice.
-#[must_use]
-pub fn split_thread_budget(threads: usize, restarts: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let outer = threads.min(restarts.max(1));
-    let inner = (threads / outer).max(1);
-    (outer, inner)
-}
-
 /// The n-level restart search with every restart's metrics recorded:
-/// [`crate::search`] over [`Algorithm::Multilevel`] with `restarts`
+/// [`crate::search()`] over [`Algorithm::Multilevel`] with `restarts`
 /// restarts and a total budget of `threads` workers.
 ///
 /// # Errors
 ///
-/// See [`crate::search`].
+/// See [`crate::search()`].
 pub fn partition_multilevel_restarts_observed(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -514,6 +389,18 @@ mod tests {
     use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
     use std::time::Duration;
+
+    /// One V-cycle on `ml.threads` workers with its metrics recorded: a
+    /// one-restart search.
+    fn observed(
+        g: &Hypergraph,
+        constraints: DeviceConstraints,
+        ml: &MultilevelConfig,
+    ) -> Result<PartitionOutcome, PartitionError> {
+        let config = FpartConfig::default();
+        partition_multilevel_restarts_observed(g, constraints, &config, ml, 1, ml.threads)
+            .map(|report| report.outcome)
+    }
 
     #[test]
     fn multilevel_produces_valid_feasible_partition() {
@@ -576,15 +463,8 @@ mod tests {
     fn multilevel_builds_a_deep_hierarchy_on_large_circuits() {
         let g = window_circuit(&WindowConfig::new("w", 2000, 40), 5);
         let constraints = Device::XC3020.constraints(0.9);
-        let mut obs = Observer::new(Metrics::enabled(), None);
-        let out = partition_multilevel_observed(
-            &g,
-            constraints,
-            &FpartConfig::default(),
-            &MultilevelConfig { coarsen_floor: 128, ..MultilevelConfig::default() },
-            &mut obs,
-        )
-        .expect("runs");
+        let ml = MultilevelConfig { coarsen_floor: 128, ..MultilevelConfig::default() };
+        let out = observed(&g, constraints, &ml).expect("runs");
         assert!(out.feasible);
         let levels = out.metrics.get(Counter::CoarsenLevels);
         assert!(levels >= 3, "2000 nodes → floor 128 needs several levels, got {levels}");
@@ -665,15 +545,7 @@ mod tests {
             memory: crate::budget::MemoryBudget::capped(g.approx_bytes() + 1024),
             ..MultilevelConfig::default()
         };
-        let mut obs = Observer::new(Metrics::enabled(), None);
-        let out = partition_multilevel_observed(
-            &g,
-            constraints,
-            &FpartConfig::default(),
-            &tight,
-            &mut obs,
-        )
-        .expect("degrades, does not error");
+        let out = observed(&g, constraints, &tight).expect("degrades, does not error");
         assert_eq!(out.completion, Completion::Degraded);
         assert_eq!(out.metrics.get(Counter::CoarsenLevels), 0, "no level fit under the cap");
         assert_eq!(out.assignment.len(), g.node_count());

@@ -9,9 +9,9 @@
 //!   [`ImproveKind`] monotonic wall-time histograms ([`TimeStat`]).
 //!   A disabled registry records nothing and costs **one predictable
 //!   branch per event, no heap allocation, no clock reads** — the same
-//!   discipline as [`Trace`]'s lazy recording.
-//! * [`EventSink`] — the generalization of [`Trace`]: anything that can
-//!   consume driver [`TraceEvent`]s. `Trace` itself is one sink;
+//!   discipline as [`crate::Trace`]'s lazy recording.
+//! * [`EventSink`] — the generalization of [`crate::Trace`]: anything
+//!   that can consume driver [`TraceEvent`]s. `Trace` itself is one sink;
 //!   [`JsonlSink`] streams events as JSON Lines; [`FanoutSink`]
 //!   broadcasts to several sinks.
 //! * [`SpanStack`] — a hierarchical phase profiler: every pipeline
@@ -38,6 +38,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use crate::cost::SolutionKey;
+use crate::server::protocol::json_string;
 use crate::trace::{ImproveKind, TraceEvent};
 
 /// Schema version of every machine-readable document this module emits
@@ -299,7 +300,7 @@ pub enum SpanKind {
     Initial,
     /// One constructive remainder bipartition (peeling) or FM run.
     Bipartition,
-    /// One `improve_cells_metered` call (FM pass loop over a cell set).
+    /// One `improve` call (FM pass loop over a cell set).
     Improve,
     /// Boundary refinement of one uncoarsening level.
     RefineLevel,
@@ -1094,25 +1095,6 @@ impl std::fmt::Debug for Observer<'_> {
     }
 }
 
-/// Writes a JSON string literal (with escaping) into `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Writes an `f64` as a JSON number (`null` for non-finite values).
 pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -1161,7 +1143,7 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 out,
                 "{{\"event\": \"bipartition\", \"iteration\": {iteration}, \"method\": "
             );
-            push_json_str(&mut out, &format!("{method:?}"));
+            out.push_str(&json_string(&format!("{method:?}")));
             let _ = write!(
                 out,
                 ", \"peeled_size\": {peeled_size}, \"peeled_terminals\": {peeled_terminals}}}"
@@ -1239,7 +1221,7 @@ pub fn event_to_json(event: &TraceEvent) -> String {
         TraceEvent::Solution { iteration, class, blocks } => {
             let _ =
                 write!(out, "{{\"event\": \"solution\", \"iteration\": {iteration}, \"class\": ");
-            push_json_str(&mut out, &format!("{class:?}"));
+            out.push_str(&json_string(&format!("{class:?}")));
             out.push_str(", \"blocks\": [");
             for (i, b) in blocks.iter().enumerate() {
                 if i > 0 {
@@ -1606,9 +1588,7 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("a\"b\\c\nd\u{1}"), "\"a\\\"b\\\\c\\nd\\u0001\"");
         let mut out = String::new();
         push_json_f64(&mut out, f64::NAN);
         assert_eq!(out, "null");

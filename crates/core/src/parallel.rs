@@ -107,32 +107,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`run_indexed`] with per-job panic isolation: a panicking job yields
+/// Runs job `index` on the calling thread, catching a panic as a
+/// [`JobPanic`]: run inside a [`run_indexed`] job, a panicking job yields
 /// `Err(JobPanic)` in its slot instead of poisoning the whole fan-out,
-/// and the surviving results still come back in job-index order, so any
-/// reduction over them stays bit-identical at every thread count.
+/// and the surviving results still come back in job-index order.
 ///
 /// The panic is caught *inside* the worker closure (a panic escaping a
 /// scoped thread would otherwise resurface at the scope join); the
 /// default panic hook still prints the payload, so callers that want
 /// quiet output should announce the isolation in their logs.
-#[must_use]
-pub fn run_indexed_caught<T: Send>(
-    count: usize,
-    threads: usize,
-    job: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<Result<T, JobPanic>> {
-    run_indexed(count, threads, &|i| catch_panic(i, || job(i)))
-}
-
-/// Runs job `index` on the calling thread, catching a panic as a
-/// [`JobPanic`].
 pub(crate) fn catch_panic<T>(index: usize, job: impl FnOnce() -> T) -> Result<T, JobPanic> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
         .map_err(|payload| JobPanic { index, message: panic_message(payload.as_ref()) })
 }
 
-/// [`run_indexed_caught`] with per-worker state and per-job metrics.
+/// [`run_indexed`] with per-worker state, per-job metrics and per-job
+/// panic isolation.
 ///
 /// One worker thread runs per entry of `workers` (clamped to
 /// `1..=count`); each job gets its worker's `&mut S`, so a worker can
@@ -154,7 +144,7 @@ pub(crate) fn catch_panic<T>(index: usize, job: impl FnOnce() -> T) -> Result<T,
 ///
 /// Panics if `workers` is empty.
 #[must_use]
-pub fn run_indexed_caught_metered<S: Send, T: Send>(
+pub(crate) fn run_indexed_caught_metered<S: Send, T: Send>(
     count: usize,
     workers: &mut [S],
     metrics: &mut crate::obs::Metrics,
@@ -261,9 +251,11 @@ mod tests {
     fn caught_jobs_survive_panics_in_order() {
         with_quiet_panics(|| {
             for threads in [1usize, 2, 4] {
-                let results = run_indexed_caught(6, threads, &|i| {
-                    assert!(i != 2 && i != 4, "job {i} exploded");
-                    i * 10
+                let results = run_indexed(6, threads, &|i| {
+                    catch_panic(i, || {
+                        assert!(i != 2 && i != 4, "job {i} exploded");
+                        i * 10
+                    })
                 });
                 assert_eq!(results.len(), 6, "threads={threads}");
                 for (i, result) in results.iter().enumerate() {

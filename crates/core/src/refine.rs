@@ -23,7 +23,7 @@ use fpart_hypergraph::{NetId, NodeId};
 use crate::budget::BudgetTracker;
 use crate::config::FpartConfig;
 use crate::cost::CostEvaluator;
-use crate::engine::{improve, improve_cells_metered, ImproveContext, NO_REMAINDER};
+use crate::engine::{improve, improve_cells, ImproveContext, NO_REMAINDER};
 use crate::obs::{Counter, Metrics};
 use crate::parallel::run_indexed_caught_metered;
 use crate::state::PartitionState;
@@ -124,30 +124,7 @@ pub fn refine_boundary_metered(
     budget: Option<&BudgetTracker>,
     metrics: &mut Metrics,
 ) -> BoundaryRefineStats {
-    refine_boundary_inner(state, evaluator, config, refine, budget, metrics, None)
-}
-
-/// [`refine_boundary_metered`] restricted to *dirty* blocks: only block
-/// pairs where at least one side is marked dirty in `dirty` are
-/// refined. This is the repair step of the ECO flow — blocks untouched
-/// by a netlist edit keep their cells in place, so the cost of a repair
-/// scales with the edit, not the design.
-///
-/// `dirty` must have one entry per block. A pair's pass may move cells
-/// of its clean side (the boundary spans both blocks); that is
-/// intentional — a repair that could not rebalance against a clean
-/// neighbour would be unable to restore feasibility.
-pub fn refine_boundary_dirty_metered(
-    state: &mut PartitionState<'_>,
-    evaluator: &CostEvaluator,
-    config: &FpartConfig,
-    refine: &RefineConfig,
-    budget: Option<&BudgetTracker>,
-    metrics: &mut Metrics,
-    dirty: &[bool],
-) -> BoundaryRefineStats {
-    assert_eq!(dirty.len(), state.block_count(), "one dirty flag per block");
-    refine_boundary_inner(state, evaluator, config, refine, budget, metrics, Some(dirty))
+    refine_boundary(state, evaluator, config, refine, budget, metrics, None)
 }
 
 /// One pair job's contribution to a boundary round: the moves to commit
@@ -158,8 +135,18 @@ struct PairOutcome {
     improved: bool,
 }
 
+/// [`refine_boundary_metered`], restricted to *dirty* blocks when
+/// `dirty` is given: only block pairs where at least one side is marked
+/// dirty are refined. This is the repair step of the ECO flow — blocks
+/// untouched by a netlist edit keep their cells in place, so the cost of
+/// a repair scales with the edit, not the design.
+///
+/// `dirty` must have one entry per block. A pair's pass may move cells
+/// of its clean side (the boundary spans both blocks); that is
+/// intentional — a repair that could not rebalance against a clean
+/// neighbour would be unable to restore feasibility.
 #[allow(clippy::too_many_arguments)]
-fn refine_boundary_inner(
+pub(crate) fn refine_boundary(
     state: &mut PartitionState<'_>,
     evaluator: &CostEvaluator,
     config: &FpartConfig,
@@ -169,6 +156,9 @@ fn refine_boundary_inner(
     dirty: Option<&[bool]>,
 ) -> BoundaryRefineStats {
     let k = state.block_count();
+    if let Some(dirty) = dirty {
+        assert_eq!(dirty.len(), k, "one dirty flag per block");
+    }
     let mut stats_total = BoundaryRefineStats::default();
     if k < 2 {
         return stats_total;
@@ -243,7 +233,7 @@ fn refine_boundary_inner(
                     boundary.iter().map(|&v| (v, local.block_of(v))).collect();
                 let started = child.start();
                 let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    improve_cells_metered(local, &[a, b], &boundary, &ctx, child)
+                    improve_cells(local, &[a, b], Some(&boundary), &ctx, child)
                 }))
                 .unwrap_or_else(|panic| {
                     // The panic may have stopped inside a move, so rewrite

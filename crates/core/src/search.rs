@@ -7,9 +7,10 @@
 //!
 //! * seeds restart `i` (driver seed `+ i`, n-level matching seed `+ i`,
 //!   the fault plan only when it targets `i`);
-//! * fans restarts out over the total thread budget, split by
-//!   [`split_thread_budget`] between concurrent restarts and each
-//!   restart's intra-run stages;
+//! * fans restarts out over the total thread budget, split between
+//!   concurrent restarts and each restart's intra-run stages;
+//! * gives each restart its own run context — observer, budget tracker,
+//!   intra-run workers — which every stage of the restart shares;
 //! * isolates a panicking restart, so the survivors still reduce;
 //! * opens the `restart` span and bumps the `runs` counter;
 //! * consults and feeds the n-level solution memo;
@@ -31,15 +32,13 @@ use fpart_hypergraph::{Hypergraph, NodeId};
 use crate::budget::Completion;
 use crate::checkpoint::{fingerprint_run, Checkpoint, CheckpointWriter, SavedRestart};
 use crate::config::FpartConfig;
-use crate::driver::{assemble_outcome, partition_observed, PartitionError, PartitionOutcome};
-use crate::eco::{repartition_eco_observed, EcoConfig};
+use crate::driver::{assemble_outcome, fpart, PartitionError, PartitionOutcome};
+use crate::eco::{eco_repair, EcoConfig};
 use crate::memo::{memoizable, restart_solution_key};
-use crate::multilevel::{
-    partition_multilevel_observed_keyed, run_graph_key, split_thread_budget, GraphKey,
-    MultilevelConfig,
-};
+use crate::multilevel::{vcycle, MultilevelConfig};
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats, SCHEMA_VERSION};
-use crate::parallel::{catch_panic, run_indexed_caught};
+use crate::parallel::{catch_panic, run_indexed};
+use crate::run::{GraphKey, RunCtx, Work};
 use crate::state::PartitionState;
 
 /// What every restart of a [`search`] runs.
@@ -47,7 +46,7 @@ use crate::state::PartitionState;
 pub enum Algorithm<'a> {
     /// Flat FPART on the whole graph ([`crate::partition_observed`]).
     Flat,
-    /// The n-level V-cycle ([`crate::partition_multilevel_observed`]).
+    /// The n-level V-cycle ([`crate::partition_multilevel`]).
     /// Restart `i` matches with seed `ml.seed + i`; a configured
     /// [`MultilevelConfig::memo`] store replays and records restarts.
     Multilevel(&'a MultilevelConfig),
@@ -71,9 +70,8 @@ pub enum Algorithm<'a> {
 pub struct Restarts<'a> {
     /// Restarts to run (at least 1).
     pub count: usize,
-    /// Total worker budget (at least 1), split by
-    /// [`split_thread_budget`] between concurrent restarts and each
-    /// restart's intra-run stages.
+    /// Total worker budget (at least 1): restarts claim workers first,
+    /// and any surplus becomes each restart's intra-run workers.
     pub threads: usize,
     /// A checkpoint of this very run (same [`fingerprint_run`]): its
     /// completed restarts are replayed instead of re-run.
@@ -242,8 +240,8 @@ pub fn search(
         algorithm,
         inner,
         gk: match algorithm {
-            Algorithm::Multilevel(ml) => run_graph_key(graph, ml),
-            Algorithm::Flat | Algorithm::Eco { .. } => None,
+            Algorithm::Multilevel(ml) if ml.memo.is_some() => Some(GraphKey::of(graph)),
+            Algorithm::Flat | Algorithm::Multilevel(_) | Algorithm::Eco { .. } => None,
         },
         writer,
         fingerprint,
@@ -260,10 +258,12 @@ pub fn search(
             (result, restart_obs.metrics)
         })]
     } else {
-        run_indexed_caught(pending.len(), outer, &|j| {
-            let mut restart_obs = Observer::new(registry.fork(), None);
-            let result = job.run(pending[j], &mut restart_obs);
-            (result, restart_obs.metrics)
+        run_indexed(pending.len(), outer, &|j| {
+            catch_panic(j, || {
+                let mut restart_obs = Observer::new(registry.fork(), None);
+                let result = job.run(pending[j], &mut restart_obs);
+                (result, restart_obs.metrics)
+            })
         })
     };
     for (&i, result) in pending.iter().zip(fresh) {
@@ -306,6 +306,19 @@ pub fn search(
     Ok(RestartsReport { outcome, totals, per_restart, completion, failed })
 }
 
+/// Splits a total worker budget between the restart fan-out and the
+/// intra-run stages of each restart: restarts claim workers first (they
+/// parallelize with no cloning overhead), and any surplus becomes
+/// intra-run workers shared evenly. Neither number changes any result —
+/// restarts reduce in index order and the intra-run stages are
+/// thread-count invariant — so the split is purely a throughput choice.
+fn split_thread_budget(threads: usize, restarts: usize) -> (usize, usize) {
+    let threads = threads.max(1);
+    let outer = threads.min(restarts.max(1));
+    let inner = (threads / outer).max(1);
+    (outer, inner)
+}
+
 /// One restart's result and metrics, or the panic that lost it.
 type RestartSlot =
     Result<(Result<PartitionOutcome, PartitionError>, Metrics), crate::parallel::JobPanic>;
@@ -319,7 +332,8 @@ struct RestartJob<'a> {
     /// Intra-run workers of each restart.
     inner: usize,
     /// The graph's memo identity, hashed once per search (`Some` only
-    /// when an n-level memo store is configured).
+    /// when an n-level memo store is configured) and handed to every
+    /// restart's context.
     gk: Option<GraphKey>,
     /// Snapshot destination, with the run fingerprint and restart count
     /// every snapshot carries.
@@ -331,8 +345,9 @@ struct RestartJob<'a> {
 }
 
 impl RestartJob<'_> {
-    /// Runs restart `i` into `obs`: seeded, inside a `restart` span,
-    /// counted in `runs`, and checkpointed when it ends deterministically.
+    /// Runs restart `i` into `obs`: seeded, on its own [`RunCtx`],
+    /// inside a `restart` span, counted in `runs`, and checkpointed when
+    /// it ends deterministically.
     fn run(&self, i: usize, obs: &mut Observer<'_>) -> Result<PartitionOutcome, PartitionError> {
         let (graph, constraints) = (self.graph, self.constraints);
         let cfg = FpartConfig {
@@ -342,20 +357,22 @@ impl RestartJob<'_> {
         };
         let restart_ml = |ml: &MultilevelConfig| MultilevelConfig {
             seed: ml.seed.wrapping_add(i as u64),
-            threads: self.inner,
             ..ml.clone()
         };
-        obs.metrics.set_span_lane(i as u32);
-        obs.metrics.span_open(SpanKind::Restart, 0);
+        let mut ctx = RunCtx::new(obs, self.config, i, self.inner);
+        ctx.key = self.gk;
+        ctx.obs.metrics.set_span_lane(i as u32);
+        ctx.obs.metrics.span_open(SpanKind::Restart, 0);
         let result = match self.algorithm {
-            Algorithm::Flat => partition_observed(graph, constraints, &cfg, obs),
-            Algorithm::Multilevel(ml) => self.memoized(i, &cfg, &restart_ml(ml), obs),
+            Algorithm::Flat => fpart(graph, constraints, &cfg, &mut ctx),
+            Algorithm::Multilevel(ml) => self.memoized(i, &cfg, &restart_ml(ml), &mut ctx),
             Algorithm::Eco { eco, previous, node_map } => {
                 let eco = EcoConfig { multilevel: restart_ml(&eco.multilevel), ..eco.clone() };
-                repartition_eco_observed(graph, constraints, &cfg, &eco, previous, node_map, obs)
+                eco_repair(graph, constraints, &cfg, &eco, previous, node_map, &mut ctx)
                     .map(|report| report.outcome)
             }
         };
+        let obs = ctx.obs;
         obs.metrics.bump(Counter::Runs);
         obs.metrics.span_close(match &result {
             Ok(outcome) => SpanStats {
@@ -395,32 +412,28 @@ impl RestartJob<'_> {
         i: usize,
         cfg: &FpartConfig,
         ml: &MultilevelConfig,
-        obs: &mut Observer<'_>,
+        ctx: &mut RunCtx<'_, '_>,
     ) -> Result<PartitionOutcome, PartitionError> {
         let (graph, constraints) = (self.graph, self.constraints);
-        let memo = ml
-            .memo
-            .as_deref()
-            .zip(self.gk)
-            .filter(|_| graph.node_count() > 0 && memoizable(cfg))
-            .map(|(store, gk)| {
+        let memo =
+            ml.memo.as_deref().filter(|_| graph.node_count() > 0 && memoizable(cfg)).map(|store| {
+                let gk = ctx.graph_key(graph);
                 (store, restart_solution_key(gk.fp, gk.order, constraints, cfg, ml))
             });
         if let Some((store, key)) = memo {
             let hit = store.lookup_solution(key);
             if let Some(mut outcome) = hit.and_then(|saved| replay(graph, constraints, &saved)) {
-                obs.metrics.bump(Counter::MemoWarmStarts);
-                outcome.metrics = obs.metrics.clone();
+                ctx.obs.metrics.bump(Counter::MemoWarmStarts);
+                outcome.metrics = ctx.obs.metrics.clone();
                 return Ok(outcome);
             }
         }
-        let result =
-            partition_multilevel_observed_keyed(graph, constraints, cfg, ml, obs, self.gk.as_ref());
+        let result = vcycle(graph, constraints, cfg, ml, ctx);
         if let (Some((store, key)), Ok(outcome)) = (memo, &result) {
             // Solution evictions stay in the store-level `CacheStats`.
             if outcome.completion == Completion::Complete {
                 let _ = store
-                    .insert_solution(key, SavedRestart::from_outcome(i, outcome, &obs.metrics));
+                    .insert_solution(key, SavedRestart::from_outcome(i, outcome, &ctx.obs.metrics));
             }
         }
         result
@@ -449,14 +462,16 @@ fn replay(
         return None;
     }
     let state = PartitionState::from_assignment(graph, saved.assignment.clone(), k);
+    let work = Work {
+        iterations: saved.iterations,
+        improve_calls: saved.improve_calls,
+        moves: saved.total_moves,
+    };
     let outcome = assemble_outcome(
-        graph,
         &state,
         constraints,
         lower_bound(graph, constraints),
-        saved.iterations,
-        saved.improve_calls,
-        saved.total_moves,
+        work,
         started.elapsed(),
         Metrics::disabled(),
         saved.completion,

@@ -11,7 +11,7 @@
 //! Guarantees:
 //!
 //! * **Determinism** — a protocol `partition` or `eco` runs the
-//!   library's one restart search, [`crate::search`], and is
+//!   library's one restart search, [`crate::search()`], and is
 //!   bit-identical to calling it with the same seed, restarts and
 //!   config, at any thread count; streaming a `partition`'s progress
 //!   does not perturb the search.
@@ -27,7 +27,7 @@
 //!
 //! The worker budget is shared: each request's `threads` is clamped to
 //! the server's total and split across restarts and intra-run stages
-//! by [`crate::split_thread_budget`], exactly like the CLI.
+//! by [`crate::search()`], exactly like the CLI.
 
 pub mod protocol;
 

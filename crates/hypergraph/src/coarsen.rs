@@ -95,8 +95,7 @@ impl Coarsening {
 }
 
 /// Clusters `graph` by heavy-edge matching with the given cluster size
-/// cap, deterministically from `seed`. Equivalent to
-/// [`coarsen_by_connectivity_threaded`] with one worker.
+/// cap, deterministically from `seed`, on one worker.
 ///
 /// Pass `max_cluster_size ≥` twice the max node size to allow any pair
 /// to merge; the device size is a natural cap (a cluster larger than the
@@ -107,7 +106,7 @@ impl Coarsening {
 /// Panics if `max_cluster_size == 0`.
 #[must_use]
 pub fn coarsen_by_connectivity(graph: &Hypergraph, max_cluster_size: u64, seed: u64) -> Coarsening {
-    coarsen_by_connectivity_threaded(graph, max_cluster_size, seed, 1)
+    match_level(graph, max_cluster_size, seed, 1)
 }
 
 /// Splits `slots` into at most `threads` contiguous chunks and runs
@@ -178,22 +177,12 @@ fn propose_range(
     }
 }
 
-/// [`coarsen_by_connectivity`] with an explicit worker count for the
-/// propose and net-projection phases. The result is bit-identical for
-/// every `threads` value (the parallel phases write disjoint slots whose
+/// [`coarsen_by_connectivity`] with `threads` workers for the propose
+/// and net-projection phases. The result is bit-identical for every
+/// `threads` value (the parallel phases write disjoint slots whose
 /// contents do not depend on the sharding; all commits are serial), so
 /// callers may size the pool freely without changing partitions.
-///
-/// # Panics
-///
-/// Panics if `max_cluster_size == 0`.
-#[must_use]
-pub fn coarsen_by_connectivity_threaded(
-    graph: &Hypergraph,
-    max_cluster_size: u64,
-    seed: u64,
-    threads: usize,
-) -> Coarsening {
+fn match_level(graph: &Hypergraph, max_cluster_size: u64, seed: u64, threads: usize) -> Coarsening {
     assert!(max_cluster_size > 0, "cluster size cap must be positive");
     let n = graph.node_count();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -378,6 +367,8 @@ const SATURATION_RATIO: f64 = 1.05;
 ///
 /// Each level derives its matching order from `seed ^ level`, so the
 /// hierarchy is deterministic for a given `(graph, cap, floor, seed)`.
+/// This is [`coarsen_to_floor_budgeted`] on one worker, with no byte cap
+/// and no profiling callback.
 ///
 /// # Panics
 ///
@@ -390,67 +381,22 @@ pub fn coarsen_to_floor(
     max_levels: usize,
     seed: u64,
 ) -> Hierarchy {
-    coarsen_to_floor_threaded(graph, max_cluster_size, floor, max_levels, seed, 1)
+    coarsen_to_floor_budgeted(graph, max_cluster_size, floor, max_levels, seed, 1, None, None).0
 }
 
-/// [`coarsen_to_floor`] with an explicit worker count per level. The
-/// hierarchy is bit-identical for every `threads` value (see
-/// [`coarsen_by_connectivity_threaded`]).
-///
-/// # Panics
-///
-/// Panics if `max_cluster_size == 0`.
-#[must_use]
-pub fn coarsen_to_floor_threaded(
-    graph: &Hypergraph,
-    max_cluster_size: u64,
-    floor: usize,
-    max_levels: usize,
-    seed: u64,
-    threads: usize,
-) -> Hierarchy {
-    coarsen_to_floor_timed(graph, max_cluster_size, floor, max_levels, seed, threads, None)
-}
-
-/// Per-level profiling callback for [`coarsen_to_floor_timed`]: level
+/// Per-level profiling callback for [`coarsen_to_floor_budgeted`]: level
 /// index, the level's coarsening, and its wall time.
 pub type OnLevel<'a> = &'a mut dyn FnMut(usize, &Coarsening, std::time::Duration);
 
-/// [`coarsen_to_floor_threaded`] with an optional per-level profiling
-/// callback, invoked once per **kept** level with the level index, the
-/// level's coarsening, and its wall time. The clock is read only when a
-/// callback is supplied, so the plain entry points stay free of timing
-/// overhead; the callback can never change the hierarchy.
+/// [`coarsen_to_floor`] with `threads` workers per level, an
+/// estimated-byte cap on the whole hierarchy (input graph + every kept
+/// level's coarse graph and projection map, via
+/// [`Hypergraph::approx_bytes`]) and an optional per-level profiling
+/// callback.
 ///
-/// # Panics
-///
-/// Panics if `max_cluster_size == 0`.
-#[must_use]
-pub fn coarsen_to_floor_timed(
-    graph: &Hypergraph,
-    max_cluster_size: u64,
-    floor: usize,
-    max_levels: usize,
-    seed: u64,
-    threads: usize,
-    on_level: Option<OnLevel<'_>>,
-) -> Hierarchy {
-    coarsen_to_floor_budgeted(
-        graph,
-        max_cluster_size,
-        floor,
-        max_levels,
-        seed,
-        threads,
-        None,
-        on_level,
-    )
-    .0
-}
-
-/// [`coarsen_to_floor_timed`] with an estimated-byte cap on the whole
-/// hierarchy (input graph + every kept level's coarse graph and
-/// projection map, via [`Hypergraph::approx_bytes`]).
+/// The hierarchy is bit-identical for every `threads` value (each
+/// level's parallel phases write disjoint slots; all commits are
+/// serial).
 ///
 /// When the next level would push the estimate past `max_bytes`, that
 /// level is discarded and coarsening stops at the current depth; the
@@ -458,6 +404,11 @@ pub fn coarsen_to_floor_timed(
 /// The estimate is a deterministic function of the input and the
 /// parameters — never of the allocator or thread count — so budgeted
 /// runs stay bit-identical and checkpoint-safe.
+///
+/// `on_level` is invoked once per **kept** level with the level index,
+/// the level's coarsening, and its wall time. The clock is read only
+/// when a callback is supplied; the callback can never change the
+/// hierarchy.
 ///
 /// # Panics
 ///
@@ -483,12 +434,7 @@ pub fn coarsen_to_floor_budgeted(
             break;
         }
         let started = on_level.is_some().then(std::time::Instant::now);
-        let coarsening = coarsen_by_connectivity_threaded(
-            current,
-            max_cluster_size,
-            seed ^ level as u64,
-            threads,
-        );
+        let coarsening = match_level(current, max_cluster_size, seed ^ level as u64, threads);
         if coarsening.ratio() < SATURATION_RATIO {
             break;
         }
@@ -605,7 +551,7 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 300, 16), 6);
         let serial = coarsen_by_connectivity(&g, 6, 31);
         for threads in 2..=5 {
-            let par = coarsen_by_connectivity_threaded(&g, 6, 31, threads);
+            let par = match_level(&g, 6, 31, threads);
             assert_eq!(par.map, serial.map, "{threads} threads changed the matching");
             assert_eq!(par.coarse.node_count(), serial.coarse.node_count());
             assert_eq!(par.coarse.net_count(), serial.coarse.net_count());
@@ -620,7 +566,7 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("w", 500, 20), 6);
         let serial = coarsen_to_floor(&g, 8, 40, 32, 11);
         for threads in [2, 4] {
-            let par = coarsen_to_floor_threaded(&g, 8, 40, 32, 11, threads);
+            let par = coarsen_to_floor_budgeted(&g, 8, 40, 32, 11, threads, None, None).0;
             assert_eq!(par.level_count(), serial.level_count());
             for (a, b) in par.levels.iter().zip(&serial.levels) {
                 assert_eq!(a.map, b.map);

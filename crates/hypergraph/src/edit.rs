@@ -18,7 +18,7 @@
 //!
 //! One JSON object per line, parsed by a dependency-free scanner that
 //! reports **typed errors with exact line and column** — the same
-//! contract as the `.fhg`/`.hgr`/BLIF parsers ([`ParseNetlistError`]):
+//! contract as the `.fhg`/`.hgr`/BLIF parsers ([`crate::ParseNetlistError`]):
 //! the CLI prints these verbatim, so locations are part of the format.
 //!
 //! [`apply_script`] produces the edited [`Hypergraph`] plus the

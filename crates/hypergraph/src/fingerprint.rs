@@ -5,7 +5,7 @@
 //! element — a node with its size, a (net, pin) incidence, a net's
 //! presence, a (terminal, net) attachment — contributes one
 //! pseudo-random 128-bit *token* derived from its stable **names** via
-//! the workspace [`splitmix64`](crate::rng::splitmix64) generator, and
+//! the workspace [`crate::rng::splitmix64`] generator, and
 //! the graph fingerprint is the XOR of every token (plus the circuit
 //! name's token). XOR composition makes the hash:
 //!

@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::rng::TestRng;
 use crate::strategy::Strategy;
 
-/// Length specification accepted by [`vec`].
+/// Length specification accepted by [`vec()`].
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     lo: usize,
@@ -38,7 +38,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

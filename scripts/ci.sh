@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, tests, benchmark
-# harness tests, parser fuzz, degradation smoke, peak-RSS gate,
+# Local CI gate: formatting, lints, rustdoc links, release build, tests,
+# benchmark harness tests, parser fuzz, degradation smoke, peak-RSS gate,
 # kill-resume durability gate, quality-regression gate, observability
 # smoke, partition-server smoke, smoke bench.
 #
@@ -31,6 +31,11 @@ cargo fmt --all --check
 
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "cargo doc (deny rustdoc warnings)"
+# Broken, ambiguous or private intra-doc links fail here, so removing
+# or renaming an entry point cannot leave a dangling doc reference.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "cargo build --release"
 cargo build --release --workspace

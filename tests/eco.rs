@@ -12,14 +12,17 @@
 //!   capacity violations possible (property test).
 //! * **Thread invariance** — the ECO restart search returns a
 //!   bit-identical winner at 1, 2, and 4 threads (property test).
+//! * **One budget** — a repair that falls back to a full repartition
+//!   spends what the repair left of the run's pass cap, not a fresh one.
 
 use std::time::Duration;
 
 use fpart_core::verify::{verify_assignment, Violation};
 use fpart_core::{
-    repartition_eco, search, Algorithm, EcoConfig, FpartConfig, Observer, Restarts, RunBudget,
+    partition_multilevel, repartition_eco, repartition_eco_observed, search, Algorithm, Counter,
+    EcoConfig, FpartConfig, Metrics, MultilevelConfig, Observer, Restarts, RunBudget,
 };
-use fpart_device::DeviceConstraints;
+use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{window_circuit, WindowConfig};
 use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph};
 use proptest::prelude::*;
@@ -198,5 +201,63 @@ proptest! {
             prop_assert_eq!(sequential.device_count, parallel.device_count);
             prop_assert_eq!(sequential.cut, parallel.cut);
         }
+    }
+}
+
+/// A pass cap bounds the whole ECO run, fallback included: the fallback
+/// repartition spends what the repair left instead of starting a fresh
+/// budget.
+#[test]
+fn eco_fallback_spends_the_remaining_pass_budget() {
+    let graph = window_circuit(&WindowConfig::new("w", 400, 30), 3);
+    let constraints = Device::XC3020.constraints(0.9);
+    let previous = partition_multilevel(
+        &graph,
+        constraints,
+        &FpartConfig::default(),
+        &MultilevelConfig::default(),
+    )
+    .expect("baseline partitions")
+    .assignment;
+    let mut blocks: Vec<Vec<String>> = Vec::new();
+    for (v, &b) in graph.node_ids().zip(&previous) {
+        let b = b as usize;
+        if blocks.len() <= b {
+            blocks.resize(b + 1, Vec::new());
+        }
+        blocks[b].push(graph.node_name(v).to_owned());
+    }
+    assert_eq!(blocks.len(), 8, "the baseline uses 8 devices");
+    // Forty new nets, each over one cell of every block: no cell moves
+    // (churn 0, so the repair path runs), but every block gains
+    // terminals that one single-pair repair round cannot shed.
+    let ops: Vec<EditOp> = (0..40)
+        .map(|i| EditOp::AddNet {
+            name: format!("eco_net{i}"),
+            pins: blocks.iter().map(|cells| cells[i % cells.len()].clone()).collect(),
+        })
+        .collect();
+    let applied = apply_script(&graph, &EditScript::new(ops)).expect("edit applies");
+    let eco = EcoConfig { refine_rounds: 1, pairs_per_round: 1, ..EcoConfig::default() };
+    for cap in [20u64, 60] {
+        let config = FpartConfig {
+            budget: RunBudget { max_passes: Some(cap), ..RunBudget::default() },
+            ..FpartConfig::default()
+        };
+        let mut obs = Observer::new(Metrics::enabled(), None);
+        let report = repartition_eco_observed(
+            &applied.graph,
+            constraints,
+            &config,
+            &eco,
+            &previous,
+            &applied.node_map,
+            &mut obs,
+        )
+        .expect("repairs");
+        assert!(!report.repaired, "cap {cap}: the repair must fall back");
+        assert_eq!(obs.metrics.get(Counter::EcoFallbacks), 1, "cap {cap}");
+        let passes = obs.metrics.get(Counter::Passes);
+        assert!(passes <= cap, "cap {cap}: the run executed {passes} passes");
     }
 }

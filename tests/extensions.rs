@@ -5,7 +5,7 @@
 use fpart_baselines::replicate;
 use fpart_core::config::GainObjective;
 use fpart_core::fm::{bipartition_fm, FmConfig};
-use fpart_core::{partition, FpartConfig, MultilevelConfig, QualityReport};
+use fpart_core::{partition, FpartConfig, Metrics, MultilevelConfig, QualityReport};
 use fpart_device::fit::{default_price_list, fit_blocks};
 use fpart_device::Device;
 use fpart_hypergraph::coarsen::coarsen_by_connectivity;
@@ -16,15 +16,18 @@ fn multilevel_flow_is_feasible_on_mcnc() {
     let p = find_profile("s13207").expect("known circuit");
     let g = synthesize_mcnc(p, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
-    let mut obs = fpart_core::Observer::new(fpart_core::Metrics::enabled(), None);
-    let out = fpart_core::partition_multilevel_observed(
+    let ml = MultilevelConfig::default();
+    let config = FpartConfig::default();
+    let out = fpart_core::partition_multilevel_restarts_observed(
         &g,
         constraints,
-        &FpartConfig::default(),
-        &MultilevelConfig::default(),
-        &mut obs,
+        &config,
+        &ml,
+        1,
+        ml.threads,
     )
-    .expect("runs");
+    .expect("runs")
+    .outcome;
     assert!(out.feasible);
     assert!(out.device_count >= out.lower_bound);
     let total: u64 = out.blocks.iter().map(|b| b.size).sum();
@@ -43,7 +46,7 @@ fn coarsening_then_fm_recovers_structure() {
     assert!(c.coarse.node_count() < g.node_count());
     assert_eq!(c.coarse.total_size(), g.total_size());
     // FM on the coarse graph, projected back, is still a valid split.
-    let coarse_split = bipartition_fm(&c.coarse, &FmConfig::default());
+    let coarse_split = bipartition_fm(&c.coarse, &FmConfig::default(), &mut Metrics::disabled());
     let fine = c.project(&coarse_split.side);
     let state = fpart_core::PartitionState::from_assignment(&g, fine, 2);
     assert_eq!(state.block_size(0) + state.block_size(1), g.total_size());
@@ -137,7 +140,7 @@ fn quality_report_reflects_outcome() {
 fn fm_facade_bipartitions_mcnc_circuit() {
     let p = find_profile("c3540").expect("known circuit");
     let g = synthesize_mcnc(p, Technology::Xc3000);
-    let result = bipartition_fm(&g, &FmConfig::default());
+    let result = bipartition_fm(&g, &FmConfig::default(), &mut Metrics::disabled());
     assert!(result.balance() > 0.38, "balance {}", result.balance());
     // The cut should be far below the net count on a Rent-structured
     // circuit (a random split would cut a large fraction).

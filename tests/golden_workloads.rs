@@ -18,9 +18,9 @@ use std::sync::Once;
 
 use fpart_core::config::GainObjective;
 use fpart_core::{
-    partition_multilevel, partition_multilevel_observed, partition_observed, repartition_eco,
-    Counter, EcoConfig, FaultPlan, FpartConfig, Metrics, MultilevelConfig, Observer,
-    PartitionOutcome,
+    partition_multilevel, partition_multilevel_restarts_observed, partition_observed,
+    repartition_eco, Counter, EcoConfig, FaultPlan, FpartConfig, Metrics, MultilevelConfig,
+    Observer, PartitionOutcome,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -200,13 +200,19 @@ fn refinement_results_are_pinned() {
         fault_plan: Some(FaultPlan::panic_at(2, "injected fault").for_only_pair_job(0)),
         ..FpartConfig::default()
     };
-    let mut obs = Observer::new(Metrics::enabled(), None);
-    let faulted =
-        partition_multilevel_observed(&graph, constraints, &faulted_config, &ml, &mut obs)
-            .expect("a lost pair job still partitions");
-    assert!(obs.metrics.get(Counter::PairPanics) >= 1, "the fault must hit a pair job");
+    let faulted = partition_multilevel_restarts_observed(
+        &graph,
+        constraints,
+        &faulted_config,
+        &ml,
+        1,
+        ml.threads,
+    )
+    .expect("a lost pair job still partitions");
+    assert!(faulted.totals.get(Counter::PairPanics) >= 1, "the fault must hit a pair job");
 
-    let measured = [result_key(&multilevel), result_key(&eco.outcome), result_key(&faulted)];
+    let measured =
+        [result_key(&multilevel), result_key(&eco.outcome), result_key(&faulted.outcome)];
     assert_eq!(measured, PINNED_REFINEMENT_RESULTS);
 }
 

@@ -12,7 +12,7 @@
 //! * **Serialization** — JSONL event streams and metrics JSON parse as
 //!   the documented shapes.
 
-use fpart_core::fm::{bipartition_fm, bipartition_fm_metered, FmConfig};
+use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::{
     partition, partition_observed, search, Algorithm, Counter, EventSink, FpartConfig, JsonlSink,
     Metrics, Observer, PartitionError, Restarts, RestartsReport, Trace, TraceEvent,
@@ -154,12 +154,12 @@ proptest! {
         runs in 1usize..5,
     ) {
         let base = FmConfig { runs, ..FmConfig::default() };
-        let plain = bipartition_fm(&graph, &base);
+        let plain = bipartition_fm(&graph, &base, &mut Metrics::disabled());
         let mut reference: Option<Metrics> = None;
         for threads in [1usize, 4] {
             let config = FmConfig { threads, ..base.clone() };
             let mut metrics = Metrics::enabled();
-            let metered = bipartition_fm_metered(&graph, &config, &mut metrics);
+            let metered = bipartition_fm(&graph, &config, &mut metrics);
             prop_assert_eq!(&metered, &plain, "threads={}", threads);
             prop_assert_eq!(metrics.get(Counter::Runs), runs as u64);
             prop_assert_eq!(metrics.get(Counter::ImproveCalls), runs as u64);

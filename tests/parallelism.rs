@@ -25,9 +25,9 @@ use fpart_core::cost::CostEvaluator;
 use fpart_core::refine::{refine_boundary_metered, RefineConfig};
 use fpart_core::verify::{verify_assignment, Violation};
 use fpart_core::{
-    partition_multilevel, partition_multilevel_observed, repartition_eco, CancelToken, Completion,
-    Counter, EcoConfig, EventSink, FaultPlan, FpartConfig, Heartbeat, Metrics, MultilevelConfig,
-    Observer, PartitionState, RunBudget, SpanKind, TraceEvent,
+    partition_multilevel, repartition_eco, search, Algorithm, CancelToken, Completion, Counter,
+    EcoConfig, EventSink, FaultPlan, FpartConfig, Heartbeat, Metrics, MultilevelConfig, Observer,
+    PartitionError, PartitionOutcome, PartitionState, Restarts, RunBudget, SpanKind, TraceEvent,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{clustered_circuit, window_circuit, ClusteredConfig, WindowConfig};
@@ -68,6 +68,20 @@ fn arb_workload() -> impl Strategy<Value = (Hypergraph, DeviceConstraints)> {
 /// real hierarchy and exercise the parallel matcher at several levels.
 fn ml_config(workers: usize) -> MultilevelConfig {
     MultilevelConfig { coarsen_floor: 32, threads: workers, ..MultilevelConfig::default() }
+}
+
+/// One V-cycle on `ml.threads` workers, observed through `obs`: a
+/// one-restart search. Returns the outcome and the run's metrics.
+fn observed_vcycle(
+    graph: &Hypergraph,
+    constraints: DeviceConstraints,
+    config: &FpartConfig,
+    ml: &MultilevelConfig,
+    obs: &mut Observer<'_>,
+) -> Result<(PartitionOutcome, Metrics), PartitionError> {
+    let restarts = Restarts { count: 1, threads: ml.threads, ..Restarts::default() };
+    let report = search(graph, constraints, config, Algorithm::Multilevel(ml), &restarts, obs)?;
+    Ok((report.outcome, report.totals))
 }
 
 proptest! {
@@ -277,16 +291,11 @@ fn targeted_pair_job_panic_recovers_deterministically() {
     let mut reference: Option<(Vec<u32>, u64, u64)> = None;
     for workers in [1usize, 2, 4] {
         let mut obs = Observer::new(Metrics::enabled(), None);
-        let outcome = partition_multilevel_observed(
-            &graph,
-            constraints,
-            &config,
-            &ml_config(workers),
-            &mut obs,
-        )
-        .expect("survives the worker panic");
-        let panics = obs.metrics.get(Counter::PairPanics);
-        let jobs = obs.metrics.get(Counter::PairJobs);
+        let (outcome, metrics) =
+            observed_vcycle(&graph, constraints, &config, &ml_config(workers), &mut obs)
+                .expect("survives the worker panic");
+        let panics = metrics.get(Counter::PairPanics);
+        let jobs = metrics.get(Counter::PairJobs);
         assert!(panics >= 1, "workers={workers}: the targeted job must panic, got {panics}");
         assert!(jobs > panics, "workers={workers}: other pair jobs must still run");
         let row = (outcome.assignment, panics, jobs);
@@ -313,17 +322,12 @@ fn observation_does_not_change_parallel_results() {
         let plain = partition_multilevel(&graph, constraints, &config, &ml_config(workers))
             .expect("partitions");
         let mut obs = Observer::new(Metrics::enabled(), None);
-        let observed = partition_multilevel_observed(
-            &graph,
-            constraints,
-            &config,
-            &ml_config(workers),
-            &mut obs,
-        )
-        .expect("partitions");
+        let (observed, metrics) =
+            observed_vcycle(&graph, constraints, &config, &ml_config(workers), &mut obs)
+                .expect("partitions");
         assert_eq!(plain.assignment, observed.assignment, "workers={workers}");
         assert_eq!(plain.cut, observed.cut);
-        assert!(obs.metrics.get(Counter::PairJobs) > 0, "pair jobs must be metered");
+        assert!(metrics.get(Counter::PairJobs) > 0, "pair jobs must be metered");
     }
 }
 
@@ -339,15 +343,10 @@ fn span_profile_is_worker_count_invariant() {
     let config = FpartConfig::default();
     let run = |workers: usize| {
         let mut obs = Observer::new(Metrics::enabled(), None);
-        let outcome = partition_multilevel_observed(
-            &graph,
-            constraints,
-            &config,
-            &ml_config(workers),
-            &mut obs,
-        )
-        .expect("partitions");
-        (outcome.assignment, obs.metrics)
+        let (outcome, metrics) =
+            observed_vcycle(&graph, constraints, &config, &ml_config(workers), &mut obs)
+                .expect("partitions");
+        (outcome.assignment, metrics)
     };
     let (ref_assignment, ref_metrics) = run(1);
     let kinds: Vec<SpanKind> = ref_metrics.spans().records().iter().map(|r| r.kind).collect();
@@ -406,14 +405,9 @@ fn progress_streaming_does_not_change_parallel_results() {
         let mut sink = ProgressCounter::default();
         let mut obs = Observer::new(Metrics::enabled(), Some(&mut sink));
         obs.heartbeat = Heartbeat::every(std::time::Duration::ZERO);
-        let observed = partition_multilevel_observed(
-            &graph,
-            constraints,
-            &config,
-            &ml_config(workers),
-            &mut obs,
-        )
-        .expect("partitions");
+        let (observed, _) =
+            observed_vcycle(&graph, constraints, &config, &ml_config(workers), &mut obs)
+                .expect("partitions");
         assert_eq!(plain.assignment, observed.assignment, "workers={workers}");
         assert!(sink.progress > 0, "workers={workers}: an unthrottled heartbeat must tick");
     }
