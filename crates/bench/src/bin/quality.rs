@@ -2,11 +2,13 @@
 //! circuits (Rent-style, layered, clustered) with the flat FPART driver
 //! and the n-level multilevel flow, and emits each result's
 //! lexicographic quality key `(f, devices, d_k, T_SUM, d_k^E, cut)` as
-//! JSON.
+//! JSON, next to the gain-bucket pops the run spent (the engine's unit
+//! of search work).
 //!
 //! `scripts/check_quality.py` compares this output against the
 //! checked-in golden (`goldens/quality_gate.json`) and fails CI when a
-//! key regresses beyond the documented tolerance. Every run here is
+//! key regresses beyond the documented tolerance, or when the n-level
+//! and ECO runs stop saving work over the runs they replace. Every run here is
 //! single-threaded and fully seeded, so the output is reproducible
 //! bit-for-bit; the tolerance only exists as headroom for intentional
 //! algorithm changes (which must update the golden in the same commit).
@@ -17,8 +19,8 @@ use std::fmt::Write as _;
 
 use fpart_core::cost::CostEvaluator;
 use fpart_core::{
-    partition, partition_multilevel, repartition_eco, EcoConfig, FpartConfig, MultilevelConfig,
-    PartitionOutcome, PartitionState,
+    partition_multilevel_restarts_observed, partition_observed, repartition_eco_observed, Counter,
+    EcoConfig, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionOutcome, PartitionState,
 };
 use fpart_device::{lower_bound, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -49,13 +51,27 @@ fn main() {
     let mut rows = Vec::new();
     let mut rent_previous = None;
     for (graph, constraints) in &circuits {
-        let flat = partition(graph, *constraints, &config).expect("flat partitions");
+        let flat = partition_observed(
+            graph,
+            *constraints,
+            &config,
+            &mut Observer::new(Metrics::enabled(), None),
+        )
+        .expect("flat partitions");
         if graph.name() == "rent" {
             rent_previous = Some(flat.assignment.clone());
         }
         rows.push(row(graph, *constraints, &config, "flat", &flat));
-        let nlevel =
-            partition_multilevel(graph, *constraints, &config, &ml).expect("multilevel partitions");
+        let nlevel = partition_multilevel_restarts_observed(
+            graph,
+            *constraints,
+            &config,
+            &ml,
+            1,
+            ml.threads,
+        )
+        .expect("multilevel partitions")
+        .outcome;
         rows.push(row(graph, *constraints, &config, "multilevel", &nlevel));
         println!(
             "{}: flat {} devices cut {}, multilevel {} devices cut {}",
@@ -75,15 +91,17 @@ fn main() {
     let previous = rent_previous.expect("rent row ran");
     let script = pinned_edit(rent);
     let applied = apply_script(rent, &script).expect("pinned edit applies");
-    let eco = repartition_eco(
+    let eco = repartition_eco_observed(
         &applied.graph,
         *rent_constraints,
         &config,
         &EcoConfig::default(),
         &previous,
         &applied.node_map,
+        &mut Observer::new(Metrics::enabled(), None),
     )
     .expect("eco repairs");
+    assert!(eco.repaired, "the pinned edit is capacity-balanced; the repair must stay local");
     rows.push(row(&applied.graph, *rent_constraints, &config, "eco", &eco.outcome));
     println!(
         "{} (eco, {} edits): {} devices cut {} (repaired={})",
@@ -136,7 +154,8 @@ fn pinned_edit(graph: &Hypergraph) -> EditScript {
     EditScript::new(ops)
 }
 
-/// One gate row: the solution's lexicographic quality key components.
+/// One gate row: the solution's lexicographic quality key components
+/// and the gain-bucket pops its run spent.
 fn row(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -159,7 +178,8 @@ fn row(
     format!(
         "    {{\"name\": \"{}\", \"method\": \"{method}\", \"nodes\": {}, \
          \"feasible\": {}, \"devices\": {}, \"infeasibility\": {:.4}, \
-         \"terminal_sum\": {}, \"external_balance\": {:.4}, \"cut\": {}}}",
+         \"terminal_sum\": {}, \"external_balance\": {:.4}, \"cut\": {}, \
+         \"gain_bucket_pops\": {}}}",
         graph.name(),
         graph.node_count(),
         outcome.feasible,
@@ -167,6 +187,7 @@ fn row(
         key.infeasibility,
         key.terminal_sum,
         key.external_balance,
-        key.cut
+        key.cut,
+        outcome.metrics.get(Counter::GainBucketPops)
     )
 }

@@ -146,6 +146,8 @@ impl Checkpoint {
     #[must_use]
     pub fn to_text(&self) -> String {
         use fmt::Write as _;
+        #[cfg(test)]
+        TO_TEXT_CALLS.with(|calls| calls.set(calls.get() + 1));
         let mut out = String::new();
         let _ = writeln!(out, "#%fpart-checkpoint v{}", self.schema_version);
         let _ = writeln!(out, "fingerprint {}", self.fingerprint);
@@ -494,6 +496,12 @@ pub fn fingerprint_run(
     fp.fold_u64(restarts as u64).to_u64()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`Checkpoint::to_text`] calls made on this thread.
+    static TO_TEXT_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Message sent to the writer thread: a snapshot to persist.
 type WriterResult = (u64, Option<io::Error>);
 
@@ -833,6 +841,32 @@ mod tests {
         assert_eq!(resumed.outcome.assignment, report.outcome.assignment);
         assert_eq!(resumed.outcome.cut, report.outcome.cut);
         assert_eq!(resumed.totals.get(Counter::RestartsResumed), restarts as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpointing costs the search one channel send per restart,
+    /// counted rather than timed: the searching thread never serializes
+    /// a snapshot, and a writer throttled to one write an hour writes
+    /// the first snapshot and the final flush only.
+    #[test]
+    fn search_thread_never_serializes_and_the_writer_throttles() {
+        use std::cell::Cell;
+
+        let dir =
+            std::env::temp_dir().join(format!("fpart-checkpoint-inline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let g = window_circuit(&WindowConfig::new("w", 200, 20), 9);
+        let ml = MultilevelConfig { coarsen_floor: 64, ..MultilevelConfig::default() };
+        let restarts = 3;
+
+        let writer = CheckpointWriter::spawn(path.clone(), Duration::from_hours(1));
+        let before = TO_TEXT_CALLS.with(Cell::get);
+        let constraints = Device::XC3020.constraints(0.9);
+        durable(&g, constraints, Some(&ml), restarts, 1, None, Some(&writer)).unwrap();
+        assert_eq!(TO_TEXT_CALLS.with(Cell::get), before, "the search thread serialized");
+        assert_eq!(writer.finish().unwrap(), 2, "first snapshot and final flush only");
+        assert_eq!(read_checkpoint(&path).unwrap().completed.len(), restarts);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -519,6 +519,36 @@ mod tests {
         assert_ne!(base, restart_solution_key(fp, order ^ 1, constraints, &config, &ml), "order");
     }
 
+    /// A never-hit store's cold-path cost, counted rather than timed:
+    /// the search hashes the graph once for all of its restarts, and
+    /// each restart misses each cache once.
+    #[test]
+    fn fresh_store_hashes_the_graph_once_per_search() {
+        use crate::obs::Observer;
+        use crate::run::GRAPH_KEYS;
+        use crate::search::{search, Algorithm, Restarts};
+        use fpart_device::DeviceConstraints;
+        use std::cell::Cell;
+
+        let g = window_circuit(&WindowConfig::new("m", 300, 12), 5);
+        let store = MemoStore::shared();
+        let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
+        let before = GRAPH_KEYS.with(Cell::get);
+        search(
+            &g,
+            DeviceConstraints::new(40, 24),
+            &FpartConfig::default(),
+            Algorithm::Multilevel(&ml),
+            &Restarts { count: 3, threads: 1, ..Restarts::default() },
+            &mut Observer::none(),
+        )
+        .unwrap();
+        assert_eq!(GRAPH_KEYS.with(Cell::get) - before, 1, "graph hashes per search");
+        let stats = store.stats();
+        assert_eq!((stats.hierarchy_misses, stats.solution_misses), (3, 3), "{stats:?}");
+        assert_eq!((stats.hierarchy_hits, stats.solution_hits), (0, 0), "{stats:?}");
+    }
+
     #[test]
     fn memoizable_requires_unlimited_budget_and_no_faults() {
         use crate::budget::{CancelToken, FaultPlan};

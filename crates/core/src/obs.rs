@@ -41,18 +41,19 @@ use crate::cost::SolutionKey;
 use crate::server::protocol::json_string;
 use crate::trace::{ImproveKind, TraceEvent};
 
-/// Schema version of every machine-readable document this module emits
-/// (the CLI `--metrics` file, the JSONL trace, `BENCH_*.json`). Bump it
-/// whenever a field is renamed, removed, or changes meaning.
+/// Schema version of every machine-readable document the workspace
+/// emits (the CLI `--metrics` file, the JSONL trace, checkpoints, the
+/// quality-gate JSON). Bump it whenever a field is renamed, removed, or
+/// changes meaning.
 ///
 /// Version 9 adds the partition server: the `server_requests` /
-/// `server_cancelled` counters, the protocol `hello` banner's
-/// `schema_version` field, and the smoke bench's `server` section.
+/// `server_cancelled` counters and the protocol `hello` banner's
+/// `schema_version` field.
 ///
 /// Version 10 adds fingerprint-keyed memoization: the
 /// `hierarchy_cache_hits` / `hierarchy_cache_misses` /
 /// `hierarchy_cache_evictions` / `memo_warm_starts` /
-/// `server_coalesced` counters, and the smoke bench's `memo` section.
+/// `server_coalesced` counters.
 pub const SCHEMA_VERSION: u32 = 10;
 
 /// The named engine counters. Every counter is a monotonically
@@ -464,6 +465,21 @@ pub struct SpanEvent {
     pub lane: u32,
 }
 
+/// Reads the monotonic clock. Every clock read of this module goes
+/// through here, so tests can count them (`CLOCK_READS`).
+#[inline]
+fn now() -> Instant {
+    #[cfg(test)]
+    CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    Instant::now()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Clock reads [`now`] made on this thread.
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 #[derive(Debug, Clone)]
 struct OpenSpan {
     slot: usize,
@@ -507,7 +523,7 @@ impl SpanStack {
     /// is now.
     #[must_use]
     pub fn started() -> Self {
-        SpanStack { epoch: Some(Instant::now()), ..SpanStack::default() }
+        SpanStack { epoch: Some(now()), ..SpanStack::default() }
     }
 
     /// An empty child stack for a worker: shares the parent's epoch and
@@ -547,17 +563,12 @@ impl SpanStack {
     fn open(&mut self, kind: SpanKind, level: u32, counters: &[u64; Counter::ALL.len()]) {
         let parent = self.parent_kind();
         let slot = self.slot_for(kind, level, parent);
-        self.open.push(OpenSpan {
-            slot,
-            started: Instant::now(),
-            child_ns: 0,
-            counters_at_open: *counters,
-        });
+        self.open.push(OpenSpan { slot, started: now(), child_ns: 0, counters_at_open: *counters });
     }
 
     fn close(&mut self, stats: &SpanStats, counters: &[u64; Counter::ALL.len()]) {
         let Some(top) = self.open.pop() else { return };
-        let ns = u64::try_from(top.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let ns = u64::try_from(now().duration_since(top.started).as_nanos()).unwrap_or(u64::MAX);
         let record = &mut self.records[top.slot];
         record.count += 1;
         record.total_ns = record.total_ns.saturating_add(ns);
@@ -591,8 +602,8 @@ impl SpanStack {
             top.child_ns = top.child_ns.saturating_add(ns);
         }
         let start_ns = self.epoch.map_or(0, |epoch| {
-            let now = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            now.saturating_sub(ns)
+            let end = u64::try_from(now().duration_since(epoch).as_nanos()).unwrap_or(u64::MAX);
+            end.saturating_sub(ns)
         });
         self.events.push(SpanEvent { kind, level, start_ns, dur_ns: ns, lane: self.lane });
     }
@@ -698,13 +709,13 @@ impl Heartbeat {
         if !self.enabled {
             return None;
         }
-        let now = Instant::now();
-        let started = *self.started.get_or_insert(now);
+        let at = now();
+        let started = *self.started.get_or_insert(at);
         match self.last {
-            Some(last) if now.duration_since(last) < self.min_interval => None,
+            Some(last) if at.duration_since(last) < self.min_interval => None,
             _ => {
-                self.last = Some(now);
-                Some(now.duration_since(started))
+                self.last = Some(at);
+                Some(at.duration_since(started))
             }
         }
     }
@@ -795,7 +806,7 @@ impl Metrics {
     #[inline]
     #[must_use]
     pub fn start(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
+        self.enabled.then(now)
     }
 
     /// Records the wall time of one `Improve(...)` call of the given
@@ -803,7 +814,7 @@ impl Metrics {
     #[inline]
     pub fn stop_improve(&mut self, kind: ImproveKind, started: Option<Instant>) {
         if let Some(started) = started {
-            self.improve_time[kind.index()].record(started.elapsed());
+            self.improve_time[kind.index()].record(now().duration_since(started));
         }
     }
 
@@ -1291,6 +1302,46 @@ mod tests {
         assert_eq!(stat.count, 1);
         assert!(stat.min_ns <= stat.max_ns);
         assert_eq!(stat.log2_hist.iter().sum::<u64>(), 1);
+    }
+
+    /// Metering cost, counted rather than timed: a disabled registry
+    /// never reads the clock, and an enabled one reads it only at the
+    /// two ends of each span execution and timed improve call — never
+    /// per move.
+    #[test]
+    fn observed_search_reads_the_clock_per_span_and_improve_call_only() {
+        use crate::search::{search, Algorithm, Restarts};
+        use fpart_device::Device;
+        use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
+        use std::cell::Cell;
+
+        let graph = synthesize_mcnc(find_profile("s9234").unwrap(), Technology::Xc3000);
+        let run = |metrics: Metrics| {
+            let before = CLOCK_READS.with(Cell::get);
+            let report = search(
+                &graph,
+                Device::XC3020.constraints(0.9),
+                &crate::FpartConfig::default(),
+                Algorithm::Flat,
+                &Restarts { count: 2, threads: 1, ..Restarts::default() },
+                &mut Observer::new(metrics, None),
+            )
+            .unwrap();
+            (report.totals, CLOCK_READS.with(Cell::get) - before)
+        };
+
+        let (_, reads) = run(Metrics::disabled());
+        assert_eq!(reads, 0, "a disabled registry read the clock");
+
+        let (totals, reads) = run(Metrics::enabled());
+        let spans: u64 = totals.spans().records().iter().map(|r| r.count).sum();
+        let improves: u64 = ImproveKind::ALL.iter().map(|&k| totals.improve_time(k).count).sum();
+        let moves = totals.get(Counter::MovesApplied);
+        assert!(moves > 100 * (spans + improves), "the run must be move-dominated: {moves} moves");
+        assert!(
+            reads <= 2 * (spans + improves),
+            "{reads} clock reads for {spans} span executions and {improves} timed improve calls"
+        );
     }
 
     #[test]

@@ -190,15 +190,18 @@ mod tests {
 
     #[test]
     fn workers_run_contiguous_chunks_on_their_own_state() {
+        let caller = std::thread::current().id();
         for threads in [1usize, 3] {
-            // Each worker logs the jobs it ran, in the order it ran them.
-            let mut workers = vec![Vec::new(); threads];
+            // Each worker logs the jobs it ran, in the order it ran them,
+            // and the thread it ran each one on.
+            let mut workers = vec![(Vec::new(), Vec::new()); threads];
             let out = run_indexed_caught_metered(
                 7,
                 &mut workers,
                 &mut Metrics::disabled(),
-                &|i, log: &mut Vec<usize>, _| {
+                &|i, (log, ran_on): &mut (Vec<usize>, Vec<std::thread::ThreadId>), _| {
                     log.push(i);
+                    ran_on.push(std::thread::current().id());
                     log.len()
                 },
             );
@@ -206,9 +209,17 @@ mod tests {
                 1 => vec![(0..7).collect()],
                 _ => vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]],
             };
-            assert_eq!(workers, expected, "threads={threads}");
+            let logs: Vec<Vec<usize>> = workers.iter().map(|(log, _)| log.clone()).collect();
+            assert_eq!(logs, expected, "threads={threads}");
             let position: Vec<usize> = expected.iter().flat_map(|chunk| 1..=chunk.len()).collect();
             assert_eq!(out, position.into_iter().map(Ok).collect::<Vec<_>>());
+
+            // One worker runs inline; several run on distinct threads
+            // of their own, none of them the caller's.
+            let ran_on: std::collections::HashSet<_> =
+                workers.iter().flat_map(|(_, ran_on)| ran_on.iter().copied()).collect();
+            assert_eq!(ran_on.len(), threads, "threads={threads}");
+            assert_eq!(ran_on.contains(&caller), threads == 1, "threads={threads}");
         }
     }
 

@@ -37,8 +37,16 @@ pub(crate) struct GraphKey {
 impl GraphKey {
     /// Hashes `graph` (one O(graph) pass of each hash).
     pub(crate) fn of(graph: &Hypergraph) -> GraphKey {
+        #[cfg(test)]
+        GRAPH_KEYS.with(|calls| calls.set(calls.get() + 1));
         GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`GraphKey::of`] calls made on this thread.
+    pub(crate) static GRAPH_KEYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Iterations, improve calls and retained moves of a finished run, as

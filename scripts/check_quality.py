@@ -14,6 +14,17 @@ quality key `(f, devices, d_k, T_SUM, d_k^E, cut)`:
 * `infeasibility`, `terminal_sum`, `external_balance`, and `cut` may
   exceed the golden by at most --tolerance percent (default 5%).
 
+Within the result, two work ratios must hold on the Rent circuit, in
+gain-bucket pops (the engine's unit of search work, a count rather than
+a time):
+
+* the n-level V-cycle spends at most half the pops of flat FPART;
+* the ECO repair spends at most half the pops of the n-level run.
+
+They are what the n-level and ECO paths exist for: a V-cycle that stops
+coarsening, or an ECO repair that always falls back to repartitioning,
+fails here.
+
 The pinned runs are single-threaded and deterministic, so in practice a
 passing run reproduces the golden exactly; the tolerance exists as
 headroom for intentional algorithm changes, which should still update
@@ -32,6 +43,25 @@ def rows_by_key(doc, path):
     for row in doc["circuits"]:
         out[(row["name"], row["method"])] = row
     return out
+
+
+# (cheaper method, reference method) pairs on the Rent circuit: the
+# cheaper one may spend at most half the reference's gain-bucket pops.
+WORK_RATIOS = [("multilevel", "flat"), ("eco", "multilevel")]
+
+
+def work_ratio_failures(got):
+    failures = []
+    for cheap, reference in WORK_RATIOS:
+        spent = got[("rent", cheap)]["gain_bucket_pops"]
+        budget = got[("rent", reference)]["gain_bucket_pops"] / 2
+        print(f"rent/{cheap}: {spent} gain-bucket pops "
+              f"(limit {budget:.0f} = half of rent/{reference})")
+        if spent > budget:
+            failures.append(
+                f"rent/{cheap}: {spent} gain-bucket pops > half of "
+                f"rent/{reference} ({budget:.0f})")
+    return failures
 
 
 def main():
@@ -76,6 +106,8 @@ def main():
                 or r["cut"] < g["cut"] * (2.0 - slack) - 1e-9):
             improvements.append(label)
 
+    failures += work_ratio_failures(got)
+
     for line in failures:
         print(f"REGRESSION: {line}", file=sys.stderr)
     if failures:
@@ -85,7 +117,7 @@ def main():
               + ", ".join(improvements)
               + " — consider refreshing goldens/quality_gate.json")
     print(f"quality gate OK: {len(want)} rows within {args.tolerance}% "
-          "of the golden")
+          "of the golden, work ratios hold")
 
 
 if __name__ == "__main__":

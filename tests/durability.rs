@@ -48,22 +48,24 @@ fn durable(
 }
 
 /// Runs the search end to end with a live [`CheckpointWriter`]
-/// and returns the final on-disk checkpoint (every restart completed).
+/// and returns the final on-disk checkpoint (every restart completed)
+/// with the search's report.
 fn full_checkpoint(
     graph: &Hypergraph,
     config: &FpartConfig,
     ml: Option<&MultilevelConfig>,
     restarts: usize,
     dir: &std::path::Path,
-) -> Checkpoint {
+) -> (Checkpoint, RestartsReport) {
     let path = dir.join("full.ckpt");
     let writer = CheckpointWriter::spawn(path.clone(), std::time::Duration::ZERO);
-    durable(graph, config, ml, restarts, 1, None, Some(&writer)).expect("search succeeds");
+    let report =
+        durable(graph, config, ml, restarts, 1, None, Some(&writer)).expect("search succeeds");
     let writes = writer.finish().expect("writer flushes");
     assert!(writes >= 1, "at least the final snapshot must hit disk");
     let checkpoint = read_checkpoint(&path).expect("final checkpoint parses");
     assert_eq!(checkpoint.completed.len(), restarts, "final snapshot covers every restart");
-    checkpoint
+    (checkpoint, report)
 }
 
 proptest! {
@@ -72,8 +74,9 @@ proptest! {
     /// SIGKILL at any restart boundary is recoverable: resuming from a
     /// checkpoint holding any prefix subset of completed restarts
     /// reproduces the uninterrupted run bit for bit — assignment, cut,
-    /// device count, feasibility — at 1 and at 4 threads, flat and
-    /// multilevel.
+    /// device count, feasibility, and each restart's work at its index
+    /// — at 1 and at 4 threads, flat and multilevel. Attaching the
+    /// writer changes nothing either.
     #[test]
     fn resume_after_kill_at_any_restart_boundary_is_bit_identical(
         nodes in 30usize..70,
@@ -84,14 +87,22 @@ proptest! {
     ) {
         let kill_after = kill_after.min(restarts - 1); // 0..restarts-1 completed
         let graph = window_circuit(&WindowConfig::new("durability", nodes, 6), seed);
-        let config = FpartConfig::default();
+        // Restarts must differ for the resume order to matter. Flat
+        // restarts do only from a random initial partition (the
+        // constructive peel reads no seed); n-level restarts differ
+        // through their matching seed.
+        let config =
+            FpartConfig { use_constructive_initial: multilevel, ..FpartConfig::default() };
         let ml_cfg = MultilevelConfig { coarsen_floor: 16, ..MultilevelConfig::default() };
         let ml = multilevel.then_some(&ml_cfg);
         let baseline =
             durable(&graph, &config, ml, restarts, 1, None, None).expect("baseline search succeeds");
 
         let dir = temp_dir("kill-resume");
-        let full = full_checkpoint(&graph, &config, ml, restarts, &dir);
+        let (full, written) = full_checkpoint(&graph, &config, ml, restarts, &dir);
+        prop_assert_eq!(&written.outcome.assignment, &baseline.outcome.assignment);
+        prop_assert_eq!(written.outcome.cut, baseline.outcome.cut);
+        prop_assert_eq!(written.outcome.device_count, baseline.outcome.device_count);
         // A kill after `kill_after` completions leaves exactly that
         // prefix in the last atomically-written snapshot.
         let torn = Checkpoint {
@@ -120,6 +131,21 @@ proptest! {
                 let sum: u64 =
                     resumed.per_restart.iter().map(|m| m.get(counter)).sum();
                 prop_assert_eq!(resumed.totals.get(counter), sum);
+            }
+            // Every restart, replayed or recomputed, did the work of the
+            // uninterrupted run's restart at the same index.
+            for (i, (got, want)) in
+                resumed.per_restart.iter().zip(&baseline.per_restart).enumerate()
+            {
+                for counter in [Counter::Passes, Counter::MovesApplied, Counter::GainBucketPops] {
+                    prop_assert_eq!(
+                        got.get(counter),
+                        want.get(counter),
+                        "restart {} {}",
+                        i,
+                        counter.name()
+                    );
+                }
             }
         }
     }
@@ -183,7 +209,7 @@ proptest! {
         let graph = window_circuit(&WindowConfig::new("trunc", 40, 4), 11);
         let config = FpartConfig::default();
         let dir = temp_dir("trunc");
-        let full = full_checkpoint(&graph, &config, None, 2, &dir);
+        let (full, _) = full_checkpoint(&graph, &config, None, 2, &dir);
         let text = full.to_text();
         let cut = (text.len() as u64 * u64::from(cut_permille) / 1000) as usize;
         // Walk down to a char boundary (the text is ASCII, but keep
@@ -239,7 +265,7 @@ fn fingerprint_mismatch_refuses_to_merge() {
     assert_ne!(fp, fp_other, "different graphs must fingerprint differently");
 
     let dir = temp_dir("fp");
-    let full = full_checkpoint(&graph, &config, None, 2, &dir);
+    let (full, _) = full_checkpoint(&graph, &config, None, 2, &dir);
     assert!(full.verify(fp).is_ok());
     assert_eq!(
         full.verify(fp_other),
@@ -262,7 +288,7 @@ fn damaged_checkpoint_entry_is_recomputed() {
     for ml in [None, Some(&ml_cfg)] {
         let dir = temp_dir(if ml.is_some() { "damaged-ml" } else { "damaged" });
         let baseline = durable(&graph, &config, ml, restarts, 1, None, None).expect("baseline");
-        let mut damaged = full_checkpoint(&graph, &config, ml, restarts, &dir);
+        let (mut damaged, _) = full_checkpoint(&graph, &config, ml, restarts, &dir);
         assert_eq!(damaged.completed[0].restart, 0);
         damaged.completed[0].assignment.pop();
         let path = dir.join("damaged.ckpt");
@@ -291,7 +317,7 @@ fn kill_mid_checkpoint_write_preserves_the_previous_snapshot() {
     let graph = window_circuit(&WindowConfig::new("torn", 40, 4), 5);
     let config = FpartConfig::default();
     let dir = temp_dir("torn-write");
-    let full = full_checkpoint(&graph, &config, None, 2, &dir);
+    let (full, _) = full_checkpoint(&graph, &config, None, 2, &dir);
     let path = dir.join("live.ckpt");
     write_checkpoint(&path, &full).expect("write");
 

@@ -6,26 +6,28 @@
 //!
 //! * proptest (c): runs with a memo store — first (populating) and
 //!   second (fully warm) — are bit-identical to the memo-less run at
-//!   1 and 4 threads;
+//!   1 and 4 threads, a fully warm run replays every restart without
+//!   a single pass, and an edited graph run through the warm store
+//!   equals the memo-less run on that graph;
 //! * gate (d): on the pinned quality-gate circuits (the same three
 //!   `quality` bench circuits `ci.sh` holds against
 //!   `goldens/quality_gate.json`), warm-started restarts verify
 //!   cleanly and never degrade the quality of the cold result.
 
 use fpart_core::{
-    search, verify_assignment, Algorithm, FpartConfig, MemoStore, MultilevelConfig, Observer,
-    PartitionOutcome, Restarts,
+    search, verify_assignment, Algorithm, Counter, FpartConfig, MemoStore, Metrics,
+    MultilevelConfig, Observer, PartitionOutcome, Restarts, RestartsReport,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{
     clustered_circuit, layered_circuit, rent_circuit, window_circuit, ClusteredConfig,
     LayeredConfig, RentConfig, WindowConfig,
 };
-use fpart_hypergraph::Hypergraph;
+use fpart_hypergraph::{apply_script, EditOp, EditScript, Hypergraph, NodeId};
 
 use proptest::prelude::*;
 
-/// The unobserved n-level restart search.
+/// The observed n-level restart search.
 fn ml_restarts(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
@@ -33,11 +35,29 @@ fn ml_restarts(
     ml: &MultilevelConfig,
     restarts: usize,
     threads: usize,
-) -> PartitionOutcome {
+) -> RestartsReport {
     let shape = Restarts { count: restarts, threads, ..Restarts::default() };
-    search(graph, constraints, cfg, Algorithm::Multilevel(ml), &shape, &mut Observer::none())
-        .unwrap()
-        .outcome
+    let mut obs = Observer::new(Metrics::enabled(), None);
+    search(graph, constraints, cfg, Algorithm::Multilevel(ml), &shape, &mut obs).unwrap()
+}
+
+/// A fully warm search replays every restart from the solution memo
+/// and runs no pass at all.
+fn assert_fully_warm(report: &RestartsReport, restarts: usize, what: &str) {
+    assert_eq!(report.totals.get(Counter::Passes), 0, "{what}: passes");
+    assert_eq!(report.totals.get(Counter::MemoWarmStarts), restarts as u64, "{what}: warm starts");
+}
+
+/// A small edit: node 0 gets a new neighbour on a new net.
+fn edited(graph: &Hypergraph) -> Hypergraph {
+    let script = EditScript::new(vec![
+        EditOp::AddNode { name: "eco_new".to_owned(), size: 1 },
+        EditOp::AddNet {
+            name: "eco_net".to_owned(),
+            pins: vec!["eco_new".to_owned(), graph.node_name(NodeId::from_index(0)).to_owned()],
+        },
+    ]);
+    apply_script(graph, &script).expect("the edit applies").graph
 }
 
 fn assert_bit_identical(cold: &PartitionOutcome, warm: &PartitionOutcome, what: &str) {
@@ -64,23 +84,22 @@ proptest! {
         let constraints = DeviceConstraints::new(40, 24);
         let cfg = FpartConfig { seed, ..FpartConfig::default() };
         let cold =
-            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 1);
+            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 1)
+                .outcome;
 
         let store = MemoStore::shared();
+        let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
         for threads in [1usize, 4] {
-            let ml = MultilevelConfig {
-                memo: Some(store.clone()),
-                ..MultilevelConfig::default()
-            };
             for pass in ["populating", "warm"] {
-                let warm = ml_restarts(&graph, constraints, &cfg, &ml, restarts, threads);
-                assert_bit_identical(
-                    &cold,
-                    &warm,
-                    &format!("{pass} pass at {threads} thread(s)"),
-                );
+                let what = format!("{pass} pass at {threads} thread(s)");
+                let report = ml_restarts(&graph, constraints, &cfg, &ml, restarts, threads);
+                assert_bit_identical(&cold, &report.outcome, &what);
+                if threads > 1 || pass == "warm" {
+                    assert_fully_warm(&report, restarts, &what);
+                }
             }
         }
+
         // The store really was consulted: by the final pass every
         // restart key has been both missed (pass 1) and hit (pass 2+).
         let stats = store.stats();
@@ -95,6 +114,15 @@ proptest! {
             stats.hierarchy_hits + stats.hierarchy_misses >= 1,
             "hierarchy cache never consulted: {stats:?}"
         );
+
+        // An edited graph misses the warm store and lands on the
+        // memo-less result for the edited graph.
+        let graph = edited(&graph);
+        let memo_less =
+            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 1);
+        let through_store = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 1);
+        assert_bit_identical(&memo_less.outcome, &through_store.outcome, "edited graph");
+        prop_assert_eq!(through_store.totals.get(Counter::MemoWarmStarts), 0);
     }
 }
 
@@ -125,14 +153,17 @@ fn warm_started_restarts_never_degrade_on_quality_gate_circuits() {
     for (graph, constraints) in quality_gate_circuits() {
         let cfg = FpartConfig::default();
         let cold =
-            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 2);
+            ml_restarts(&graph, constraints, &cfg, &MultilevelConfig::default(), restarts, 2)
+                .outcome;
 
         let store = MemoStore::shared();
         let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
-        let populate = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 2);
+        let populate = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 2).outcome;
         let warm = ml_restarts(&graph, constraints, &cfg, &ml, restarts, 2);
 
         let name = graph.name().to_owned();
+        assert_fully_warm(&warm, restarts, &format!("{name}: warm run"));
+        let warm = warm.outcome;
         assert_bit_identical(&cold, &populate, &format!("{name}: populating run"));
         assert_bit_identical(&cold, &warm, &format!("{name}: warm run"));
 

@@ -9,16 +9,19 @@
 //! * **Consistency** — counters cross-check against the outcome
 //!   (`improve_calls`, `iterations`, retained moves) and against the
 //!   recorded trace.
+//! * **Attribution** — the span profile books every pass, applied move
+//!   and gain-bucket pop of a run on a phase below its restart.
 //! * **Serialization** — JSONL event streams and metrics JSON parse as
 //!   the documented shapes.
 
 use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::{
     partition, partition_observed, search, Algorithm, Counter, EventSink, FpartConfig, JsonlSink,
-    Metrics, Observer, PartitionError, Restarts, RestartsReport, Trace, TraceEvent,
+    Metrics, MultilevelConfig, Observer, PartitionError, Restarts, RestartsReport, SpanKind, Trace,
+    TraceEvent,
 };
 use fpart_device::DeviceConstraints;
-use fpart_hypergraph::gen::{window_circuit, WindowConfig};
+use fpart_hypergraph::gen::{rent_circuit, window_circuit, RentConfig, WindowConfig};
 use fpart_hypergraph::Hypergraph;
 use proptest::prelude::*;
 
@@ -215,6 +218,40 @@ fn counters_cross_check_against_trace() {
     assert_eq!(metrics.get(Counter::MovesApplied) - metrics.get(Counter::MovesReverted), moves);
     assert!(metrics.get(Counter::GainBucketPops) >= metrics.get(Counter::MovesApplied));
     assert!(metrics.get(Counter::KeyEvaluations) > 0);
+}
+
+/// Every pass, applied move and gain-bucket pop of an observed run is
+/// booked on a direct child span of its `restart` span, flat and
+/// n-level, and an n-level run records its coarsen, initial and refine
+/// phases — the profile leaves no engine work unattributed.
+#[test]
+fn restart_child_spans_account_for_all_engine_work() {
+    let graph = rent_circuit(&RentConfig::new("rent", 4000, 200), 11);
+    let constraints = DeviceConstraints::new(400, 120);
+    let ml = MultilevelConfig::default();
+    for algorithm in [Algorithm::Flat, Algorithm::Multilevel(&ml)] {
+        let mut obs = Observer::new(Metrics::enabled(), None);
+        let config = FpartConfig::default();
+        let report =
+            search(&graph, constraints, &config, algorithm, &Restarts::default(), &mut obs)
+                .expect("partitions");
+        let records = report.totals.spans().records();
+        for counter in [Counter::Passes, Counter::MovesApplied, Counter::GainBucketPops] {
+            let attributed: u64 = records
+                .iter()
+                .filter(|r| r.parent == Some(SpanKind::Restart))
+                .map(|r| r.counter(counter))
+                .sum();
+            let total = report.totals.get(counter);
+            assert!(total > 0, "{algorithm:?}: no {}", counter.name());
+            assert_eq!(attributed, total, "{algorithm:?}: {}", counter.name());
+        }
+        if let Algorithm::Multilevel(_) = algorithm {
+            for kind in [SpanKind::CoarsenLevel, SpanKind::Initial, SpanKind::RefineLevel] {
+                assert!(records.iter().any(|r| r.kind == kind), "no {} record", kind.as_str());
+            }
+        }
+    }
 }
 
 /// JSONL streaming during a real run: one parseable object per line,

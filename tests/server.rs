@@ -127,6 +127,51 @@ proptest! {
     }
 }
 
+/// A loaded session serves from memory: with its netlist file deleted,
+/// a `partition` request still succeeds and matches the library run,
+/// so no request pays for a parse.
+#[test]
+fn partition_after_the_netlist_file_is_deleted_serves_from_the_session() {
+    let graph = window_circuit(&WindowConfig::new("deleted", 120, 8), 4);
+    let path = write_netlist("deleted", &graph);
+    let server = Server::new(ServerConfig { threads: 1, ..ServerConfig::default() });
+    let mut out = Vec::new();
+    server.handle(
+        &format!(
+            "{{\"id\": \"l\", \"cmd\": \"load\", \"session\": \"s\", \"path\": {}, \
+             \"s_max\": 40, \"t_max\": 24}}",
+            protocol::json_string(path.to_str().unwrap())
+        ),
+        &mut out,
+    );
+    std::fs::remove_file(&path).unwrap();
+    server.handle(
+        "{\"id\": \"p\", \"cmd\": \"partition\", \"session\": \"s\", \"seed\": 5, \
+         \"threads\": 1, \"assignment\": true}",
+        &mut out,
+    );
+    let replies = parse_lines(&out);
+    assert_eq!(final_reply(&replies, "l").get("ok"), Some(&Json::Bool(true)));
+    let reply = final_reply(&replies, "p");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+
+    let cfg = FpartConfig { seed: 5, ..FpartConfig::default() };
+    let ml = MultilevelConfig::default();
+    let expected = partition_multilevel_restarts_observed(
+        &graph,
+        DeviceConstraints::new(40, 24),
+        &cfg,
+        &ml,
+        1,
+        1,
+    )
+    .unwrap()
+    .outcome;
+    let result = reply.get("result").unwrap();
+    assert_eq!(assignment_of(result), expected.assignment);
+    assert_eq!(result.get("cut").and_then(Json::as_u64), Some(expected.cut as u64));
+}
+
 /// Cancelling an in-flight request stops it cooperatively and the
 /// early outcome is still a verifiable partition of the session's
 /// graph.
