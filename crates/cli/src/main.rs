@@ -177,9 +177,6 @@ SERVE OPTIONS:
                       (default: $FPART_THREADS if set, else 1)
   --queue <N>         per-session queued requests before `busy` (default 4)
   --heartbeat-ms <N>  progress event throttle (default 200)
-  --no-cache          disable the fingerprint-keyed memo store (hierarchy
-                      cache + solution memo; results are bit-identical
-                      either way, so this mainly serves A/B timing)
   plus the input limit options; --max-line-len also bounds request lines
   Protocol: one JSON object per line with an `id` and a `cmd` of
   load | partition | eco | query | cancel | shutdown; every reply names

@@ -28,7 +28,7 @@ const SPEC: Spec<'static> = Spec {
         "max-name-len",
         "max-line-len",
     ],
-    switches: &["no-cache"],
+    switches: &[],
 };
 
 /// Entry point of the `serve` subcommand.
@@ -45,17 +45,13 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
     let limits = resolve_limits(&args).map_err(CliError::Usage)?;
 
     crate::install_signal_handlers();
-    // Memoization (hierarchy cache + solution memo) is on by default —
-    // warm repeated requests are the server's reason to exist;
-    // `--no-cache` turns it off without changing any result bit.
-    let memo = if args.switch("no-cache") { None } else { Some(fpart_core::MemoStore::shared()) };
     let config = ServerConfig {
         threads,
         queue_capacity,
         limits,
         heartbeat_ms,
         stop: Some(CancelToken::from_static(&crate::INTERRUPTED)),
-        memo,
+        ..ServerConfig::default()
     };
     let server = Server::new(config);
 

@@ -464,7 +464,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, ReadCheckpointError> {
 /// Fingerprints a restart search: everything that determines its result.
 ///
 /// Built on the zobrist-style [`fpart_hypergraph::fingerprint`] module —
-/// the same hash that keys the memoization caches — chaining the
+/// the same hash that keys the solution memo — chaining the
 /// graph's content fingerprint and id-order checksum with the device
 /// constraints and configuration (folded via their `Debug` rendering:
 /// stable, value-based), after normalizing the fields a resume is

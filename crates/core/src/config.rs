@@ -120,7 +120,13 @@ pub struct FpartConfig {
     /// 32` peeling iterations (a correct run needs at most a few more
     /// than `M`).
     pub max_iterations_factor: usize,
-    /// Seed for the (rare) randomized tie-breaks in initial partitioning.
+    /// Seed of the randomized choices: the random initial peel
+    /// (`use_constructive_initial: false`), the FM bipartitioner's
+    /// initial split ([`crate::fm`]) and the direct k-way baseline's
+    /// seeded clusters ([`crate::direct`]). The default constructive
+    /// flow — flat FPART, the V-cycle and ECO repair — never reads it,
+    /// so the solution memo ([`crate::memo`]) leaves it out of its key
+    /// there.
     pub seed: u64,
     /// Execution budget (deadline, pass/move caps, cancel token) checked
     /// cooperatively at pass and peel boundaries. The default is

@@ -113,7 +113,7 @@ pub use hetero::{partition_hetero, HeteroOutcome};
 pub use initial::{bipartition_remainder, InitialMethod};
 pub use interconnect::InterconnectReport;
 pub use json::{Json, JsonParseError};
-pub use memo::{CacheStats, CachedHierarchy, HierarchyKey, MemoConfig, MemoStore};
+pub use memo::{CacheStats, MemoStore};
 pub use multilevel::{
     partition_multilevel, partition_multilevel_restarts_observed, MultilevelConfig,
 };

@@ -1,39 +1,39 @@
-//! Fingerprint-keyed memoization: a transposition table for partitioning.
+//! Fingerprint-keyed memoization: a transposition table for restart
+//! solutions.
 //!
-//! Repeated and near-identical requests — a re-run of the same netlist,
-//! a post-ECO repartition on a session that has seen the graph before —
-//! redo two expensive artifacts from scratch: the coarsening
-//! [`Hierarchy`] the n-level V-cycle builds once per restart, and the
-//! restart search itself. This module caches both, keyed by the
-//! zobrist-style [`Fingerprint`] from
-//! [`fpart_hypergraph::fingerprint`]:
+//! Repeated requests — a re-run of the same netlist, a reseeded request
+//! on a server session whose graph has not changed — would redo a whole
+//! n-level restart search. The **solution memo** maps a per-restart run
+//! key (graph, device constraints, the normalized configuration the
+//! restart reads, its matching seed) → the restart's finished result (a
+//! [`SavedRestart`], the record a checkpoint keeps too), so an identical
+//! restart replays its result instead of searching again. It is the
+//! store's only cache: the V-cycle coarsens afresh on every run.
 //!
-//! * the **hierarchy cache** maps (graph fingerprint, order checksum,
-//!   coarsening parameters) → the finished [`Hierarchy`], bounded by an
-//!   entry count *and* an approximate-bytes budget (the same PR 7
-//!   accounting the byte-budgeted coarsener charges per level);
-//! * the **solution memo** maps a per-restart run key (graph, device
-//!   constraints, normalized configuration, diversified seeds) → the
-//!   restart's finished result (a [`SavedRestart`], the record a
-//!   checkpoint keeps too), so an identical restart replays its result
-//!   instead of searching again.
+//! The key holds only what a restart reads. Under the default
+//! constructive initial partition no stage reads
+//! [`FpartConfig::seed`], so the key leaves it out and a reseeded
+//! request replays the cold run's result; the random-initial ablation
+//! reads it, and keeps it in the key.
 //!
 //! Invalidation is automatic: any netlist edit changes the fingerprint
 //! (maintained in O(edit) through [`fpart_hypergraph::apply_script`]),
 //! so a stale entry can never be *addressed* — it just ages out of the
-//! LRU. Because the XOR-composed fingerprint is insensitive to
-//! insertion order while node/net ids are not, every key also carries
-//! [`fpart_hypergraph::order_checksum`], which pins the id assignment
-//! that all cached id-indexed artifacts depend on.
+//! LRU. The store is bounded by an approximate-bytes budget charged per
+//! entry (assignment, blocks and counters), not by an entry count, so
+//! the bound holds whatever the graph's size. Because the XOR-composed
+//! fingerprint is insensitive to insertion order while node/net ids are
+//! not, every key also carries [`fpart_hypergraph::order_checksum`],
+//! which pins the id assignment a stored assignment depends on.
 //!
 //! Determinism contract: a memoized run must be bit-identical to the
 //! cold run it replaces. Two rules enforce this:
 //!
 //! * solutions are stored and consulted only for runs with **no
 //!   result-shaping budget** (no deadline, pass/move caps, or fault
-//!   plan — see [`memoizable`]; a cancellation token is tolerated)
-//!   whose completion was [`Complete`](crate::Completion::Complete);
-//!   everything such a run produces is a pure function of its key;
+//!   plan; a cancellation token is tolerated) whose completion was
+//!   [`Complete`](crate::Completion::Complete); everything such a run
+//!   produces is a pure function of its key;
 //! * a memo hit is **verified** against the live graph before it is
 //!   trusted (assignment coverage, block-id range, feasibility and cut
 //!   cross-check), and falls back to the cold path on any mismatch, so
@@ -41,115 +41,53 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex};
 
 use fpart_device::DeviceConstraints;
-use fpart_hypergraph::coarsen::Hierarchy;
-use fpart_hypergraph::Fingerprint;
+use fpart_hypergraph::{fingerprint_graph, order_checksum, Fingerprint, Hypergraph};
 
 use crate::budget::RunBudget;
 use crate::checkpoint::SavedRestart;
 use crate::config::FpartConfig;
 use crate::multilevel::MultilevelConfig;
 
-/// Size bounds of a [`MemoStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoConfig {
-    /// Maximum number of cached coarsening hierarchies.
-    pub max_hierarchies: usize,
-    /// Approximate-bytes budget across all cached hierarchies, using
-    /// [`Hierarchy::approx_bytes`] — the same estimate the
-    /// byte-budgeted coarsener charges per level.
-    pub max_hierarchy_bytes: u64,
-    /// Maximum number of memoized restart solutions.
-    pub max_solutions: usize,
-}
-
-impl Default for MemoConfig {
-    fn default() -> Self {
-        MemoConfig { max_hierarchies: 64, max_hierarchy_bytes: 256 << 20, max_solutions: 4096 }
-    }
-}
+/// Approximate-bytes budget of one store's memoized solutions.
+const MAX_BYTES: u64 = 256 << 20;
 
 /// Cumulative cache statistics, readable at any time via
-/// [`MemoStore::stats`] and surfaced per run through the
-/// [`Counter`](crate::Counter) set (`SCHEMA_VERSION` 10).
+/// [`MemoStore::stats`]; per run, replayed restarts count in
+/// [`Counter::MemoWarmStarts`](crate::Counter::MemoWarmStarts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Hierarchy-cache lookups that returned a cached hierarchy.
+    /// Always 0. The coarsening-hierarchy cache this counted is gone;
+    /// the field stays because readers of earlier statistics still
+    /// name it.
     pub hierarchy_hits: u64,
-    /// Hierarchy-cache lookups that missed.
+    /// Always 0, like [`Self::hierarchy_hits`].
     pub hierarchy_misses: u64,
-    /// Hierarchies evicted to honor the entry or byte bound.
-    pub hierarchy_evictions: u64,
-    /// Approximate bytes currently held by cached hierarchies.
-    pub hierarchy_bytes: u64,
-    /// Hierarchies currently cached.
-    pub hierarchy_entries: u64,
     /// Solution-memo lookups that returned a stored solution.
     pub solution_hits: u64,
     /// Solution-memo lookups that missed.
     pub solution_misses: u64,
-    /// Solutions evicted to honor the entry bound.
+    /// Solutions evicted to honor the byte budget.
     pub solution_evictions: u64,
     /// Solutions currently memoized.
     pub solution_entries: u64,
 }
 
-/// Cache key of one coarsening hierarchy: the graph identity plus every
-/// parameter [`coarsen_to_floor_budgeted`] derives the hierarchy from.
-/// Worker threads are deliberately absent — the hierarchy is
-/// thread-count invariant.
-///
-/// [`coarsen_to_floor_budgeted`]: fpart_hypergraph::coarsen::coarsen_to_floor_budgeted
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HierarchyKey {
-    /// 128-bit content fingerprint of the input hypergraph.
-    pub graph: Fingerprint,
-    /// Insertion-order checksum pinning the node/net id assignment.
-    pub order: u64,
-    /// Cluster size cap.
-    pub cap: u64,
-    /// Coarsening floor.
-    pub floor: usize,
-    /// Hierarchy depth limit.
-    pub max_levels: usize,
-    /// Matching seed.
-    pub seed: u64,
-    /// Estimated-byte cap of hierarchy construction (part of the key:
-    /// a tighter cap yields a shallower hierarchy).
-    pub max_bytes: Option<u64>,
-}
-
-/// A cached coarsening hierarchy and whether the byte cap truncated it
-/// (a truncated hierarchy degrades the run's completion, so replaying
-/// the flag keeps cached and cold runs identical).
-#[derive(Debug, Clone)]
-pub struct CachedHierarchy {
-    /// The finished hierarchy.
-    pub hierarchy: Hierarchy,
-    /// Whether [`MemoryBudget`](crate::MemoryBudget) stopped coarsening
-    /// before the floor.
-    pub truncated: bool,
-}
-
-struct HierarchyEntry {
-    value: Arc<CachedHierarchy>,
-    bytes: u64,
-    last_used: u64,
-}
-
 struct SolutionEntry {
     value: Arc<SavedRestart>,
+    bytes: u64,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Inner {
     tick: u64,
-    hierarchies: HashMap<HierarchyKey, HierarchyEntry>,
-    hierarchy_bytes: u64,
     solutions: HashMap<Fingerprint, SolutionEntry>,
+    /// Approximate bytes held by `solutions`.
+    bytes: u64,
     stats: CacheStats,
 }
 
@@ -162,16 +100,16 @@ impl Inner {
 
 /// Thread-safe fingerprint-keyed store shared across runs (and across a
 /// server session's worker) via `Arc`. Lookups and insertions take a
-/// single short-held mutex; cached hierarchies are handed out as `Arc`
-/// clones, so a hit never copies the hierarchy itself.
+/// single short-held mutex; stored solutions are handed out as `Arc`
+/// clones, so a hit copies nothing until it is replayed.
 pub struct MemoStore {
-    config: MemoConfig,
+    max_bytes: u64,
     inner: Mutex<Inner>,
 }
 
 impl fmt::Debug for MemoStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MemoStore").field("config", &self.config).finish_non_exhaustive()
+        f.debug_struct("MemoStore").field("max_bytes", &self.max_bytes).finish_non_exhaustive()
     }
 }
 
@@ -189,106 +127,33 @@ impl Eq for MemoStore {}
 
 impl Default for MemoStore {
     fn default() -> Self {
-        MemoStore::new(MemoConfig::default())
+        MemoStore { max_bytes: MAX_BYTES, inner: Mutex::new(Inner::default()) }
     }
 }
 
 impl MemoStore {
-    /// Creates an empty store with the given bounds.
-    #[must_use]
-    pub fn new(config: MemoConfig) -> MemoStore {
-        MemoStore { config, inner: Mutex::new(Inner::default()) }
-    }
-
-    /// Creates an empty store with default bounds, ready to share.
+    /// Creates an empty store, ready to share.
     #[must_use]
     pub fn shared() -> Arc<MemoStore> {
         Arc::new(MemoStore::default())
     }
 
-    /// The configured bounds.
-    #[must_use]
-    pub fn config(&self) -> MemoConfig {
-        self.config
+    /// An empty store holding at most `max_bytes` of solutions.
+    #[cfg(test)]
+    fn with_budget(max_bytes: u64) -> MemoStore {
+        MemoStore { max_bytes, ..MemoStore::default() }
     }
 
     /// A snapshot of the cumulative cache statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("memo store poisoned");
-        CacheStats {
-            hierarchy_bytes: inner.hierarchy_bytes,
-            hierarchy_entries: inner.hierarchies.len() as u64,
-            solution_entries: inner.solutions.len() as u64,
-            ..inner.stats
-        }
-    }
-
-    /// Drops every cached hierarchy and solution (statistics survive).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("memo store poisoned");
-        inner.hierarchies.clear();
-        inner.hierarchy_bytes = 0;
-        inner.solutions.clear();
-    }
-
-    /// Looks up a cached hierarchy, refreshing its LRU position.
-    #[must_use]
-    pub fn lookup_hierarchy(&self, key: &HierarchyKey) -> Option<Arc<CachedHierarchy>> {
-        let mut inner = self.inner.lock().expect("memo store poisoned");
-        let tick = inner.next_tick();
-        if let Some(entry) = inner.hierarchies.get_mut(key) {
-            entry.last_used = tick;
-            let value = Arc::clone(&entry.value);
-            inner.stats.hierarchy_hits += 1;
-            Some(value)
-        } else {
-            inner.stats.hierarchy_misses += 1;
-            None
-        }
-    }
-
-    /// Inserts a hierarchy, evicting least-recently-used entries until
-    /// both the entry bound and the byte budget hold. A hierarchy
-    /// larger than the whole byte budget is not cached at all. Returns
-    /// how many entries this insertion evicted.
-    pub fn insert_hierarchy(&self, key: HierarchyKey, value: Arc<CachedHierarchy>) -> usize {
-        let bytes = value.hierarchy.approx_bytes();
-        if bytes > self.config.max_hierarchy_bytes || self.config.max_hierarchies == 0 {
-            return 0;
-        }
-        let mut inner = self.inner.lock().expect("memo store poisoned");
-        let tick = inner.next_tick();
-        if let Some(old) =
-            inner.hierarchies.insert(key, HierarchyEntry { value, bytes, last_used: tick })
-        {
-            inner.hierarchy_bytes -= old.bytes;
-        }
-        inner.hierarchy_bytes += bytes;
-        let mut evictions = 0;
-        while inner.hierarchies.len() > self.config.max_hierarchies
-            || inner.hierarchy_bytes > self.config.max_hierarchy_bytes
-        {
-            let victim = inner
-                .hierarchies
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(evicted) = inner.hierarchies.remove(&victim) {
-                inner.hierarchy_bytes -= evicted.bytes;
-                inner.stats.hierarchy_evictions += 1;
-                evictions += 1;
-            }
-        }
-        evictions
+        CacheStats { solution_entries: inner.solutions.len() as u64, ..inner.stats }
     }
 
     /// Looks up a memoized restart solution, refreshing its LRU
     /// position.
-    #[must_use]
-    pub fn lookup_solution(&self, key: Fingerprint) -> Option<Arc<SavedRestart>> {
+    pub(crate) fn lookup_solution(&self, key: Fingerprint) -> Option<Arc<SavedRestart>> {
         let mut inner = self.inner.lock().expect("memo store poisoned");
         let tick = inner.next_tick();
         if let Some(entry) = inner.solutions.get_mut(&key) {
@@ -302,41 +167,77 @@ impl MemoStore {
         }
     }
 
-    /// Memoizes a restart solution, evicting the least-recently-used
-    /// entry when the bound is reached. Returns how many entries this
-    /// insertion evicted.
-    pub fn insert_solution(&self, key: Fingerprint, value: SavedRestart) -> usize {
-        if self.config.max_solutions == 0 {
-            return 0;
+    /// Memoizes a restart solution, evicting least-recently-used
+    /// entries until the byte budget holds. A solution larger than the
+    /// whole budget is not stored at all.
+    pub(crate) fn insert_solution(&self, key: Fingerprint, value: SavedRestart) {
+        let bytes = entry_bytes(&value);
+        if bytes > self.max_bytes {
+            return;
         }
         let mut inner = self.inner.lock().expect("memo store poisoned");
         let tick = inner.next_tick();
-        inner.solutions.insert(key, SolutionEntry { value: Arc::new(value), last_used: tick });
-        let mut evictions = 0;
-        while inner.solutions.len() > self.config.max_solutions {
+        let entry = SolutionEntry { value: Arc::new(value), bytes, last_used: tick };
+        if let Some(old) = inner.solutions.insert(key, entry) {
+            inner.bytes -= old.bytes;
+        }
+        inner.bytes += bytes;
+        while inner.bytes > self.max_bytes {
+            // The new entry is the most recently used and fits the
+            // budget alone, so an older victim always exists.
             let victim = inner
                 .solutions
                 .iter()
-                .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if inner.solutions.remove(&victim).is_some() {
-                inner.stats.solution_evictions += 1;
-                evictions += 1;
-            }
+                .map(|(k, _)| *k)
+                .expect("an older entry exists while over budget");
+            let evicted = inner.solutions.remove(&victim).expect("the victim is stored");
+            inner.bytes -= evicted.bytes;
+            inner.stats.solution_evictions += 1;
         }
-        evictions
     }
+}
+
+/// What one stored solution costs against the byte budget: its
+/// assignment, block reports and counter snapshot, plus the record
+/// itself.
+fn entry_bytes(saved: &SavedRestart) -> u64 {
+    (size_of::<SavedRestart>()
+        + size_of_val(saved.assignment.as_slice())
+        + size_of_val(saved.blocks.as_slice())
+        + size_of_val(saved.counters.as_slice())) as u64
+}
+
+/// The memoization identity of a search's input graph: its content
+/// fingerprint and id-order checksum. Both are O(graph) to compute, so
+/// the restart search hashes its graph once for all of its restarts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GraphKey {
+    /// [`fingerprint_graph`] of the input.
+    pub(crate) fp: Fingerprint,
+    /// [`order_checksum`] of the input.
+    pub(crate) order: u64,
+}
+
+impl GraphKey {
+    /// Hashes `graph` (one O(graph) pass of each hash).
+    pub(crate) fn of(graph: &Hypergraph) -> GraphKey {
+        #[cfg(test)]
+        GRAPH_KEYS.with(|calls| calls.set(calls.get() + 1));
+        GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`GraphKey::of`] calls made on this thread.
+    static GRAPH_KEYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Whether a run may consult and feed the solution memo: only runs with
 /// **no external budget of any kind** qualify, because only their
-/// results are a pure function of the memo key. Hierarchy caching is
-/// exempt from this test — the hierarchy never depends on the run
-/// budget (the byte cap that can truncate it is part of the key).
-#[must_use]
-pub fn memoizable(config: &FpartConfig) -> bool {
+/// results are a pure function of the memo key.
+pub(crate) fn memoizable(config: &FpartConfig) -> bool {
     // A cancellation token is tolerated: only `Complete` outcomes are
     // ever stored, and a memo hit merely replaces a run that would
     // have completed with the identical result. Whether a token fires
@@ -352,25 +253,28 @@ pub fn memoizable(config: &FpartConfig) -> bool {
 }
 
 /// Builds the solution-memo key of one restart: the graph identity
-/// (content fingerprint + id-order checksum) chained with the device
-/// constraints and the *already diversified* per-restart configuration.
-/// Thread counts, cancellation tokens, and the memo handle itself are
-/// normalized out — none of them changes the restart's result.
-#[must_use]
-pub fn restart_solution_key(
-    graph: Fingerprint,
-    order: u64,
+/// chained with the device constraints and the *already diversified*
+/// per-restart configuration.
+/// Thread counts, cancellation tokens, the memo handle itself, and a
+/// driver seed the run never reads are normalized out — none of them
+/// changes the restart's result.
+pub(crate) fn restart_solution_key(
+    graph: GraphKey,
     constraints: DeviceConstraints,
     config: &FpartConfig,
     ml: &MultilevelConfig,
 ) -> Fingerprint {
+    // Only the random initial peel reads the driver seed.
+    let seed = if config.use_constructive_initial { 0 } else { config.seed };
     let normalized_config = FpartConfig {
+        seed,
         budget: RunBudget { cancel: None, ..config.budget.clone() },
         ..config.clone()
     };
     let normalized_ml = MultilevelConfig { threads: 1, memo: None, ..ml.clone() };
     graph
-        .fold_u64(order)
+        .fp
+        .fold_u64(graph.order)
         .fold_str("fpart-memo-restart-v1")
         .fold_str(&format!("{constraints:?}"))
         .fold_str(&format!("{normalized_config:?}"))
@@ -380,97 +284,16 @@ pub fn restart_solution_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpart_hypergraph::coarsen::coarsen_to_floor;
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-    use fpart_hypergraph::{fingerprint_graph, order_checksum};
 
-    fn hierarchy(n: usize, seed: u64) -> Hierarchy {
-        let g = window_circuit(&WindowConfig::new("m", n, 8), seed);
-        coarsen_to_floor(&g, 8, 16, 8, seed)
-    }
-
-    fn key(seed: u64) -> HierarchyKey {
-        let g = window_circuit(&WindowConfig::new("m", 50, 8), seed);
-        HierarchyKey {
-            graph: fingerprint_graph(&g),
-            order: order_checksum(&g),
-            cap: 8,
-            floor: 16,
-            max_levels: 8,
-            seed,
-            max_bytes: None,
-        }
-    }
-
-    #[test]
-    fn hierarchy_roundtrip_and_stats() {
-        let store = MemoStore::default();
-        let k = key(1);
-        assert!(store.lookup_hierarchy(&k).is_none());
-        let h = Arc::new(CachedHierarchy { hierarchy: hierarchy(200, 1), truncated: false });
-        store.insert_hierarchy(k, Arc::clone(&h));
-        let hit = store.lookup_hierarchy(&k).expect("cached");
-        assert_eq!(hit.hierarchy.level_count(), h.hierarchy.level_count());
-        let stats = store.stats();
-        assert_eq!(stats.hierarchy_hits, 1);
-        assert_eq!(stats.hierarchy_misses, 1);
-        assert_eq!(stats.hierarchy_entries, 1);
-        assert!(stats.hierarchy_bytes > 0);
-    }
-
-    #[test]
-    fn hierarchy_entry_bound_evicts_lru() {
-        let store = MemoStore::new(MemoConfig { max_hierarchies: 2, ..MemoConfig::default() });
-        let (k1, k2, k3) = (key(1), key(2), key(3));
-        for k in [k1, k2, k3] {
-            store.insert_hierarchy(
-                k,
-                Arc::new(CachedHierarchy { hierarchy: hierarchy(100, k.seed), truncated: false }),
-            );
-        }
-        // k1 was least recently used, so it went first.
-        assert!(store.lookup_hierarchy(&k1).is_none());
-        assert!(store.lookup_hierarchy(&k2).is_some());
-        assert!(store.lookup_hierarchy(&k3).is_some());
-        assert_eq!(store.stats().hierarchy_evictions, 1);
-    }
-
-    #[test]
-    fn hierarchy_byte_budget_evicts_and_rejects_oversized() {
-        let h = hierarchy(300, 7);
-        let bytes = h.approx_bytes();
-        let store = MemoStore::new(MemoConfig {
-            max_hierarchies: 16,
-            max_hierarchy_bytes: bytes + bytes / 2,
-            ..MemoConfig::default()
-        });
-        let (k1, k2) = (key(1), key(2));
-        store.insert_hierarchy(
-            k1,
-            Arc::new(CachedHierarchy { hierarchy: h.clone(), truncated: false }),
-        );
-        store.insert_hierarchy(
-            k2,
-            Arc::new(CachedHierarchy { hierarchy: h.clone(), truncated: false }),
-        );
-        // Both together exceed the budget: the first is evicted.
-        assert!(store.lookup_hierarchy(&k1).is_none());
-        assert!(store.lookup_hierarchy(&k2).is_some());
-        assert!(store.stats().hierarchy_bytes <= bytes + bytes / 2);
-
-        // An entry larger than the whole budget is never cached.
-        let tiny =
-            MemoStore::new(MemoConfig { max_hierarchy_bytes: bytes - 1, ..MemoConfig::default() });
-        tiny.insert_hierarchy(key(3), Arc::new(CachedHierarchy { hierarchy: h, truncated: false }));
-        assert_eq!(tiny.stats().hierarchy_entries, 0);
-    }
-
-    #[test]
-    fn solution_roundtrip_and_entry_bound() {
-        let store = MemoStore::new(MemoConfig { max_solutions: 2, ..MemoConfig::default() });
-        let sol = |seed: u64| SavedRestart {
+    /// A stored solution over `nodes` nodes whose first block id is
+    /// `tag`.
+    fn solution(nodes: usize, tag: u32) -> SavedRestart {
+        let mut assignment = vec![0; nodes];
+        assignment[0] = tag;
+        SavedRestart {
             restart: 0,
-            assignment: vec![0, 1, seed as u32],
+            assignment,
             blocks: Vec::new(),
             device_count: 2,
             lower_bound: 1,
@@ -481,51 +304,107 @@ mod tests {
             total_moves: 3,
             completion: crate::Completion::Complete,
             counters: Vec::new(),
-        };
-        let keys: Vec<Fingerprint> = (1..=3).map(|s| Fingerprint::ZERO.fold_u64(s)).collect();
-        for (i, k) in keys.iter().enumerate() {
-            store.insert_solution(*k, sol(i as u64));
         }
-        assert!(store.lookup_solution(keys[0]).is_none(), "LRU evicted");
-        assert_eq!(store.lookup_solution(keys[2]).expect("kept").assignment, vec![0, 1, 2]);
+    }
+
+    fn key(i: u64) -> Fingerprint {
+        Fingerprint::ZERO.fold_u64(i)
+    }
+
+    /// The approximate bytes the store holds, recounted from its
+    /// entries.
+    fn held_bytes(store: &MemoStore) -> u64 {
+        let inner = store.inner.lock().unwrap();
+        let recounted = inner.solutions.values().map(|e| entry_bytes(&e.value)).sum();
+        assert_eq!(inner.bytes, recounted, "byte accounting drifted");
+        recounted
+    }
+
+    #[test]
+    fn solution_roundtrip_and_entry_bound() {
+        // Room for three solutions over 1,000 nodes.
+        let budget = 3 * entry_bytes(&solution(1000, 0));
+        let store = MemoStore::with_budget(budget);
+        assert!(store.lookup_solution(key(0)).is_none());
+        store.insert_solution(key(0), solution(1000, 7));
+        assert_eq!(store.lookup_solution(key(0)).expect("stored").assignment[0], 7);
         let stats = store.stats();
-        assert_eq!(stats.solution_evictions, 1);
-        assert_eq!(stats.solution_entries, 2);
+        assert_eq!((stats.solution_hits, stats.solution_misses), (1, 1));
+        assert_eq!((stats.hierarchy_hits, stats.hierarchy_misses), (0, 0));
+
+        // Key 0 is looked up after every insertion, so it outlives every
+        // entry inserted before its latest lookup.
+        let sizes = [400, 1000, 100, 1000, 600, 1000, 1000];
+        for (i, &nodes) in (1..).zip(&sizes) {
+            store.insert_solution(key(i), solution(nodes, 0));
+            assert!(held_bytes(&store) <= budget, "over budget after inserting key {i}");
+            let _ = store.lookup_solution(key(0));
+        }
+        let stored: Vec<u64> =
+            (0..=sizes.len() as u64).filter(|&i| store.lookup_solution(key(i)).is_some()).collect();
+        assert_eq!(stored, vec![0, 6, 7], "least recently used went first");
+        let stats = store.stats();
+        assert_eq!((stats.solution_evictions, stats.solution_entries), (5, 3));
+
+        // An entry larger than the whole budget is never stored, and
+        // evicts nothing.
+        let held = held_bytes(&store);
+        store.insert_solution(key(99), solution(4000, 0));
+        assert!(store.lookup_solution(key(99)).is_none());
+        assert_eq!(store.stats().solution_evictions, 5);
+        assert_eq!(held_bytes(&store), held);
     }
 
     #[test]
     fn restart_key_separates_inputs_and_ignores_threads() {
         let g = window_circuit(&WindowConfig::new("m", 60, 8), 1);
-        let fp = fingerprint_graph(&g);
-        let order = order_checksum(&g);
+        let gk = GraphKey::of(&g);
         let constraints = DeviceConstraints::new(64, 16);
         let config = FpartConfig::default();
         let ml = MultilevelConfig::default();
-        let base = restart_solution_key(fp, order, constraints, &config, &ml);
-        assert_eq!(base, restart_solution_key(fp, order, constraints, &config, &ml), "stable");
+        let base = restart_solution_key(gk, constraints, &config, &ml);
+        assert_eq!(base, restart_solution_key(gk, constraints, &config, &ml), "stable");
+        // The default constructive initial partition reads no driver
+        // seed, so the seed does not separate keys; the random-initial
+        // ablation reads it, so there it does.
         let seeded = FpartConfig { seed: config.seed + 1, ..config.clone() };
-        assert_ne!(base, restart_solution_key(fp, order, constraints, &seeded, &ml), "seed");
+        assert_eq!(base, restart_solution_key(gk, constraints, &seeded, &ml), "seed");
+        let random = FpartConfig { use_constructive_initial: false, ..config.clone() };
+        let random_seeded = FpartConfig { seed: config.seed + 1, ..random.clone() };
+        assert_ne!(
+            restart_solution_key(gk, constraints, &random, &ml),
+            restart_solution_key(gk, constraints, &random_seeded, &ml),
+            "seed read by the random initial peel"
+        );
         let reseeded = MultilevelConfig { seed: ml.seed + 1, ..ml.clone() };
-        assert_ne!(base, restart_solution_key(fp, order, constraints, &config, &reseeded));
+        assert_ne!(base, restart_solution_key(gk, constraints, &config, &reseeded));
         let threaded = MultilevelConfig { threads: ml.threads + 3, ..ml.clone() };
-        assert_eq!(base, restart_solution_key(fp, order, constraints, &config, &threaded));
+        assert_eq!(base, restart_solution_key(gk, constraints, &config, &threaded));
         let memoed = MultilevelConfig { memo: Some(MemoStore::shared()), ..ml.clone() };
-        assert_eq!(base, restart_solution_key(fp, order, constraints, &config, &memoed));
+        assert_eq!(base, restart_solution_key(gk, constraints, &config, &memoed));
         assert_ne!(
             base,
-            restart_solution_key(fp.fold_u64(1), order, constraints, &config, &ml),
+            restart_solution_key(
+                GraphKey { fp: gk.fp.fold_u64(1), ..gk },
+                constraints,
+                &config,
+                &ml
+            ),
             "graph"
         );
-        assert_ne!(base, restart_solution_key(fp, order ^ 1, constraints, &config, &ml), "order");
+        assert_ne!(
+            base,
+            restart_solution_key(GraphKey { order: gk.order ^ 1, ..gk }, constraints, &config, &ml),
+            "order"
+        );
     }
 
     /// A never-hit store's cold-path cost, counted rather than timed:
     /// the search hashes the graph once for all of its restarts, and
-    /// each restart misses each cache once.
+    /// each restart misses the solution memo once.
     #[test]
     fn fresh_store_hashes_the_graph_once_per_search() {
         use crate::obs::Observer;
-        use crate::run::GRAPH_KEYS;
         use crate::search::{search, Algorithm, Restarts};
         use fpart_device::DeviceConstraints;
         use std::cell::Cell;
@@ -545,8 +424,7 @@ mod tests {
         .unwrap();
         assert_eq!(GRAPH_KEYS.with(Cell::get) - before, 1, "graph hashes per search");
         let stats = store.stats();
-        assert_eq!((stats.hierarchy_misses, stats.solution_misses), (3, 3), "{stats:?}");
-        assert_eq!((stats.hierarchy_hits, stats.solution_hits), (0, 0), "{stats:?}");
+        assert_eq!((stats.solution_misses, stats.solution_hits), (3, 0), "{stats:?}");
     }
 
     #[test]

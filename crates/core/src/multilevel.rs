@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
-use fpart_hypergraph::coarsen::coarsen_to_floor_budgeted;
+use fpart_hypergraph::coarsen::{coarsen_to_floor_budgeted, Coarsening, Hierarchy, OnLevel};
 use fpart_hypergraph::Hypergraph;
 
 use crate::budget::Completion;
@@ -75,12 +75,14 @@ pub struct MultilevelConfig {
     /// at a single thread. The cap is a deterministic function of the
     /// input, so budgeted runs stay bit-identical at any thread count.
     pub memory: crate::budget::MemoryBudget,
-    /// Optional shared memoization store (coarsening-hierarchy cache
-    /// plus restart-solution memo, see [`crate::memo`]). `None` — the
-    /// default — disables caching entirely; the cold path then performs
-    /// no fingerprinting at all. The store never changes any result:
-    /// cached runs are bit-identical to cold runs, so the handle is
-    /// normalized out of run fingerprints and memo keys.
+    /// Optional shared restart-solution memo (see [`crate::memo`]),
+    /// read only by the n-level restart search ([`crate::search()`] over
+    /// [`Algorithm::Multilevel`]); the V-cycle itself and the ECO
+    /// fallback never touch it. `None` — the default — disables it; the
+    /// search then performs no fingerprinting at all. The store never
+    /// changes any result: replayed runs are bit-identical to cold
+    /// runs, so the handle is normalized out of run fingerprints and
+    /// memo keys.
     pub memo: Option<Arc<crate::memo::MemoStore>>,
 }
 
@@ -182,8 +184,7 @@ pub(crate) fn vcycle(
     // The worker count never changes the hierarchy (sharded proposals
     // commit serially), so intra-run parallelism keeps determinism.
     let cap = ((constraints.s_max as f64 * ml.cluster_cap_fraction) as u64).max(2);
-    let cached = obtain_hierarchy(graph, cap, ml, ctx);
-    let hierarchy = &cached.hierarchy;
+    let (hierarchy, truncated) = obtain_hierarchy(graph, cap, ml, ctx);
     ctx.obs.metrics.add(Counter::CoarsenLevels, hierarchy.level_count() as u64);
 
     // Partition the coarsest level on the same context.
@@ -259,99 +260,48 @@ pub(crate) fn vcycle(
 
     // A memory-capped hierarchy is a graceful degradation: the run
     // finished, just on a shallower V-cycle.
-    let floor = if cached.truncated { Completion::Degraded } else { Completion::Complete };
+    let floor = if truncated { Completion::Degraded } else { Completion::Complete };
     let state = PartitionState::from_assignment(graph, assignment, k);
     Ok(ctx.finish(&state, constraints, m, work, start, floor))
 }
 
-/// Builds or reuses the coarsening hierarchy of one V-cycle.
-///
-/// With a memo store configured, the finished hierarchy is cached under
-/// the graph's content fingerprint, its id-order checksum, and every
-/// parameter the coarsener derives the hierarchy from (including the
-/// byte cap, which can truncate it). A hit skips coarsening entirely
-/// and replays the per-level [`SpanKind::CoarsenLevel`] records from
-/// the cached levels, so downstream span consumers see the same shape
-/// as a cold run. Without a store this is exactly the cold path — no
-/// fingerprinting happens at all.
+/// Builds the coarsening hierarchy of one V-cycle, recording one
+/// [`SpanKind::CoarsenLevel`] span per level. Returns the hierarchy and
+/// whether [`MultilevelConfig::memory`] stopped coarsening before the
+/// floor.
 fn obtain_hierarchy(
     graph: &Hypergraph,
     cap: u64,
     ml: &MultilevelConfig,
     ctx: &mut RunCtx<'_, '_>,
-) -> Arc<crate::memo::CachedHierarchy> {
-    let key = ml.memo.as_ref().map(|_| {
-        let gk = ctx.graph_key(graph);
-        crate::memo::HierarchyKey {
-            graph: gk.fp,
-            order: gk.order,
-            cap,
-            floor: ml.coarsen_floor,
-            max_levels: ml.max_levels,
-            seed: ml.seed,
-            max_bytes: ml.memory.max_bytes,
-        }
-    });
+) -> (Hierarchy, bool) {
     let metrics = &mut ctx.obs.metrics;
-    if let (Some(store), Some(key)) = (ml.memo.as_deref(), key.as_ref()) {
-        if let Some(cached) = store.lookup_hierarchy(key) {
-            metrics.bump(Counter::HierarchyCacheHits);
-            if metrics.is_enabled() {
-                for (level, c) in cached.hierarchy.levels.iter().enumerate() {
-                    metrics.record_span(
-                        SpanKind::CoarsenLevel,
-                        level as u32,
-                        std::time::Duration::ZERO,
-                        SpanStats {
-                            nodes: c.coarse.node_count() as u64,
-                            nets: c.coarse.net_count() as u64,
-                            ..SpanStats::default()
-                        },
-                    );
-                }
-            }
-            return cached;
-        }
-        metrics.bump(Counter::HierarchyCacheMisses);
-    }
-    let (hierarchy, truncated) = {
-        // Per-level coarsening spans: timing happens inside the
-        // coarsener (clock reads only when metrics are on) and lands
-        // here as externally-timed records.
-        let spans_on = metrics.is_enabled();
-        let mut on_level = |level: usize,
-                            c: &fpart_hypergraph::coarsen::Coarsening,
-                            elapsed: std::time::Duration| {
-            metrics.record_span(
-                SpanKind::CoarsenLevel,
-                level as u32,
-                elapsed,
-                SpanStats {
-                    nodes: c.coarse.node_count() as u64,
-                    nets: c.coarse.net_count() as u64,
-                    ..SpanStats::default()
-                },
-            );
-        };
-        let on_level: Option<fpart_hypergraph::coarsen::OnLevel<'_>> =
-            if spans_on { Some(&mut on_level) } else { None };
-        coarsen_to_floor_budgeted(
-            graph,
-            cap,
-            ml.coarsen_floor,
-            ml.max_levels,
-            ml.seed,
-            ctx.threads,
-            ml.memory.max_bytes,
-            on_level,
-        )
+    // Timing happens inside the coarsener (clock reads only when
+    // metrics are on) and lands here as externally-timed records.
+    let spans_on = metrics.is_enabled();
+    let mut on_level = |level: usize, c: &Coarsening, elapsed: std::time::Duration| {
+        metrics.record_span(
+            SpanKind::CoarsenLevel,
+            level as u32,
+            elapsed,
+            SpanStats {
+                nodes: c.coarse.node_count() as u64,
+                nets: c.coarse.net_count() as u64,
+                ..SpanStats::default()
+            },
+        );
     };
-    let cached = Arc::new(crate::memo::CachedHierarchy { hierarchy, truncated });
-    if let (Some(store), Some(key)) = (ml.memo.as_deref(), key) {
-        let evicted = store.insert_hierarchy(key, Arc::clone(&cached));
-        metrics.add(Counter::HierarchyCacheEvictions, evicted as u64);
-    }
-    cached
+    let on_level: Option<OnLevel<'_>> = if spans_on { Some(&mut on_level) } else { None };
+    coarsen_to_floor_budgeted(
+        graph,
+        cap,
+        ml.coarsen_floor,
+        ml.max_levels,
+        ml.seed,
+        ctx.threads,
+        ml.memory.max_bytes,
+        on_level,
+    )
 }
 
 /// The n-level restart search with every restart's metrics recorded:

@@ -54,7 +54,11 @@ use crate::trace::{ImproveKind, TraceEvent};
 /// `hierarchy_cache_hits` / `hierarchy_cache_misses` /
 /// `hierarchy_cache_evictions` / `memo_warm_starts` /
 /// `server_coalesced` counters.
-pub const SCHEMA_VERSION: u32 = 10;
+///
+/// Version 11 removes the coarsening-hierarchy cache and its
+/// `hierarchy_cache_hits` / `hierarchy_cache_misses` /
+/// `hierarchy_cache_evictions` counters.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// The named engine counters. Every counter is a monotonically
 /// increasing `u64`; [`Counter::name`] is the stable `snake_case` key used
@@ -117,14 +121,6 @@ pub enum Counter {
     ServerRequests,
     /// Server requests stopped by an explicit `cancel` request.
     ServerCancelled,
-    /// Coarsening-hierarchy cache lookups that reused a cached
-    /// hierarchy (the run skipped `coarsen_to_floor`).
-    HierarchyCacheHits,
-    /// Coarsening-hierarchy cache lookups that missed and coarsened.
-    HierarchyCacheMisses,
-    /// Hierarchies evicted from the cache to honor its entry or byte
-    /// bound.
-    HierarchyCacheEvictions,
     /// Restarts replayed from the solution memo instead of searching
     /// (always verified against the live graph before being trusted).
     MemoWarmStarts,
@@ -134,7 +130,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 27] = [
         Counter::Passes,
         Counter::MovesApplied,
         Counter::MovesReverted,
@@ -160,9 +156,6 @@ impl Counter {
         Counter::CheckpointsWritten,
         Counter::ServerRequests,
         Counter::ServerCancelled,
-        Counter::HierarchyCacheHits,
-        Counter::HierarchyCacheMisses,
-        Counter::HierarchyCacheEvictions,
         Counter::MemoWarmStarts,
         Counter::ServerCoalesced,
     ];
@@ -196,9 +189,6 @@ impl Counter {
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::ServerRequests => "server_requests",
             Counter::ServerCancelled => "server_cancelled",
-            Counter::HierarchyCacheHits => "hierarchy_cache_hits",
-            Counter::HierarchyCacheMisses => "hierarchy_cache_misses",
-            Counter::HierarchyCacheEvictions => "hierarchy_cache_evictions",
             Counter::MemoWarmStarts => "memo_warm_starts",
             Counter::ServerCoalesced => "server_coalesced",
         }

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use fpart_device::DeviceConstraints;
-use fpart_hypergraph::{fingerprint_graph, order_checksum, Fingerprint, Hypergraph};
+use fpart_hypergraph::Hypergraph;
 
 use crate::budget::{BudgetTracker, Completion};
 use crate::config::FpartConfig;
@@ -21,33 +21,6 @@ use crate::driver::{assemble_outcome, PartitionError, PartitionOutcome};
 use crate::obs::{Counter, Observer, SpanKind};
 use crate::state::PartitionState;
 use crate::trace::TraceEvent;
-
-/// The memoization identity of a run's input graph: its content
-/// fingerprint and id-order checksum. Both are O(graph) to compute, so a
-/// run hashes its graph at most once, and the restart search once for
-/// all of its restarts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GraphKey {
-    /// [`fingerprint_graph`] of the input.
-    pub(crate) fp: Fingerprint,
-    /// [`order_checksum`] of the input.
-    pub(crate) order: u64,
-}
-
-impl GraphKey {
-    /// Hashes `graph` (one O(graph) pass of each hash).
-    pub(crate) fn of(graph: &Hypergraph) -> GraphKey {
-        #[cfg(test)]
-        GRAPH_KEYS.with(|calls| calls.set(calls.get() + 1));
-        GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// [`GraphKey::of`] calls made on this thread.
-    pub(crate) static GRAPH_KEYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
 
 /// Iterations, improve calls and retained moves of a finished run, as
 /// its [`PartitionOutcome`] reports them.
@@ -58,8 +31,7 @@ pub(crate) struct Work {
     pub(crate) moves: usize,
 }
 
-/// One run's observer, execution budget, intra-run worker count and
-/// input-graph memo key.
+/// One run's observer, execution budget and intra-run worker count.
 pub(crate) struct RunCtx<'r, 'o> {
     /// Receives the run's metrics, events and heartbeats.
     pub(crate) obs: &'r mut Observer<'o>,
@@ -68,8 +40,6 @@ pub(crate) struct RunCtx<'r, 'o> {
     /// Workers for the intra-run parallel stages (matching proposals,
     /// net projection, boundary pair jobs); at least 1.
     pub(crate) threads: usize,
-    /// The input graph's memo key, once computed or handed in.
-    pub(crate) key: Option<GraphKey>,
     /// Whether the budget stop is already counted in the metrics.
     stop_booked: bool,
     /// Injected faults already counted in the metrics.
@@ -91,15 +61,9 @@ impl<'r, 'o> RunCtx<'r, 'o> {
             obs,
             budget: BudgetTracker::new(&config.budget, faults),
             threads: threads.max(1),
-            key: None,
             stop_booked: false,
             faults_booked: 0,
         }
-    }
-
-    /// The memo key of the run's input graph, hashed on first use.
-    pub(crate) fn graph_key(&mut self, graph: &Hypergraph) -> GraphKey {
-        *self.key.get_or_insert_with(|| GraphKey::of(graph))
     }
 
     /// The checks every stage starts with: `config` must be valid and no

@@ -34,11 +34,11 @@ use crate::checkpoint::{fingerprint_run, Checkpoint, CheckpointWriter, SavedRest
 use crate::config::FpartConfig;
 use crate::driver::{assemble_outcome, fpart, PartitionError, PartitionOutcome};
 use crate::eco::{eco_repair, EcoConfig};
-use crate::memo::{memoizable, restart_solution_key};
+use crate::memo::{memoizable, restart_solution_key, GraphKey};
 use crate::multilevel::{vcycle, MultilevelConfig};
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats, SCHEMA_VERSION};
 use crate::parallel::{catch_panic, run_indexed};
-use crate::run::{GraphKey, RunCtx, Work};
+use crate::run::{RunCtx, Work};
 use crate::state::PartitionState;
 
 /// What every restart of a [`search`] runs.
@@ -104,7 +104,8 @@ pub struct RestartsReport {
     /// synthesized registry with one `failed_restarts` count (so the
     /// totals stay the field-wise per-restart sums).
     pub per_restart: Vec<Metrics>,
-    /// How the search ended: the winning restart's own completion,
+    /// How the search ended: `Cancelled` when the cancel token stopped
+    /// any restart; otherwise the winning restart's own completion,
     /// degraded further when any restart was lost to a panic.
     pub completion: Completion,
     /// Restarts lost to isolated panics, in restart-index order.
@@ -297,8 +298,16 @@ pub fn search(
             message: first.message,
         });
     }
+    // Every restart shares the cancel token, so a cancel that stopped
+    // any restart cancelled the search, even when the winner finished
+    // first or was replayed from the memo. Deadlines and pass caps are
+    // per restart and speak only for the restart that hit them.
+    let cancelled =
+        outcomes.iter().any(|r| r.as_ref().is_ok_and(|o| o.completion == Completion::Cancelled));
     let outcome = reduce_outcomes(outcomes)?;
-    let completion = if failed.is_empty() {
+    let completion = if cancelled {
+        Completion::Cancelled
+    } else if failed.is_empty() {
         outcome.completion
     } else {
         outcome.completion.worst(Completion::Degraded)
@@ -332,8 +341,8 @@ struct RestartJob<'a> {
     /// Intra-run workers of each restart.
     inner: usize,
     /// The graph's memo identity, hashed once per search (`Some` only
-    /// when an n-level memo store is configured) and handed to every
-    /// restart's context.
+    /// when an n-level memo store is configured) and shared by every
+    /// restart's memo key.
     gk: Option<GraphKey>,
     /// Snapshot destination, with the run fingerprint and restart count
     /// every snapshot carries.
@@ -360,7 +369,6 @@ impl RestartJob<'_> {
             ..ml.clone()
         };
         let mut ctx = RunCtx::new(obs, self.config, i, self.inner);
-        ctx.key = self.gk;
         ctx.obs.metrics.set_span_lane(i as u32);
         ctx.obs.metrics.span_open(SpanKind::Restart, 0);
         let result = match self.algorithm {
@@ -415,11 +423,12 @@ impl RestartJob<'_> {
         ctx: &mut RunCtx<'_, '_>,
     ) -> Result<PartitionOutcome, PartitionError> {
         let (graph, constraints) = (self.graph, self.constraints);
-        let memo =
-            ml.memo.as_deref().filter(|_| graph.node_count() > 0 && memoizable(cfg)).map(|store| {
-                let gk = ctx.graph_key(graph);
-                (store, restart_solution_key(gk.fp, gk.order, constraints, cfg, ml))
-            });
+        let memo = ml
+            .memo
+            .as_deref()
+            .zip(self.gk)
+            .filter(|_| graph.node_count() > 0 && memoizable(cfg))
+            .map(|(store, gk)| (store, restart_solution_key(gk, constraints, cfg, ml)));
         if let Some((store, key)) = memo {
             let hit = store.lookup_solution(key);
             if let Some(mut outcome) = hit.and_then(|saved| replay(graph, constraints, &saved)) {
@@ -430,9 +439,8 @@ impl RestartJob<'_> {
         }
         let result = vcycle(graph, constraints, cfg, ml, ctx);
         if let (Some((store, key)), Ok(outcome)) = (memo, &result) {
-            // Solution evictions stay in the store-level `CacheStats`.
             if outcome.completion == Completion::Complete {
-                let _ = store
+                store
                     .insert_solution(key, SavedRestart::from_outcome(i, outcome, &ctx.obs.metrics));
             }
         }

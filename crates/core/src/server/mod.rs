@@ -76,11 +76,11 @@ pub struct ServerConfig {
     /// flips, the server shuts down as if a `shutdown` request had
     /// arrived.
     pub stop: Option<CancelToken>,
-    /// Shared memoization store (hierarchy cache + solution memo,
-    /// see [`crate::memo`]) handed to every run. On by default — warm
-    /// repeated requests are the server's reason to exist; `None`
-    /// (the CLI's `--no-cache`) turns all caching off. Results are
-    /// bit-identical either way.
+    /// Shared restart-solution memo (see [`crate::memo`]) handed to
+    /// every n-level `partition` request. On by default: a repeated or
+    /// reseeded request on an unchanged session replays the earlier
+    /// result instead of searching again. `None` turns it off; results
+    /// are bit-identical either way.
     pub memo: Option<Arc<crate::memo::MemoStore>>,
 }
 
@@ -547,12 +547,6 @@ impl Server {
         Ok((report, threads))
     }
 
-    /// The n-level options of every served run: defaults plus the
-    /// server's memo store.
-    fn multilevel(&self) -> MultilevelConfig {
-        MultilevelConfig { memo: self.config.memo.clone(), ..MultilevelConfig::default() }
-    }
-
     fn run_partition<W: Write + Send>(
         &self,
         id: &str,
@@ -566,7 +560,7 @@ impl Server {
             let s = session.lock().unwrap();
             (Arc::clone(&s.graph), s.constraints)
         };
-        let ml = self.multilevel();
+        let ml = MultilevelConfig { memo: self.config.memo.clone(), ..MultilevelConfig::default() };
         let algorithm = match params.method {
             Method::Multilevel => Algorithm::Multilevel(&ml),
             Method::Fpart => Algorithm::Flat,
@@ -609,7 +603,8 @@ impl Server {
         // the edit's XOR delta instead of an O(pins) rehash.
         let fp_after = fp_before ^ edited.fingerprint_delta;
         debug_assert_eq!(fp_after, fingerprint_graph(&edited.graph));
-        let eco = EcoConfig { multilevel: self.multilevel(), ..EcoConfig::default() };
+        // ECO repair and its fallback V-cycle never consult the memo.
+        let eco = EcoConfig::default();
         let algorithm =
             Algorithm::Eco { eco: &eco, previous: &previous, node_map: &edited.node_map };
         let (report, threads) =

@@ -47,8 +47,7 @@ pub struct Coarsening {
 impl Coarsening {
     /// Estimated heap footprint of this level in bytes: the coarse
     /// graph ([`Hypergraph::approx_bytes`]) plus the projection map.
-    /// The same formula the byte-budgeted coarsener charges per level,
-    /// so cache layers bound retained hierarchies in the same currency.
+    /// The byte-budgeted coarsener charges this per level.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         self.coarse.approx_bytes() + std::mem::size_of_val(self.map.as_slice()) as u64
@@ -323,13 +322,6 @@ impl Hierarchy {
     #[must_use]
     pub fn level_count(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Estimated heap footprint of the whole hierarchy in bytes (sum of
-    /// [`Coarsening::approx_bytes`] over the levels).
-    #[must_use]
-    pub fn approx_bytes(&self) -> u64 {
-        self.levels.iter().map(Coarsening::approx_bytes).sum()
     }
 
     /// The coarsest hypergraph, or `None` when no coarsening happened.

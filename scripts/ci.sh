@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc links, release build, tests,
-# benchmark harness tests, parser fuzz, degradation smoke, peak-RSS gate,
-# large run, kill-resume durability gate, quality-regression gate, paper
-# tables, observability smoke, partition-server smoke. No step compares
+# benchmark harness tests, served-session peak-RSS gate, parser fuzz,
+# degradation smoke, peak-RSS gate, large run, kill-resume durability
+# gate, quality-regression gate, paper tables, observability smoke,
+# partition-server smoke. No step compares
 # wall times: every gate checks a deterministic result, a count, or
 # peak memory. Speed is measured by the perfbench A/B
 # (perfbench/README.md), not gated here.
@@ -57,6 +58,50 @@ step "benchmark harness tests (perfbench)"
 # checks the input generator and the independent result checker.
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
+step "served-session peak-RSS gate (serve-eco session at --threads 1 <= 64 MiB)"
+# One `fpart serve` session replays the benchmark's seeded serve-eco
+# request stream (8 rounds: 200 ECOs plus cold, reseeded and repeated
+# partitions on a 20k-cell circuit, 242 requests) in a closed loop: one
+# request, then its final reply. Every reply must be ok. A session holds
+# the graph, the partition state of each run and the solution memo; the
+# whole process peaks near 35 MiB. A cache that keeps one artifact per
+# graph state the session has seen (a coarsening hierarchy is ~6.5 MiB
+# here) pushes it past 64 MiB.
+bench_target=${CARGO_TARGET_DIR:-.bench_build}
+CARGO_TARGET_DIR="$bench_target" cargo build --release --offline \
+    --manifest-path perfbench/harness/Cargo.toml
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+"$bench_target/release/perfbench-harness" gen --workload serve-eco --seed 1 --rounds 8 \
+    --dir "$smoke_dir/serve-eco"
+timeout 600 python3 - ./target/release/fpart "$smoke_dir/serve-eco" <<'EOF'
+import json, os, subprocess, sys
+fpart, work = os.path.abspath(sys.argv[1]), sys.argv[2]
+# The load request names the netlist relative to the input directory.
+proc = subprocess.Popen([fpart, "serve", "--threads", "1"], cwd=work,
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+assert '"hello"' in proc.stdout.readline(), "fpart serve sent no hello banner"
+requests = open(os.path.join(work, "requests.jsonl")).read().splitlines()
+for line in requests + ['{"id": "bye", "cmd": "shutdown"}']:
+    rid = json.loads(line)["id"]
+    proc.stdin.write(line + "\n")
+    proc.stdin.flush()
+    while True:
+        text = proc.stdout.readline()
+        assert text, f"fpart serve closed its output before replying to {rid}"
+        reply = json.loads(text)
+        if reply.get("id") == rid and "ok" in reply:
+            break
+    assert reply["ok"] is True, f"{rid}: {text.strip()}"
+proc.stdin.close()
+proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, "fpart serve exited nonzero"
+peak_mib = usage.ru_maxrss / 1024.0
+print(f"{len(requests)} requests, all ok; peak RSS {peak_mib:.1f} MiB (limit 64 MiB)")
+assert peak_mib <= 64.0, f"peak RSS {peak_mib:.1f} MiB exceeds 64 MiB"
+EOF
+
 step "parser fuzz (20k seeded mutations x 7 targets)"
 # Every parser (.fhg, hMETIS, BLIF, edit script, checkpoint, server
 # protocol request lines) must return typed errors — never panic — on
@@ -72,8 +117,6 @@ step "degradation smoke (50 ms deadline on a large netlist)"
 # short: exit 0, a verifiable assignment, and `deadline_expired` in the
 # metrics JSON. The hard timeout guards against the deadline never being
 # checked (the exact failure mode this gate exists to catch).
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/fpart gen rent --nodes 20000 --terminals 600 --seed 42 \
     --output "$smoke_dir/large.fhg"
 timeout 60 ./target/release/fpart partition "$smoke_dir/large.fhg" \

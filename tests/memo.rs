@@ -7,16 +7,19 @@
 //! * proptest (c): runs with a memo store — first (populating) and
 //!   second (fully warm) — are bit-identical to the memo-less run at
 //!   1 and 4 threads, a fully warm run replays every restart without
-//!   a single pass, and an edited graph run through the warm store
-//!   equals the memo-less run on that graph;
+//!   a single pass, a reseeded run is fully warm too (the default
+//!   V-cycle reads no driver seed, so the memo key leaves it out), a
+//!   search whose one cold restart is cancelled reports `cancelled`
+//!   though the others replay complete, and an edited graph run
+//!   through the warm store equals the memo-less run on that graph;
 //! * gate (d): on the pinned quality-gate circuits (the same three
 //!   `quality` bench circuits `ci.sh` holds against
 //!   `goldens/quality_gate.json`), warm-started restarts verify
 //!   cleanly and never degrade the quality of the cold result.
 
 use fpart_core::{
-    search, verify_assignment, Algorithm, Counter, FpartConfig, MemoStore, Metrics,
-    MultilevelConfig, Observer, PartitionOutcome, Restarts, RestartsReport,
+    search, verify_assignment, Algorithm, CancelToken, Completion, Counter, FpartConfig, MemoStore,
+    Metrics, MultilevelConfig, Observer, PartitionOutcome, Restarts, RestartsReport, RunBudget,
 };
 use fpart_device::DeviceConstraints;
 use fpart_hypergraph::gen::{
@@ -107,13 +110,30 @@ proptest! {
             stats.solution_hits >= restarts as u64,
             "warm passes should hit the solution memo: {stats:?}"
         );
-        // A solution-memo hit short-circuits before coarsening, so only
-        // the populating pass consults the hierarchy cache — but it must
-        // have done so at least once.
-        prop_assert!(
-            stats.hierarchy_hits + stats.hierarchy_misses >= 1,
-            "hierarchy cache never consulted: {stats:?}"
-        );
+
+        // The premise of leaving the driver seed out of the key: the
+        // default V-cycle reads no driver seed, so the memo-less run
+        // at `seed + 1` equals the one at `seed`...
+        let reseeded = FpartConfig { seed: seed + 1, ..cfg.clone() };
+        let memo_less_reseeded =
+            ml_restarts(&graph, constraints, &reseeded, &MultilevelConfig::default(), restarts, 1);
+        assert_bit_identical(&cold, &memo_less_reseeded.outcome, "memo-less reseeded run");
+        // ...and a reseeded search through the warm store replays it.
+        let warm_reseeded = ml_restarts(&graph, constraints, &reseeded, &ml, restarts, 1);
+        assert_bit_identical(&cold, &warm_reseeded.outcome, "reseeded run through the store");
+        assert_fully_warm(&warm_reseeded, restarts, "reseeded run through the store");
+
+        // A cancel that stops the one cold restart cancels the search,
+        // though every other restart replays complete from the memo.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let cancelled = FpartConfig {
+            budget: RunBudget { cancel: Some(cancel), ..RunBudget::default() },
+            ..cfg.clone()
+        };
+        let report = ml_restarts(&graph, constraints, &cancelled, &ml, restarts + 1, 1);
+        prop_assert_eq!(report.totals.get(Counter::MemoWarmStarts), restarts as u64);
+        prop_assert_eq!(report.completion, Completion::Cancelled);
 
         // An edited graph misses the warm store and lands on the
         // memo-less result for the edited graph.

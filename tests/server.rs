@@ -172,6 +172,48 @@ fn partition_after_the_netlist_file_is_deleted_serves_from_the_session() {
     assert_eq!(result.get("cut").and_then(Json::as_u64), Some(expected.cut as u64));
 }
 
+/// A reseeded `partition` on an unchanged session is a memo hit: the
+/// default V-cycle reads no driver seed, so the second request replays
+/// the first one's result without running a single pass.
+#[test]
+fn reseeded_partition_on_an_unchanged_session_is_a_memo_hit() {
+    let graph = window_circuit(&WindowConfig::new("reseed", 150, 8), 6);
+    let path = write_netlist("reseed", &graph);
+    let server = Server::new(ServerConfig { threads: 1, ..ServerConfig::default() });
+    let mut out = Vec::new();
+    server.handle(
+        &format!(
+            "{{\"id\": \"l\", \"cmd\": \"load\", \"session\": \"s\", \"path\": {}, \
+             \"s_max\": 40, \"t_max\": 24}}",
+            protocol::json_string(path.to_str().unwrap())
+        ),
+        &mut out,
+    );
+    for (id, seed) in [("p1", 1), ("p2", 2)] {
+        server.handle(
+            &format!(
+                "{{\"id\": \"{id}\", \"cmd\": \"partition\", \"session\": \"s\", \
+                 \"seed\": {seed}, \"threads\": 1, \"assignment\": true}}"
+            ),
+            &mut out,
+        );
+    }
+    let replies = parse_lines(&out);
+    let result = |id: &str| {
+        let reply = final_reply(&replies, id);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+        reply.get("result").unwrap()
+    };
+    let passes =
+        |id: &str| result(id).get("counters").unwrap().get("passes").and_then(Json::as_u64);
+    assert!(passes("p1").unwrap() > 0, "the first request searches");
+    assert_eq!(passes("p2"), Some(0), "the reseeded request replays the memo");
+    assert_eq!(assignment_of(result("p2")), assignment_of(result("p1")));
+    for field in ["cut", "devices"] {
+        assert_eq!(result("p2").get(field), result("p1").get(field), "{field}");
+    }
+}
+
 /// Cancelling an in-flight request stops it cooperatively and the
 /// early outcome is still a verifiable partition of the session's
 /// graph.
@@ -385,7 +427,7 @@ fn identical_concurrent_partitions_coalesce() {
             Some(&Json::Bool(true)),
             "the duplicate must be served from the leader's run"
         );
-        assert_eq!(result("p3").get("coalesced"), None, "different seed, own run");
+        assert_eq!(result("p3").get("coalesced"), None, "different seed, not coalesced");
         assert_eq!(
             assignment_of(result("p1")),
             assignment_of(result("p2")),
@@ -393,10 +435,10 @@ fn identical_concurrent_partitions_coalesce() {
         );
         assert_eq!(result("p1").get("cut"), result("p2").get("cut"));
 
-        // p3 ran for real: the session counted two actual runs and one
-        // coalesced duplicate. (Comparing p3's assignment to p1's would
-        // be fragile — different seeds may legitimately converge to the
-        // same partition.)
+        // p3 was not coalesced, but it searched nothing either: the
+        // default V-cycle reads no driver seed, so it replayed p1's
+        // memoized restarts. The session counts two executed requests
+        // and one coalesced duplicate.
         writeln!(stream, "{{\"id\": \"q\", \"cmd\": \"query\", \"session\": \"s\"}}").unwrap();
         line.clear();
         reader.read_line(&mut line).unwrap();
