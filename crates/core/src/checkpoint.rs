@@ -18,11 +18,10 @@
 //!   writes on a dedicated thread; workers only clone their outcome and
 //!   send it over a channel at restart boundaries.
 //! * **Identity** — every checkpoint embeds a [`fingerprint_run`] digest
-//!   (built on the zobrist-style [`fpart_hypergraph::fingerprint`]
-//!   module, the one hash implementation in the tree) of the graph,
-//!   device constraints, search configuration, and restart count;
-//!   resuming against a different run is a typed error, never a
-//!   silently wrong merge.
+//!   (built on [`fpart_hypergraph::fingerprint`], the one hash
+//!   implementation in the tree) of the graph, device constraints,
+//!   search configuration, and restart count; resuming against a
+//!   different run is a typed error, never a silently wrong merge.
 //!
 //! Only [`Completion::Complete`] and [`Completion::Degraded`] restarts
 //! are persisted: cancelled or deadline-expired restarts depend on
@@ -37,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fpart_device::DeviceConstraints;
-use fpart_hypergraph::{fingerprint_graph, order_checksum, Hypergraph};
+use fpart_hypergraph::{fingerprint_graph, Hypergraph};
 
 use crate::budget::{Completion, RunBudget};
 use crate::config::FpartConfig;
@@ -463,13 +462,12 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, ReadCheckpointError> {
 
 /// Fingerprints a restart search: everything that determines its result.
 ///
-/// Built on the zobrist-style [`fpart_hypergraph::fingerprint`] module —
-/// the same hash that keys the solution memo — chaining the
-/// graph's content fingerprint and id-order checksum with the device
-/// constraints and configuration (folded via their `Debug` rendering:
-/// stable, value-based), after normalizing the fields a resume is
-/// allowed to change: thread counts, the cancellation token, and the
-/// memo-store handle (memoization never changes a result).
+/// Chains [`fingerprint_graph`] — the same graph hash that keys the
+/// solution memo, covering names, sizes, pins and pads in id order —
+/// with the device constraints and configuration (folded via their
+/// `Debug` rendering: stable, value-based), after normalizing the fields
+/// a resume is allowed to change: thread counts, the cancellation token,
+/// and the memo-store handle (memoization never changes a result).
 #[must_use]
 pub fn fingerprint_run(
     graph: &Hypergraph,
@@ -483,7 +481,6 @@ pub fn fingerprint_run(
         ..config.clone()
     };
     let mut fp = fingerprint_graph(graph)
-        .fold_u64(order_checksum(graph))
         .fold_str(&format!("{constraints:?}"))
         .fold_str(&format!("{normalized:?}"));
     fp = match multilevel {

@@ -16,15 +16,15 @@
 //! request replays the cold run's result; the random-initial ablation
 //! reads it, and keeps it in the key.
 //!
-//! Invalidation is automatic: any netlist edit changes the fingerprint
-//! (maintained in O(edit) through [`fpart_hypergraph::apply_script`]),
-//! so a stale entry can never be *addressed* — it just ages out of the
-//! LRU. The store is bounded by an approximate-bytes budget charged per
-//! entry (assignment, blocks and counters), not by an entry count, so
-//! the bound holds whatever the graph's size. Because the XOR-composed
-//! fingerprint is insensitive to insertion order while node/net ids are
-//! not, every key also carries [`fpart_hypergraph::order_checksum`],
-//! which pins the id assignment a stored assignment depends on.
+//! The graph part of the key is [`fingerprint_graph`]: names, sizes,
+//! pins and pads in id order, so it also pins the id assignment a stored
+//! assignment depends on. A search hashes its graph at most once, when
+//! its first restart that may use the memo needs the key. Invalidation
+//! is automatic: any netlist edit changes the fingerprint, so a stale
+//! entry can never be *addressed* — it just ages out of the LRU. The
+//! store is bounded by an approximate-bytes budget charged per entry
+//! (assignment, blocks and counters), not by an entry count, so the
+//! bound holds whatever the graph's size.
 //!
 //! Determinism contract: a memoized run must be bit-identical to the
 //! cold run it replaces. Two rules enforce this:
@@ -45,7 +45,7 @@ use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, Mutex};
 
 use fpart_device::DeviceConstraints;
-use fpart_hypergraph::{fingerprint_graph, order_checksum, Fingerprint, Hypergraph};
+use fpart_hypergraph::{fingerprint_graph, Fingerprint, Hypergraph};
 
 use crate::budget::RunBudget;
 use crate::checkpoint::SavedRestart;
@@ -208,29 +208,18 @@ fn entry_bytes(saved: &SavedRestart) -> u64 {
         + size_of_val(saved.counters.as_slice())) as u64
 }
 
-/// The memoization identity of a search's input graph: its content
-/// fingerprint and id-order checksum. Both are O(graph) to compute, so
-/// the restart search hashes its graph once for all of its restarts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GraphKey {
-    /// [`fingerprint_graph`] of the input.
-    pub(crate) fp: Fingerprint,
-    /// [`order_checksum`] of the input.
-    pub(crate) order: u64,
-}
-
-impl GraphKey {
-    /// Hashes `graph` (one O(graph) pass of each hash).
-    pub(crate) fn of(graph: &Hypergraph) -> GraphKey {
-        #[cfg(test)]
-        GRAPH_KEYS.with(|calls| calls.set(calls.get() + 1));
-        GraphKey { fp: fingerprint_graph(graph), order: order_checksum(graph) }
-    }
+/// The memoization identity of a search's input graph: its
+/// [`fingerprint_graph`], one O(pins) pass. The restart search computes
+/// it here, at most once for all of its restarts.
+pub(crate) fn graph_key(graph: &Hypergraph) -> Fingerprint {
+    #[cfg(test)]
+    GRAPH_KEYS.with(|calls| calls.set(calls.get() + 1));
+    fingerprint_graph(graph)
 }
 
 #[cfg(test)]
 thread_local! {
-    /// [`GraphKey::of`] calls made on this thread.
+    /// [`graph_key`] calls made on this thread.
     static GRAPH_KEYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -252,14 +241,14 @@ pub(crate) fn memoizable(config: &FpartConfig) -> bool {
         && config.fault_plan.is_none()
 }
 
-/// Builds the solution-memo key of one restart: the graph identity
+/// Builds the solution-memo key of one restart: the [`graph_key`]
 /// chained with the device constraints and the *already diversified*
 /// per-restart configuration.
 /// Thread counts, cancellation tokens, the memo handle itself, and a
 /// driver seed the run never reads are normalized out — none of them
 /// changes the restart's result.
 pub(crate) fn restart_solution_key(
-    graph: GraphKey,
+    graph: Fingerprint,
     constraints: DeviceConstraints,
     config: &FpartConfig,
     ml: &MultilevelConfig,
@@ -273,8 +262,6 @@ pub(crate) fn restart_solution_key(
     };
     let normalized_ml = MultilevelConfig { threads: 1, memo: None, ..ml.clone() };
     graph
-        .fp
-        .fold_u64(graph.order)
         .fold_str("fpart-memo-restart-v1")
         .fold_str(&format!("{constraints:?}"))
         .fold_str(&format!("{normalized_config:?}"))
@@ -308,7 +295,7 @@ mod tests {
     }
 
     fn key(i: u64) -> Fingerprint {
-        Fingerprint::ZERO.fold_u64(i)
+        Fingerprint::default().fold_u64(i)
     }
 
     /// The approximate bytes the store holds, recounted from its
@@ -358,7 +345,7 @@ mod tests {
     #[test]
     fn restart_key_separates_inputs_and_ignores_threads() {
         let g = window_circuit(&WindowConfig::new("m", 60, 8), 1);
-        let gk = GraphKey::of(&g);
+        let gk = graph_key(&g);
         let constraints = DeviceConstraints::new(64, 16);
         let config = FpartConfig::default();
         let ml = MultilevelConfig::default();
@@ -382,26 +369,13 @@ mod tests {
         assert_eq!(base, restart_solution_key(gk, constraints, &config, &threaded));
         let memoed = MultilevelConfig { memo: Some(MemoStore::shared()), ..ml.clone() };
         assert_eq!(base, restart_solution_key(gk, constraints, &config, &memoed));
-        assert_ne!(
-            base,
-            restart_solution_key(
-                GraphKey { fp: gk.fp.fold_u64(1), ..gk },
-                constraints,
-                &config,
-                &ml
-            ),
-            "graph"
-        );
-        assert_ne!(
-            base,
-            restart_solution_key(GraphKey { order: gk.order ^ 1, ..gk }, constraints, &config, &ml),
-            "order"
-        );
+        assert_ne!(base, restart_solution_key(gk.fold_u64(1), constraints, &config, &ml), "graph");
     }
 
     /// A never-hit store's cold-path cost, counted rather than timed:
     /// the search hashes the graph once for all of its restarts, and
-    /// each restart misses the solution memo once.
+    /// each restart misses the solution memo once. A budgeted search,
+    /// whose restarts can never use the memo, hashes nothing.
     #[test]
     fn fresh_store_hashes_the_graph_once_per_search() {
         use crate::obs::Observer;
@@ -412,17 +386,27 @@ mod tests {
         let g = window_circuit(&WindowConfig::new("m", 300, 12), 5);
         let store = MemoStore::shared();
         let ml = MultilevelConfig { memo: Some(store.clone()), ..MultilevelConfig::default() };
-        let before = GRAPH_KEYS.with(Cell::get);
-        search(
-            &g,
-            DeviceConstraints::new(40, 24),
-            &FpartConfig::default(),
-            Algorithm::Multilevel(&ml),
-            &Restarts { count: 3, threads: 1, ..Restarts::default() },
-            &mut Observer::none(),
-        )
-        .unwrap();
-        assert_eq!(GRAPH_KEYS.with(Cell::get) - before, 1, "graph hashes per search");
+        let hashes = |config: &FpartConfig| {
+            let before = GRAPH_KEYS.with(Cell::get);
+            search(
+                &g,
+                DeviceConstraints::new(40, 24),
+                config,
+                Algorithm::Multilevel(&ml),
+                &Restarts { count: 3, threads: 1, ..Restarts::default() },
+                &mut Observer::none(),
+            )
+            .unwrap();
+            GRAPH_KEYS.with(Cell::get) - before
+        };
+        let capped = FpartConfig {
+            budget: RunBudget { max_passes: Some(1_000_000), ..RunBudget::default() },
+            ..FpartConfig::default()
+        };
+        assert_eq!(hashes(&capped), 0, "graph hashes per budgeted search");
+        let stats = store.stats();
+        assert_eq!((stats.solution_misses, stats.solution_hits), (0, 0), "{stats:?}");
+        assert_eq!(hashes(&FpartConfig::default()), 1, "graph hashes per search");
         let stats = store.stats();
         assert_eq!((stats.solution_misses, stats.solution_hits), (3, 0), "{stats:?}");
     }

@@ -23,18 +23,18 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use fpart_device::{lower_bound, DeviceConstraints};
-use fpart_hypergraph::{Hypergraph, NodeId};
+use fpart_hypergraph::{Fingerprint, Hypergraph, NodeId};
 
 use crate::budget::Completion;
 use crate::checkpoint::{fingerprint_run, Checkpoint, CheckpointWriter, SavedRestart};
 use crate::config::FpartConfig;
 use crate::driver::{assemble_outcome, fpart, PartitionError, PartitionOutcome};
 use crate::eco::{eco_repair, EcoConfig};
-use crate::memo::{memoizable, restart_solution_key, GraphKey};
+use crate::memo::{graph_key, memoizable, restart_solution_key};
 use crate::multilevel::{vcycle, MultilevelConfig};
 use crate::obs::{Counter, Metrics, Observer, SpanKind, SpanStats, SCHEMA_VERSION};
 use crate::parallel::{catch_panic, run_indexed};
@@ -240,10 +240,7 @@ pub fn search(
         config,
         algorithm,
         inner,
-        gk: match algorithm {
-            Algorithm::Multilevel(ml) if ml.memo.is_some() => Some(GraphKey::of(graph)),
-            Algorithm::Flat | Algorithm::Multilevel(_) | Algorithm::Eco { .. } => None,
-        },
+        graph_key: OnceLock::new(),
         writer,
         fingerprint,
         count,
@@ -340,10 +337,9 @@ struct RestartJob<'a> {
     algorithm: Algorithm<'a>,
     /// Intra-run workers of each restart.
     inner: usize,
-    /// The graph's memo identity, hashed once per search (`Some` only
-    /// when an n-level memo store is configured) and shared by every
-    /// restart's memo key.
-    gk: Option<GraphKey>,
+    /// The graph's memo identity, hashed by the first restart that may
+    /// use the memo and shared by every later restart's memo key.
+    graph_key: OnceLock<Fingerprint>,
     /// Snapshot destination, with the run fingerprint and restart count
     /// every snapshot carries.
     writer: Option<&'a CheckpointWriter>,
@@ -423,12 +419,11 @@ impl RestartJob<'_> {
         ctx: &mut RunCtx<'_, '_>,
     ) -> Result<PartitionOutcome, PartitionError> {
         let (graph, constraints) = (self.graph, self.constraints);
-        let memo = ml
-            .memo
-            .as_deref()
-            .zip(self.gk)
-            .filter(|_| graph.node_count() > 0 && memoizable(cfg))
-            .map(|(store, gk)| (store, restart_solution_key(gk, constraints, cfg, ml)));
+        let memo =
+            ml.memo.as_deref().filter(|_| graph.node_count() > 0 && memoizable(cfg)).map(|store| {
+                let gk = *self.graph_key.get_or_init(|| graph_key(graph));
+                (store, restart_solution_key(gk, constraints, cfg, ml))
+            });
         if let Some((store, key)) = memo {
             let hit = store.lookup_solution(key);
             if let Some(mut outcome) = hit.and_then(|saved| replay(graph, constraints, &saved)) {

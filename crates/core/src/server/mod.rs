@@ -43,9 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fpart_device::{Device, DeviceConstraints};
-use fpart_hypergraph::{
-    apply_script, fingerprint_graph, EditScript, Fingerprint, Hypergraph, ParseLimits,
-};
+use fpart_hypergraph::{apply_script, fingerprint_graph, EditScript, Hypergraph, ParseLimits};
 
 use crate::budget::{CancelToken, Completion, RunBudget};
 use crate::config::FpartConfig;
@@ -97,15 +95,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// One loaded netlist with its partitioning history.
+/// One loaded netlist with its partitioning history. No hash of the
+/// graph is kept: `query` hashes it when asked, and a search hashes it
+/// only when a restart can use the memo.
 struct Session {
     graph: Arc<Hypergraph>,
     constraints: DeviceConstraints,
     path: String,
-    /// Zobrist fingerprint of `graph`: computed once in O(pins) at
-    /// `load` and maintained through `eco` in O(edit) via
-    /// [`fpart_hypergraph::EditApplied::fingerprint_delta`].
-    fingerprint: Fingerprint,
     /// Assignment of the most recent successful run (indexes `graph`).
     last: Option<Vec<u32>>,
     /// Block count of `last`.
@@ -397,12 +393,10 @@ impl Server {
         let graph = read_netlist(Path::new(path), &self.config.limits)
             .map_err(|e| ProtocolError::new("load_failed", e))?;
         let (nodes, nets, pins) = (graph.node_count(), graph.net_count(), graph.pin_count());
-        let fingerprint = fingerprint_graph(&graph);
         let session = Session {
             graph: Arc::new(graph),
             constraints,
             path: path.to_owned(),
-            fingerprint,
             last: None,
             blocks: 0,
             totals: Metrics::enabled(),
@@ -423,7 +417,8 @@ impl Server {
         ))
     }
 
-    /// Renders the `query` result body: one session's state, or the
+    /// Renders the `query` result body: one session's state, including
+    /// its graph's [`fingerprint_graph`] (one O(pins) pass), or the
     /// sorted list of all sessions.
     fn query(&self, name: Option<&str>) -> Result<String, ProtocolError> {
         if let Some(name) = name {
@@ -445,7 +440,7 @@ impl Server {
                 s.requests,
                 s.blocks,
                 s.last.is_some(),
-                s.fingerprint,
+                fingerprint_graph(&s.graph),
                 s.totals.get(Counter::ServerRequests),
                 s.totals.get(Counter::ServerCancelled),
                 s.totals.get(Counter::ServerCoalesced),
@@ -586,7 +581,7 @@ impl Server {
         params: &RunParams,
         cancel: &CancelToken,
     ) -> Result<String, ProtocolError> {
-        let (graph, constraints, previous, fp_before) = {
+        let (graph, constraints, previous) = {
             let s = session.lock().unwrap();
             let previous = s.last.clone().ok_or_else(|| {
                 ProtocolError::new(
@@ -594,15 +589,11 @@ impl Server {
                     format!("session `{name}` has no partition to repair; run `partition` first"),
                 )
             })?;
-            (Arc::clone(&s.graph), s.constraints, previous, s.fingerprint)
+            (Arc::clone(&s.graph), s.constraints, previous)
         };
         let started = Instant::now();
         let edited = apply_script(&graph, script)
             .map_err(|e| ProtocolError::new("bad_request", format!("edit script failed: {e}")))?;
-        // O(edit) fingerprint maintenance: the session hash advances by
-        // the edit's XOR delta instead of an O(pins) rehash.
-        let fp_after = fp_before ^ edited.fingerprint_delta;
-        debug_assert_eq!(fp_after, fingerprint_graph(&edited.graph));
         // ECO repair and its fallback V-cycle never consult the memo.
         let eco = EcoConfig::default();
         let algorithm =
@@ -624,7 +615,6 @@ impl Server {
         let mut s = session.lock().unwrap();
         s.record(&report);
         s.graph = edited_graph;
-        s.fingerprint = fp_after;
         Ok(render_run_result(name, &report, params.restarts, threads, elapsed_ms, params, &extra))
     }
 

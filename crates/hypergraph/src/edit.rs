@@ -41,7 +41,6 @@ use std::io::{Read, Write};
 
 use crate::builder::HypergraphBuilder;
 use crate::error::BuildError;
-use crate::fingerprint;
 use crate::graph::Hypergraph;
 use crate::ids::NodeId;
 
@@ -373,13 +372,6 @@ pub struct EditApplied {
     pub added_nodes: usize,
     /// Nodes the script removed.
     pub removed_nodes: usize,
-    /// XOR-delta of the graph [`Fingerprint`](crate::Fingerprint):
-    /// `fingerprint_graph(old) ^ fingerprint_delta ==
-    /// fingerprint_graph(new)`. Maintained in O(edit) by
-    /// [`apply_script`], so callers tracking an incremental fingerprint
-    /// advance it without rehashing the edited graph; a debug assertion
-    /// checks the identity against the from-scratch recompute.
-    pub fingerprint_delta: crate::Fingerprint,
 }
 
 impl EditScript {
@@ -1034,7 +1026,8 @@ struct NetSlot {
 /// pins are removed too, together with their terminals (an empty net
 /// has no meaning to any algorithm). Surviving nodes keep their
 /// relative order and new nodes append after them, so the mapping is
-/// monotonic on survivors.
+/// monotonic on survivors. Nets follow the same rule, and a net's pins
+/// keep their order, with a connected pin appended last.
 ///
 /// # Errors
 ///
@@ -1074,10 +1067,6 @@ pub fn apply_script(
     let original_nodes = nodes.len();
     let mut added_nodes = 0usize;
     let mut removed_nodes = 0usize;
-    // Incremental fingerprint bookkeeping: every element the script
-    // adds or removes XORs its token into the delta, so the edited
-    // graph's fingerprint is `old ^ delta` without an O(pins) rehash.
-    let mut delta = fingerprint::Fingerprint::ZERO;
 
     // Removes a pin from a net, cascading net removal when the net is
     // left pinless.
@@ -1085,18 +1074,12 @@ pub fn apply_script(
         nets: &mut [NetSlot],
         nodes: &mut [NodeSlot],
         net_index: &mut HashMap<String, usize>,
-        delta: &mut fingerprint::Fingerprint,
         e: usize,
         v: usize,
     ) {
-        *delta ^= fingerprint::pin_token(&nets[e].name, &nodes[v].name);
         nets[e].pins.retain(|&p| p != v);
         nodes[v].nets.retain(|&x| x != e);
         if nets[e].pins.is_empty() {
-            *delta ^= fingerprint::net_token(&nets[e].name);
-            for t in &nets[e].terminals {
-                *delta ^= fingerprint::terminal_token(t, &nets[e].name);
-            }
             nets[e].alive = false;
             nets[e].terminals.clear();
             net_index.remove(&nets[e].name);
@@ -1115,7 +1098,6 @@ pub fn apply_script(
                 }
                 node_index.insert(name.clone(), nodes.len());
                 nodes.push(NodeSlot { name: name.clone(), size: *size, alive: true, nets: vec![] });
-                delta ^= fingerprint::node_token(name, *size);
                 added_nodes += 1;
             }
             EditOp::RemoveNode { name } => {
@@ -1123,9 +1105,8 @@ pub fn apply_script(
                     .get(name)
                     .ok_or_else(|| ApplyEditError::UnknownNode { line, name: name.clone() })?;
                 for e in nodes[v].nets.clone() {
-                    drop_pin(&mut nets, &mut nodes, &mut net_index, &mut delta, e, v);
+                    drop_pin(&mut nets, &mut nodes, &mut net_index, e, v);
                 }
-                delta ^= fingerprint::node_token(name, nodes[v].size);
                 nodes[v].alive = false;
                 node_index.remove(name);
                 if v < original_nodes {
@@ -1141,10 +1122,6 @@ pub fn apply_script(
                 if *size == 0 {
                     return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
                 }
-                // Swap tokens: old size out, new size in (a same-size
-                // resize cancels to a no-op, as it should).
-                delta ^= fingerprint::node_token(name, nodes[v].size);
-                delta ^= fingerprint::node_token(name, *size);
                 nodes[v].size = *size;
             }
             EditOp::AddNet { name, pins } => {
@@ -1169,10 +1146,8 @@ pub fn apply_script(
                     resolved.push(v);
                 }
                 let e = nets.len();
-                delta ^= fingerprint::net_token(name);
                 for &v in &resolved {
                     nodes[v].nets.push(e);
-                    delta ^= fingerprint::pin_token(name, &nodes[v].name);
                 }
                 net_index.insert(name.clone(), e);
                 nets.push(NetSlot {
@@ -1186,13 +1161,8 @@ pub fn apply_script(
                 let &e = net_index
                     .get(name)
                     .ok_or_else(|| ApplyEditError::UnknownNet { line, name: name.clone() })?;
-                delta ^= fingerprint::net_token(name);
                 for v in nets[e].pins.clone() {
                     nodes[v].nets.retain(|&x| x != e);
-                    delta ^= fingerprint::pin_token(name, &nodes[v].name);
-                }
-                for t in &nets[e].terminals {
-                    delta ^= fingerprint::terminal_token(t, name);
                 }
                 nets[e].alive = false;
                 nets[e].pins.clear();
@@ -1215,7 +1185,6 @@ pub fn apply_script(
                 }
                 nets[e].pins.push(v);
                 nodes[v].nets.push(e);
-                delta ^= fingerprint::pin_token(net, node);
             }
             EditOp::DisconnectPin { net, node } => {
                 let &e = net_index
@@ -1231,7 +1200,7 @@ pub fn apply_script(
                         node: node.clone(),
                     });
                 }
-                drop_pin(&mut nets, &mut nodes, &mut net_index, &mut delta, e, v);
+                drop_pin(&mut nets, &mut nodes, &mut net_index, e, v);
             }
         }
     }
@@ -1254,26 +1223,16 @@ pub fn apply_script(
             builder.add_terminal(t.clone(), id)?;
         }
     }
-    let edited = builder.finish()?;
-    debug_assert_eq!(
-        fingerprint::fingerprint_graph(graph) ^ delta,
-        fingerprint::fingerprint_graph(&edited),
-        "incremental fingerprint delta must equal the from-scratch recompute"
-    );
     let node_map = new_ids[..original_nodes].to_vec();
-    Ok(EditApplied {
-        graph: edited,
-        node_map,
-        added_nodes,
-        removed_nodes,
-        fingerprint_delta: delta,
-    })
+    Ok(EditApplied { graph: builder.finish()?, node_map, added_nodes, removed_nodes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{window_circuit, WindowConfig};
     use crate::ids::NetId;
+    use proptest::prelude::*;
 
     fn sample() -> Hypergraph {
         let mut b = HypergraphBuilder::named("s");
@@ -1397,5 +1356,172 @@ mod tests {
         let script = EditScript::new(vec![EditOp::AddNode { name: "a\"b\\c\nd".into(), size: 1 }]);
         let parsed = EditScript::parse(&script.to_jsonl()).unwrap();
         assert_eq!(parsed.ops[0].op, script.ops[0].op);
+    }
+
+    /// An independent model of a netlist under edit, the oracle for
+    /// [`apply_script`]. It keeps the order `apply_script` documents:
+    /// survivors keep their order, additions come last, and pins stay
+    /// in insertion order. Removing a node drops its pins, and a net
+    /// left pinless (by node removal or disconnect) goes too, pads and
+    /// all.
+    struct Model {
+        /// Live nodes: name, size, and id in the input graph (`None`
+        /// for a node the script added).
+        nodes: Vec<(String, u32, Option<usize>)>,
+        /// Live nets: name, pin names, pad names.
+        nets: Vec<(String, Vec<String>, Vec<String>)>,
+        fresh: usize,
+    }
+
+    impl Model {
+        fn of(graph: &Hypergraph) -> Model {
+            let nodes = graph
+                .node_ids()
+                .map(|v| (graph.node_name(v).to_owned(), graph.node_size(v), Some(v.index())));
+            let nets = graph.net_ids().map(|e| {
+                let pins = graph.pins(e).iter().map(|&v| graph.node_name(v).to_owned());
+                let pads =
+                    graph.net_terminals(e).iter().map(|&t| graph.terminal_name(t).to_owned());
+                (graph.net_name(e).to_owned(), pins.collect(), pads.collect())
+            });
+            Model { nodes: nodes.collect(), nets: nets.collect(), fresh: 0 }
+        }
+
+        fn drop_node(&mut self, name: &str) {
+            self.nodes.retain(|(n, ..)| n != name);
+            for (_, pins, _) in &mut self.nets {
+                pins.retain(|p| p != name);
+            }
+            self.nets.retain(|(_, pins, _)| !pins.is_empty());
+        }
+    }
+
+    /// Turns raw proptest entropy into a valid edit script and the model
+    /// of its result: each tuple is (op selector, two index seeds, a
+    /// size), resolved against the model, so every op is valid by
+    /// construction. Choices that cannot apply (e.g. disconnect on an
+    /// empty graph) fall through to an always-valid `add_node`.
+    fn materialize(graph: &Hypergraph, raw: &[(u8, u16, u16, u32)]) -> (EditScript, Model) {
+        let mut model = Model::of(graph);
+        let mut ops = Vec::new();
+        for &(choice, a, b, size) in raw {
+            let (a, b) = (usize::from(a), usize::from(b));
+            let op = match choice {
+                1 if model.nodes.len() > 2 => {
+                    let name = model.nodes[a % model.nodes.len()].0.clone();
+                    model.drop_node(&name);
+                    EditOp::RemoveNode { name }
+                }
+                2 if !model.nodes.is_empty() => {
+                    let index = a % model.nodes.len();
+                    model.nodes[index].1 = size;
+                    EditOp::ResizeNode { name: model.nodes[index].0.clone(), size }
+                }
+                3 if !model.nodes.is_empty() => {
+                    // 1-3 distinct pins drawn from a window of the node list.
+                    let want = 1 + b % 3;
+                    let mut pins = Vec::new();
+                    for k in 0..model.nodes.len().min(want) {
+                        pins.push(model.nodes[(a + k) % model.nodes.len()].0.clone());
+                    }
+                    pins.sort();
+                    let name = format!("pnet{}", model.fresh);
+                    model.fresh += 1;
+                    model.nets.push((name.clone(), pins.clone(), Vec::new()));
+                    EditOp::AddNet { name, pins }
+                }
+                4 if !model.nets.is_empty() => {
+                    let (name, ..) = model.nets.remove(a % model.nets.len());
+                    EditOp::RemoveNet { name }
+                }
+                5 if !model.nets.is_empty() && !model.nodes.is_empty() => {
+                    let node = model.nodes[b % model.nodes.len()].0.clone();
+                    let index = a % model.nets.len();
+                    let (net, pins, _) = &mut model.nets[index];
+                    if pins.contains(&node) {
+                        continue; // already a pin; connect would be refused
+                    }
+                    pins.push(node.clone());
+                    EditOp::ConnectPin { net: net.clone(), node }
+                }
+                6 if !model.nets.is_empty() => {
+                    let index = a % model.nets.len();
+                    let (net, pins, _) = &mut model.nets[index];
+                    let net = net.clone();
+                    let node = pins.remove(b % pins.len());
+                    if pins.is_empty() {
+                        model.nets.remove(index);
+                    }
+                    EditOp::DisconnectPin { net, node }
+                }
+                _ => {
+                    let name = format!("pnode{}", model.fresh);
+                    model.fresh += 1;
+                    model.nodes.push((name.clone(), size, None));
+                    EditOp::AddNode { name, size }
+                }
+            };
+            ops.push(op);
+        }
+        (EditScript::new(ops), model)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any valid script yields the model's netlist: its nodes and
+        /// sizes, its nets with their pins and pads, all in the model's
+        /// order, and its node map and add/remove counts.
+        #[test]
+        fn apply_script_matches_an_independent_model(
+            nodes in 15usize..60,
+            seed in 0u64..400,
+            raw in proptest::collection::vec(
+                (0u8..7, any::<u16>(), any::<u16>(), 1u32..9),
+                0..32,
+            ),
+        ) {
+            let graph = window_circuit(&WindowConfig::new("fpedit", nodes, 6), seed);
+            let (script, model) = materialize(&graph, &raw);
+            let applied = apply_script(&graph, &script).expect("materialize only emits valid ops");
+            let edited = &applied.graph;
+
+            let nodes: Vec<(&str, u32)> =
+                edited.node_ids().map(|v| (edited.node_name(v), edited.node_size(v))).collect();
+            let want: Vec<(&str, u32)> = model.nodes.iter().map(|(n, s, _)| (n.as_str(), *s)).collect();
+            prop_assert_eq!(nodes, want);
+
+            let nets: Vec<(&str, Vec<&str>, Vec<&str>)> = edited
+                .net_ids()
+                .map(|e| {
+                    let pins = edited.pins(e).iter().map(|&v| edited.node_name(v));
+                    let pads = edited.net_terminals(e).iter().map(|&t| edited.terminal_name(t));
+                    (edited.net_name(e), pins.collect(), pads.collect())
+                })
+                .collect();
+            let want: Vec<(&str, Vec<&str>, Vec<&str>)> = model
+                .nets
+                .iter()
+                .map(|(n, pins, pads)| {
+                    let pins = pins.iter().map(String::as_str);
+                    (n.as_str(), pins.collect(), pads.iter().map(String::as_str).collect())
+                })
+                .collect();
+            prop_assert_eq!(nets, want);
+
+            let mut node_map = vec![None; graph.node_count()];
+            for (id, (_, _, old)) in model.nodes.iter().enumerate() {
+                if let Some(old) = *old {
+                    node_map[old] = Some(NodeId::from_index(id));
+                }
+            }
+            prop_assert_eq!(&applied.node_map, &node_map);
+            let added = model.nodes.iter().filter(|(_, _, old)| old.is_none()).count();
+            let survivors = model.nodes.len() - added;
+            prop_assert_eq!(
+                (applied.added_nodes, applied.removed_nodes),
+                (added, graph.node_count() - survivors)
+            );
+        }
     }
 }

@@ -10,9 +10,8 @@
 //!   validating pin references and net arity;
 //! * [`edit`] — netlist edit scripts (JSON Lines) and [`apply_script`],
 //!   the substrate of incremental (ECO) repartitioning;
-//! * [`fingerprint`] — zobrist-style 128-bit hypergraph fingerprints,
-//!   computed in O(pins) and maintained through [`apply_script`] in
-//!   O(edit); the key of every memoization layer upstream;
+//! * [`fingerprint`] — the one 128-bit hypergraph hash, computed in
+//!   O(pins); the graph part of every memo and checkpoint key upstream;
 //! * [`io`] — a small line-oriented text format (`.fhg`) reader/writer so
 //!   netlists can be stored and replayed;
 //! * [`hmetis`] — reader/writer for the hMETIS `.hgr` format, the
@@ -67,7 +66,7 @@ pub mod traverse;
 pub use builder::HypergraphBuilder;
 pub use edit::{apply_script, ApplyEditError, EditApplied, EditOp, EditScript, ParseEditError};
 pub use error::{BuildError, ParseNetlistError};
-pub use fingerprint::{fingerprint_graph, order_checksum, Fingerprint};
+pub use fingerprint::{fingerprint_graph, Fingerprint};
 pub use graph::Hypergraph;
 pub use ids::{NetId, NodeId, TerminalId};
 pub use limits::ParseLimits;

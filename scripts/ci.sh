@@ -105,9 +105,8 @@ EOF
 step "parser fuzz (20k seeded mutations x 7 targets)"
 # Every parser (.fhg, hMETIS, BLIF, edit script, checkpoint, server
 # protocol request lines) must return typed errors — never panic — on
-# arbitrary input, and every edit script that *does* apply must leave
-# the incremental fingerprint delta agreeing with a from-scratch
-# rehash (checked here in release mode, where debug_asserts are off).
+# arbitrary input, and so must `apply_script` on every mutated edit
+# script that still parses.
 # The fuzzer is fully deterministic (workspace RNG, no external deps);
 # a failure prints the exact replay command.
 timeout 120 ./target/release/fuzz 20000 1
@@ -235,7 +234,7 @@ step "quality-regression gate (pinned circuits vs goldens/quality_gate.json)"
 timeout 300 ./target/release/quality "$smoke_dir/quality.json"
 python3 scripts/check_quality.py "$smoke_dir/quality.json" goldens/quality_gate.json
 
-step "paper tables (Tables 2-5 vs goldens/paper_tables.csv)"
+step "paper tables (Tables 2-5 vs goldens/paper_tables.csv and EXPERIMENTS.md)"
 # Every circuit x device x method row of the paper's Tables 2-5 is
 # seeded and deterministic at any thread count: devices, feasibility and
 # cut must match the committed golden exactly (the wall-time column is
@@ -246,6 +245,50 @@ timeout 300 ./target/release/all_tables "$smoke_dir/tables.csv" \
     || { cat "$smoke_dir/tables.log" >&2; exit 1; }
 cut -d, -f1-7,9- "$smoke_dir/tables.csv" | diff goldens/paper_tables.csv - \
     || { echo "paper tables drifted from goldens/paper_tables.csv" >&2; exit 1; }
+# EXPERIMENTS.md's Tables 2-5 must say what the golden says: every row's
+# published value, M and measured columns, the Total row's sums, bold on
+# a measured FPART at or below the published value (and on the Total
+# row's first four cells), and `!` on an infeasible result.
+python3 - goldens/paper_tables.csv EXPERIMENTS.md <<'EOF'
+import csv, re, sys
+golden = {}
+for r in csv.DictReader(open(sys.argv[1])):
+    golden.setdefault(r["table"], {}).setdefault(r["circuit"], {})[r["method"]] = r
+sections = re.split(r"^## ", open(sys.argv[2]).read(), flags=re.M)
+errors = []
+for table, circuits in golden.items():
+    title = f"Table {table.removeprefix('table')} "
+    section = next((s for s in sections if s.startswith(title)), "")
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    methods = [h.removeprefix("measured ") for h in rows[0][3:]] if rows else []
+    if (not rows or rows[0][:4] != ["circuit", "published FPART", "M", "measured FPART"]
+            or not set(methods) <= set(next(iter(circuits.values())))):
+        errors.append(f"EXPERIMENTS.md has no '## {title}' table with known columns")
+        continue
+    expected, total = [], [0] * (2 + len(methods))
+    for circuit, by_method in circuits.items():
+        fpart = by_method["FPART"]
+        row = [circuit, fpart["published_fpart"], fpart["lower_bound"]]
+        counts = [int(fpart["published_fpart"]), int(fpart["lower_bound"])]
+        for method in methods:
+            r = by_method[method]
+            text = r["devices"] + ("" if r["feasible"] == "true" else "!")
+            bold = method == "FPART" and int(r["devices"]) <= counts[0]
+            row.append(f"**{text}**" if bold else text)
+            counts.append(int(r["devices"]))
+        expected.append(row)
+        total = [t + c for t, c in zip(total, counts)]
+    # The Total row bolds its label, published, M and FPART cells.
+    expected.append(["**Total**"] + [f"**{v}**" if j < 3 else str(v) for j, v in enumerate(total)])
+    for want, got in zip(expected, rows[2:] + [[]] * len(expected)):
+        if want != got:
+            errors.append(f"{title}row {want[0]}: EXPERIMENTS.md has {got}, the golden gives {want}")
+    errors += [f"{title}extra row {got}" for got in rows[2 + len(expected):]]
+if errors:
+    sys.exit("EXPERIMENTS.md disagrees with goldens/paper_tables.csv:\n" + "\n".join(errors))
+print(f"EXPERIMENTS.md Tables 2-5 agree with goldens/paper_tables.csv ({len(golden)} tables)")
+EOF
 
 step "observability smoke (span profile + fpart report)"
 # A profiled multilevel run must produce a loadable metrics document, a

@@ -1,175 +1,32 @@
-//! Incremental-fingerprint contracts (PR 10 acceptance gates).
+//! Graph-fingerprint contracts.
 //!
-//! Two properties anchor the memo subsystem:
+//! Two properties anchor the memo and checkpoint keys:
 //!
-//! * **Incrementality** — for any valid [`EditScript`], the XOR delta
-//!   reported by [`apply_script`] advances the pre-edit fingerprint to
-//!   exactly the from-scratch fingerprint of the edited graph. (Debug
-//!   builds also assert this inside `apply_script`; the proptest here
-//!   pins the *public* contract, release mode included.)
 //! * **Separation** — a 10k-sample corpus of structurally distinct
 //!   graphs produces 10k distinct fingerprints. A 128-bit hash cannot
 //!   collide by chance at this scale, so any collision is a
-//!   construction bug (a token that ignores sizes, wiring, or names).
+//!   construction bug (a hash that ignores sizes, wiring, or names).
+//! * **Id order** — the same content inserted in another order gets
+//!   other ids, which every stored assignment depends on, so it hashes
+//!   differently.
 
 use std::collections::HashSet;
 
 use fpart_hypergraph::gen::{rent_circuit, window_circuit, RentConfig, WindowConfig};
-use fpart_hypergraph::{
-    apply_script, fingerprint_graph, order_checksum, EditOp, EditScript, Fingerprint, Hypergraph,
-    HypergraphBuilder, NetId, NodeId,
-};
+use fpart_hypergraph::{fingerprint_graph, Fingerprint, Hypergraph, HypergraphBuilder, NodeId};
 
-use proptest::prelude::*;
-
-/// Mirror of the live graph that [`materialize`] edits against, so
-/// every generated op is valid by construction. The cascade rules
-/// match `apply_script`: removing a node drops its pins, and a net
-/// left pinless (by node removal or disconnect) is removed too.
-struct Model {
-    nodes: Vec<String>,
-    nets: Vec<(String, Vec<String>)>,
-    fresh: usize,
-}
-
-impl Model {
-    fn of(graph: &Hypergraph) -> Model {
-        let nodes =
-            (0..graph.node_count()).map(|i| graph.node_name(NodeId::from_index(i)).to_owned());
-        let nets = (0..graph.net_count()).map(|i| {
-            let net = NetId::from_index(i);
-            let pins =
-                graph.pins(net).iter().map(|&n| graph.node_name(n).to_owned()).collect::<Vec<_>>();
-            (graph.net_name(net).to_owned(), pins)
-        });
-        Model { nodes: nodes.collect(), nets: nets.collect(), fresh: 0 }
-    }
-
-    fn drop_node(&mut self, name: &str) {
-        self.nodes.retain(|n| n != name);
-        for (_, pins) in &mut self.nets {
-            pins.retain(|p| p != name);
-        }
-        self.nets.retain(|(_, pins)| !pins.is_empty());
-    }
-}
-
-/// Turns raw proptest entropy into a valid edit script: each tuple is
-/// (op selector, two index seeds, a size), resolved against the model.
-/// Choices that cannot apply (e.g. disconnect on an empty graph) fall
-/// through to an always-valid `add_node`.
-fn materialize(graph: &Hypergraph, raw: &[(u8, u16, u16, u32)]) -> EditScript {
-    let mut model = Model::of(graph);
-    let mut ops = Vec::new();
-    for &(choice, a, b, size) in raw {
-        let a = a as usize;
-        let b = b as usize;
-        let op = match choice {
-            1 if model.nodes.len() > 2 => {
-                let name = model.nodes[a % model.nodes.len()].clone();
-                model.drop_node(&name);
-                EditOp::RemoveNode { name }
-            }
-            2 if !model.nodes.is_empty() => {
-                let name = model.nodes[a % model.nodes.len()].clone();
-                EditOp::ResizeNode { name, size }
-            }
-            3 if !model.nodes.is_empty() => {
-                // 1-3 distinct pins drawn from a window of the node list.
-                let want = 1 + b % 3;
-                let mut pins = Vec::new();
-                for k in 0..model.nodes.len().min(want) {
-                    pins.push(model.nodes[(a + k) % model.nodes.len()].clone());
-                }
-                pins.sort();
-                pins.dedup();
-                let name = format!("pnet{}", model.fresh);
-                model.fresh += 1;
-                model.nets.push((name.clone(), pins.clone()));
-                EditOp::AddNet { name, pins }
-            }
-            4 if !model.nets.is_empty() => {
-                let (name, _) = model.nets.swap_remove(a % model.nets.len());
-                EditOp::RemoveNet { name }
-            }
-            5 if !model.nets.is_empty() && !model.nodes.is_empty() => {
-                let net_idx = a % model.nets.len();
-                let node = model.nodes[b % model.nodes.len()].clone();
-                if model.nets[net_idx].1.contains(&node) {
-                    continue; // already a pin; connect would be refused
-                }
-                model.nets[net_idx].1.push(node.clone());
-                EditOp::ConnectPin { net: model.nets[net_idx].0.clone(), node }
-            }
-            6 if !model.nets.is_empty() => {
-                let net_idx = a % model.nets.len();
-                let (net, pins) = &mut model.nets[net_idx];
-                let net = net.clone();
-                let node = pins.swap_remove(b % pins.len());
-                if pins.is_empty() {
-                    model.nets.swap_remove(net_idx);
-                }
-                EditOp::DisconnectPin { net, node }
-            }
-            _ => {
-                let name = format!("pnode{}", model.fresh);
-                model.fresh += 1;
-                model.nodes.push(name.clone());
-                EditOp::AddNode { name, size }
-            }
-        };
-        ops.push(op);
-    }
-    EditScript::new(ops)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Acceptance gate (a): incremental fingerprint after any random
-    /// edit script equals the from-scratch recompute.
-    #[test]
-    fn incremental_fingerprint_equals_recompute_after_any_script(
-        nodes in 15usize..60,
-        seed in 0u64..400,
-        raw in proptest::collection::vec(
-            (0u8..7, any::<u16>(), any::<u16>(), 1u32..9),
-            0..32,
-        ),
-    ) {
-        let graph = window_circuit(&WindowConfig::new("fpedit", nodes, 6), seed);
-        let script = materialize(&graph, &raw);
-        let applied = apply_script(&graph, &script)
-            .expect("materialize only emits valid ops");
-        let incremental = fingerprint_graph(&graph) ^ applied.fingerprint_delta;
-        prop_assert_eq!(incremental, fingerprint_graph(&applied.graph));
-        // Delta composes backwards too: XOR is its own inverse.
-        prop_assert_eq!(
-            incremental ^ applied.fingerprint_delta,
-            fingerprint_graph(&graph)
-        );
-    }
-}
-
-/// Acceptance gate (b): >=10k structurally distinct graphs, zero
-/// fingerprint collisions. Three families stress different token
-/// paths: node sizes alone, wiring alone, and whole generated
-/// circuits.
+/// At least 10k structurally distinct graphs, zero fingerprint collisions.
+/// Three families stress different parts of the hash: node sizes alone,
+/// wiring alone, and whole generated circuits.
 #[test]
 fn ten_thousand_distinct_graphs_never_collide() {
     let mut seen: HashSet<Fingerprint> = HashSet::new();
-    let mut orders: HashSet<(Fingerprint, u64)> = HashSet::new();
     let mut check = |graph: &Hypergraph, what: &str| {
-        let fp = fingerprint_graph(graph);
-        assert!(seen.insert(fp), "fingerprint collision in family {what}");
-        assert!(
-            orders.insert((fp, order_checksum(graph))),
-            "(fingerprint, order) collision in family {what}"
-        );
+        assert!(seen.insert(fingerprint_graph(graph)), "fingerprint collision in family {what}");
     };
 
     // Family 1: fixed wiring, node sizes enumerate 0..4000 in base 10
-    // — only the size tokens separate these graphs.
+    // — only the sizes separate these graphs.
     for i in 0u32..4000 {
         let mut b = HypergraphBuilder::named("sizes");
         let digits = [i % 10, (i / 10) % 10, (i / 100) % 10, (i / 1000) % 10];
@@ -181,8 +38,8 @@ fn ten_thousand_distinct_graphs_never_collide() {
     }
 
     // Family 2: fixed sizes, wiring enumerates all 4096 subsets of 12
-    // candidate two-pin nets over 8 nodes — only the (net, pin) tokens
-    // separate these graphs.
+    // candidate two-pin nets over 8 nodes — only the nets separate
+    // these graphs.
     let pairs: [(usize, usize); 12] = [
         (0, 1),
         (0, 2),
@@ -219,10 +76,10 @@ fn ten_thousand_distinct_graphs_never_collide() {
     assert!(seen.len() >= 10_000, "corpus too small: {}", seen.len());
 }
 
-/// The order checksum separates graphs whose XOR fingerprint is
-/// legitimately equal: same content inserted in a different id order.
+/// The same content inserted in another node order is another input:
+/// the ids differ, so the fingerprint does too.
 #[test]
-fn order_checksum_separates_insertion_orders() {
+fn insertion_order_moves_the_fingerprint() {
     let mut fwd = HypergraphBuilder::named("ord");
     let a = fwd.add_node("a", 1);
     let b = fwd.add_node("b", 2);
@@ -235,14 +92,9 @@ fn order_checksum_separates_insertion_orders() {
     rev.add_net("e", [a2, b2]).unwrap();
     let rev = rev.finish().unwrap();
 
-    assert_eq!(
+    assert_ne!(
         fingerprint_graph(&fwd),
         fingerprint_graph(&rev),
-        "XOR composition is insertion-order-insensitive by design"
-    );
-    assert_ne!(
-        order_checksum(&fwd),
-        order_checksum(&rev),
-        "the order checksum must pin the id assignment"
+        "the fingerprint must pin the id assignment"
     );
 }

@@ -74,22 +74,19 @@ fn workload_fingerprints_are_stable_within_a_run() {
 
 /// The pinned fingerprints of all ten XC3000-mapped workloads. If this
 /// test fails after an intentional generator change, re-run the full
-/// calibration (see DESIGN.md), update EXPERIMENTS.md, and re-pin.
+/// calibration (see DESIGN.md), update EXPERIMENTS.md, and re-pin by
+/// pasting the measured table the failure prints.
 #[test]
 fn xc3000_workload_fingerprints_are_pinned() {
-    let measured: Vec<(String, u64)> = mcnc_profiles()
+    let measured: Vec<(&str, u64)> = mcnc_profiles()
         .iter()
-        .map(|p| {
-            let g = synthesize_mcnc(p, Technology::Xc3000);
-            (p.name.to_owned(), fingerprint(&g))
-        })
+        .map(|p| (p.name, fingerprint(&synthesize_mcnc(p, Technology::Xc3000))))
         .collect();
-    // To re-pin after an intentional change, print `measured` and paste.
-    let pinned: Vec<(String, u64)> =
-        PINNED_XC3000.iter().map(|(n, f)| ((*n).to_owned(), *f)).collect();
-    assert_eq!(
-        measured, pinned,
-        "workload fingerprints changed — recalibrate and re-pin (see test docs)"
+    let table: String =
+        measured.iter().map(|(name, fp)| format!("    (\"{name}\", {fp:#018x}),\n")).collect();
+    assert!(
+        measured == PINNED_XC3000,
+        "workload fingerprints changed — recalibrate and re-pin (see test docs); measured:\n{table}"
     );
 }
 
