@@ -42,8 +42,8 @@ fn corpus() -> Vec<(&'static str, String)> {
 .model fuzz\n.inputs a b c\n.outputs y z\n.names a b t0\n11 1\n\
 .names t0 c y\n10 1\n.latch y z re clk 0\n.end\n";
     // Every op kind, naming nodes and nets of `g`, so the unmutated
-    // script applies and the `apply_script` target reaches the rebuild,
-    // not only the error paths.
+    // script applies and the `apply_script` target reaches the written
+    // edited graph, not only the error paths.
     let edits = "\
 {\"op\": \"add_node\", \"name\": \"n_new\", \"size\": 2}\n\
 {\"op\": \"add_net\", \"name\": \"w_new\", \"pins\": [\"n_new\", \"x0\"]}\n\

@@ -1048,7 +1048,7 @@ fn render_run_result(
             if i > 0 {
                 body.push(',');
             }
-            body.push_str(&b.to_string());
+            let _ = write!(body, "{b}");
         }
         body.push(']');
     }

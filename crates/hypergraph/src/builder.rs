@@ -180,7 +180,6 @@ impl HypergraphBuilder {
             }
         }
 
-        // net -> pins CSR
         let mut net_pin_offsets = Vec::with_capacity(self.net_pins.len() + 1);
         net_pin_offsets.push(0u32);
         let mut net_pins = Vec::new();
@@ -188,64 +187,15 @@ impl HypergraphBuilder {
             net_pins.extend_from_slice(pins);
             net_pin_offsets.push(net_pins.len() as u32);
         }
-
-        // node -> nets CSR (counting sort over pins)
-        let n = self.node_sizes.len();
-        let mut degree = vec![0u32; n];
-        for pins in &self.net_pins {
-            for p in pins {
-                degree[p.index()] += 1;
-            }
-        }
-        let mut node_net_offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            node_net_offsets[i + 1] = node_net_offsets[i] + degree[i];
-        }
-        let mut cursor: Vec<u32> = node_net_offsets[..n].to_vec();
-        let mut node_nets = vec![NetId::from_index(0); net_pins.len()];
-        for (e, pins) in self.net_pins.iter().enumerate() {
-            for p in pins {
-                let c = &mut cursor[p.index()];
-                node_nets[*c as usize] = NetId::from_index(e);
-                *c += 1;
-            }
-        }
-
-        // net -> terminals CSR
-        let e = self.net_names.len();
-        let mut tdeg = vec![0u32; e];
-        for t in &self.terminal_nets {
-            tdeg[t.index()] += 1;
-        }
-        let mut net_terminal_offsets = vec![0u32; e + 1];
-        for i in 0..e {
-            net_terminal_offsets[i + 1] = net_terminal_offsets[i] + tdeg[i];
-        }
-        let mut tcursor: Vec<u32> = net_terminal_offsets[..e].to_vec();
-        let mut net_terminals = vec![TerminalId::from_index(0); self.terminal_nets.len()];
-        for (t, net) in self.terminal_nets.iter().enumerate() {
-            let c = &mut tcursor[net.index()];
-            net_terminals[*c as usize] = TerminalId::from_index(t);
-            *c += 1;
-        }
-
-        let total_size = self.node_sizes.iter().map(|&s| u64::from(s)).sum();
-
-        Ok(Hypergraph {
-            node_names: self.node_names,
-            node_sizes: self.node_sizes,
-            net_names: self.net_names,
-            net_pin_offsets,
-            net_pins,
-            node_net_offsets,
-            node_nets,
-            terminal_names: self.terminal_names,
-            terminal_nets: self.terminal_nets,
-            net_terminal_offsets,
-            net_terminals,
-            total_size,
-            name: self.name,
-        })
+        Ok(Hypergraph::from_parts(
+            self.name,
+            self.node_names,
+            self.node_sizes,
+            self.net_names,
+            (net_pin_offsets, net_pins),
+            self.terminal_names,
+            self.terminal_nets,
+        ))
     }
 }
 

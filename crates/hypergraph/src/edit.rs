@@ -39,10 +39,8 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use crate::builder::HypergraphBuilder;
-use crate::error::BuildError;
 use crate::graph::Hypergraph;
-use crate::ids::NodeId;
+use crate::ids::{NetId, NodeId};
 
 /// One netlist edit operation. All references are by name, the stable
 /// identity across netlist revisions (ids are dense and shift on every
@@ -306,8 +304,6 @@ pub enum ApplyEditError {
         /// Name of the node.
         name: String,
     },
-    /// The edited netlist failed final structural validation.
-    Build(BuildError),
 }
 
 impl fmt::Display for ApplyEditError {
@@ -337,25 +333,11 @@ impl fmt::Display for ApplyEditError {
             ApplyEditError::ZeroSize { line, name } => {
                 write!(f, "line {line}: node `{name}` would have size zero")
             }
-            ApplyEditError::Build(e) => write!(f, "edited netlist validation failed: {e}"),
         }
     }
 }
 
-impl Error for ApplyEditError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ApplyEditError::Build(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<BuildError> for ApplyEditError {
-    fn from(e: BuildError) -> Self {
-        ApplyEditError::Build(e)
-    }
-}
+impl Error for ApplyEditError {}
 
 /// Result of [`apply_script`]: the edited graph plus the old→new node
 /// mapping.
@@ -469,13 +451,11 @@ impl EditScript {
     ) -> Result<Self, ParseEditError> {
         let max_ops = limits.max_nodes.saturating_add(limits.max_nets);
         let mut bytes = Vec::new();
-        let mut read_so_far = 0usize;
         if reader.read_to_end(&mut bytes).is_err() {
             // Count the lines that did arrive so the location is honest.
-            read_so_far = bytes.iter().filter(|&&b| b == b'\n').count();
+            let read_so_far = bytes.iter().filter(|&&b| b == b'\n').count();
             return Err(ParseEditError::Io { line: read_so_far + 1 });
         }
-        let _ = read_so_far;
         let mut ops = Vec::new();
         for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
             let line_no = idx + 1;
@@ -1004,19 +984,308 @@ fn assemble_op(
 // ---------------------------------------------------------------------------
 // Application
 
-struct NodeSlot {
-    name: String,
-    size: u32,
-    alive: bool,
-    /// Live net slots this node pins (kept in sync by every op).
-    nets: Vec<usize>,
+/// Where a net's pins are while a script runs.
+#[derive(Clone, Copy)]
+enum NetPins {
+    /// The input graph's pins: no op touched the net.
+    Input,
+    /// `Overlay::edited[i]`, the pins as the ops so far left them.
+    Edited(usize),
+    /// Removed, or emptied by the ops.
+    Removed,
 }
 
-struct NetSlot {
-    name: String,
-    pins: Vec<usize>,
-    terminals: Vec<String>,
-    alive: bool,
+/// The input graph under a script: only what the ops change, keyed by
+/// ids that extend the input's (each node or net the script adds takes
+/// the next id past the input's and the earlier additions).
+struct Overlay<'a> {
+    graph: &'a Hypergraph,
+    /// Live ids of the node and net names the script mentions.
+    node_ids: HashMap<&'a str, usize>,
+    net_ids: HashMap<&'a str, usize>,
+    /// Names by id. The input's are cloned once, and the survivors'
+    /// move into the edited graph.
+    node_names: Vec<String>,
+    net_names: Vec<String>,
+    node_alive: Vec<bool>,
+    node_sizes: Vec<u32>,
+    nets: Vec<NetPins>,
+    edited: Vec<Vec<NodeId>>,
+    /// Nets each node joined through the ops, beside its input nets.
+    joined: HashMap<usize, Vec<usize>>,
+    added_nodes: usize,
+    removed_nodes: usize,
+}
+
+impl<'a> Overlay<'a> {
+    /// Resolves every name the script mentions in the one pass that
+    /// clones the input's node and net names, so each name is read
+    /// once. A name the input repeats resolves to its last occurrence.
+    fn new(graph: &'a Hypergraph, script: &'a EditScript) -> Self {
+        const ABSENT: usize = usize::MAX;
+        fn resolve(ids: &mut HashMap<&str, usize>, names: &[String]) -> Vec<String> {
+            let mut owned = Vec::with_capacity(names.len());
+            for (i, name) in names.iter().enumerate() {
+                if let Some(id) = ids.get_mut(name.as_str()) {
+                    *id = i;
+                }
+                owned.push(name.clone());
+            }
+            ids.retain(|_, id| *id != ABSENT);
+            owned
+        }
+        let mut node_ids = HashMap::new();
+        let mut net_ids = HashMap::new();
+        for scripted in &script.ops {
+            match &scripted.op {
+                EditOp::AddNode { name, .. }
+                | EditOp::RemoveNode { name }
+                | EditOp::ResizeNode { name, .. } => {
+                    node_ids.insert(name.as_str(), ABSENT);
+                }
+                EditOp::AddNet { name, pins } => {
+                    net_ids.insert(name.as_str(), ABSENT);
+                    node_ids.extend(pins.iter().map(|pin| (pin.as_str(), ABSENT)));
+                }
+                EditOp::RemoveNet { name } => {
+                    net_ids.insert(name.as_str(), ABSENT);
+                }
+                EditOp::ConnectPin { net, node } | EditOp::DisconnectPin { net, node } => {
+                    net_ids.insert(net.as_str(), ABSENT);
+                    node_ids.insert(node.as_str(), ABSENT);
+                }
+            }
+        }
+        let node_names = resolve(&mut node_ids, &graph.node_names);
+        let net_names = resolve(&mut net_ids, &graph.net_names);
+        Overlay {
+            graph,
+            node_ids,
+            net_ids,
+            node_names,
+            net_names,
+            node_alive: vec![true; graph.node_count()],
+            node_sizes: graph.node_sizes.clone(),
+            nets: vec![NetPins::Input; graph.net_count()],
+            edited: Vec::new(),
+            joined: HashMap::new(),
+            added_nodes: 0,
+            removed_nodes: 0,
+        }
+    }
+
+    fn node(&self, line: usize, name: &str) -> Result<usize, ApplyEditError> {
+        let unknown = || ApplyEditError::UnknownNode { line, name: name.to_owned() };
+        self.node_ids.get(name).copied().ok_or_else(unknown)
+    }
+
+    fn net(&self, line: usize, name: &str) -> Result<usize, ApplyEditError> {
+        let unknown = || ApplyEditError::UnknownNet { line, name: name.to_owned() };
+        self.net_ids.get(name).copied().ok_or_else(unknown)
+    }
+
+    /// The current pins of net `e` (none once removed).
+    fn pins(&self, e: usize) -> &[NodeId] {
+        match self.nets[e] {
+            NetPins::Input => self.graph.pins(NetId::from_index(e)),
+            NetPins::Edited(i) => &self.edited[i],
+            NetPins::Removed => &[],
+        }
+    }
+
+    /// The pins of live net `e`, copied out of the input on first edit.
+    fn edit(&mut self, e: usize) -> &mut Vec<NodeId> {
+        let i = match self.nets[e] {
+            NetPins::Edited(i) => i,
+            NetPins::Input => {
+                let input = self.graph.pins(NetId::from_index(e));
+                let mut pins = Vec::with_capacity(input.len() + 1);
+                pins.extend_from_slice(input);
+                self.edited.push(pins);
+                self.nets[e] = NetPins::Edited(self.edited.len() - 1);
+                self.edited.len() - 1
+            }
+            NetPins::Removed => unreachable!("only live nets have ids"),
+        };
+        &mut self.edited[i]
+    }
+
+    /// Removes pin `v` from net `e`, removing the net when it is left
+    /// pinless.
+    fn drop_pin(&mut self, e: usize, v: usize) {
+        let pins = self.edit(e);
+        pins.retain(|p| p.index() != v);
+        if pins.is_empty() {
+            self.nets[e] = NetPins::Removed;
+            self.net_ids.remove(self.net_names[e].as_str());
+        }
+    }
+
+    fn apply(&mut self, line: usize, op: &'a EditOp) -> Result<(), ApplyEditError> {
+        match op {
+            EditOp::AddNode { name, size } => {
+                if self.node_ids.contains_key(name.as_str()) {
+                    return Err(ApplyEditError::DuplicateNode { line, name: name.clone() });
+                }
+                if *size == 0 {
+                    return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
+                }
+                self.node_ids.insert(name, self.node_alive.len());
+                self.node_names.push(name.clone());
+                self.node_alive.push(true);
+                self.node_sizes.push(*size);
+                self.added_nodes += 1;
+            }
+            EditOp::RemoveNode { name } => {
+                let v = self.node(line, name)?;
+                let graph = self.graph;
+                let input =
+                    if v < graph.node_count() { graph.nets(NodeId::from_index(v)) } else { &[] };
+                let joined = self.joined.remove(&v).unwrap_or_default();
+                for e in input.iter().map(|e| e.index()).chain(joined) {
+                    if self.pins(e).contains(&NodeId::from_index(v)) {
+                        self.drop_pin(e, v);
+                    }
+                }
+                self.node_alive[v] = false;
+                self.node_ids.remove(name.as_str());
+                if v < graph.node_count() {
+                    self.removed_nodes += 1;
+                } else {
+                    self.added_nodes -= 1;
+                }
+            }
+            EditOp::ResizeNode { name, size } => {
+                let v = self.node(line, name)?;
+                if *size == 0 {
+                    return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
+                }
+                self.node_sizes[v] = *size;
+            }
+            EditOp::AddNet { name, pins } => {
+                if self.net_ids.contains_key(name.as_str()) {
+                    return Err(ApplyEditError::DuplicateNet { line, name: name.clone() });
+                }
+                if pins.is_empty() {
+                    return Err(ApplyEditError::EmptyNet { line, net: name.clone() });
+                }
+                let mut resolved = Vec::with_capacity(pins.len());
+                for pin in pins {
+                    let v = NodeId::from_index(self.node(line, pin)?);
+                    if resolved.contains(&v) {
+                        return Err(ApplyEditError::DuplicatePin {
+                            line,
+                            net: name.clone(),
+                            node: pin.clone(),
+                        });
+                    }
+                    resolved.push(v);
+                }
+                let e = self.nets.len();
+                for v in &resolved {
+                    self.joined.entry(v.index()).or_default().push(e);
+                }
+                self.net_ids.insert(name, e);
+                self.nets.push(NetPins::Edited(self.edited.len()));
+                self.edited.push(resolved);
+                self.net_names.push(name.clone());
+            }
+            EditOp::RemoveNet { name } => {
+                let e = self.net(line, name)?;
+                self.nets[e] = NetPins::Removed;
+                self.net_ids.remove(name.as_str());
+            }
+            EditOp::ConnectPin { net, node } => {
+                let e = self.net(line, net)?;
+                let v = self.node(line, node)?;
+                if self.pins(e).contains(&NodeId::from_index(v)) {
+                    return Err(ApplyEditError::DuplicatePin {
+                        line,
+                        net: net.clone(),
+                        node: node.clone(),
+                    });
+                }
+                self.edit(e).push(NodeId::from_index(v));
+                self.joined.entry(v).or_default().push(e);
+            }
+            EditOp::DisconnectPin { net, node } => {
+                let e = self.net(line, net)?;
+                let v = self.node(line, node)?;
+                if !self.pins(e).contains(&NodeId::from_index(v)) {
+                    return Err(ApplyEditError::MissingPin {
+                        line,
+                        net: net.clone(),
+                        node: node.clone(),
+                    });
+                }
+                self.drop_pin(e, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the edited graph: survivors in id order, then additions.
+    /// Each untouched net copies its input pin run with remapped ids,
+    /// and terminals follow their nets, net by net.
+    fn write(mut self) -> EditApplied {
+        fn kept<T>(items: Vec<T>, alive: &[bool]) -> Vec<T> {
+            items
+                .into_iter()
+                .zip(alive)
+                .filter_map(|(item, &alive)| alive.then_some(item))
+                .collect()
+        }
+        let graph = self.graph;
+        let mut new_ids = Vec::with_capacity(self.node_alive.len());
+        let mut live = 0;
+        for &alive in &self.node_alive {
+            new_ids.push(alive.then(|| NodeId::from_index(live)));
+            live += usize::from(alive);
+        }
+        let node_names = kept(std::mem::take(&mut self.node_names), &self.node_alive);
+        let node_sizes = kept(std::mem::take(&mut self.node_sizes), &self.node_alive);
+
+        let live_nets = self.nets.iter().filter(|e| !matches!(e, NetPins::Removed)).count();
+        let mut net_names = Vec::with_capacity(live_nets);
+        let mut offsets = Vec::with_capacity(live_nets + 1);
+        offsets.push(0u32);
+        let edited_pins: usize = self.edited.iter().map(Vec::len).sum();
+        let mut net_pins = Vec::with_capacity(graph.pin_count() + edited_pins);
+        let mut terminal_names = Vec::with_capacity(graph.terminal_count());
+        let mut terminal_nets = Vec::with_capacity(graph.terminal_count());
+        for (e, name) in std::mem::take(&mut self.net_names).into_iter().enumerate() {
+            if matches!(self.nets[e], NetPins::Removed) {
+                continue;
+            }
+            let id = NetId::from_index(net_names.len());
+            net_names.push(name);
+            let pins = self.pins(e).iter();
+            net_pins.extend(pins.map(|p| new_ids[p.index()].expect("live nets pin live nodes")));
+            offsets.push(net_pins.len() as u32);
+            if e < graph.net_count() {
+                for &t in graph.net_terminals(NetId::from_index(e)) {
+                    terminal_names.push(graph.terminal_name(t).to_owned());
+                    terminal_nets.push(id);
+                }
+            }
+        }
+
+        new_ids.truncate(graph.node_count());
+        EditApplied {
+            graph: Hypergraph::from_parts(
+                graph.name().to_owned(),
+                node_names,
+                node_sizes,
+                net_names,
+                (offsets, net_pins),
+                terminal_names,
+                terminal_nets,
+            ),
+            node_map: new_ids,
+            added_nodes: self.added_nodes,
+            removed_nodes: self.removed_nodes,
+        }
+    }
 }
 
 /// Applies a script to a graph, producing the edited graph and the
@@ -1027,211 +1296,35 @@ struct NetSlot {
 /// has no meaning to any algorithm). Surviving nodes keep their
 /// relative order and new nodes append after them, so the mapping is
 /// monotonic on survivors. Nets follow the same rule, and a net's pins
-/// keep their order, with a connected pin appended last.
+/// keep their order, with a connected pin appended last. Terminals are
+/// renumbered net by net, in net order.
+///
+/// The ops run against an overlay of the input that holds only what
+/// they change, and the edited graph is written out in one pass over
+/// the input's arrays: the cost is that of copying the graph, not of
+/// building it.
 ///
 /// # Errors
 ///
 /// Returns [`ApplyEditError`] with the script line of the first
 /// offending op; the input graph is never modified (it is immutable).
-#[allow(clippy::too_many_lines)]
 pub fn apply_script(
     graph: &Hypergraph,
     script: &EditScript,
 ) -> Result<EditApplied, ApplyEditError> {
-    let mut nodes: Vec<NodeSlot> = graph
-        .node_ids()
-        .map(|v| NodeSlot {
-            name: graph.node_name(v).to_owned(),
-            size: graph.node_size(v),
-            alive: true,
-            nets: graph.nets(v).iter().map(|e| e.index()).collect(),
-        })
-        .collect();
-    let mut nets: Vec<NetSlot> = graph
-        .net_ids()
-        .map(|e| NetSlot {
-            name: graph.net_name(e).to_owned(),
-            pins: graph.pins(e).iter().map(|v| v.index()).collect(),
-            terminals: graph
-                .net_terminals(e)
-                .iter()
-                .map(|&t| graph.terminal_name(t).to_owned())
-                .collect(),
-            alive: true,
-        })
-        .collect();
-    let mut node_index: HashMap<String, usize> =
-        nodes.iter().enumerate().map(|(i, n)| (n.name.clone(), i)).collect();
-    let mut net_index: HashMap<String, usize> =
-        nets.iter().enumerate().map(|(i, n)| (n.name.clone(), i)).collect();
-    let original_nodes = nodes.len();
-    let mut added_nodes = 0usize;
-    let mut removed_nodes = 0usize;
-
-    // Removes a pin from a net, cascading net removal when the net is
-    // left pinless.
-    fn drop_pin(
-        nets: &mut [NetSlot],
-        nodes: &mut [NodeSlot],
-        net_index: &mut HashMap<String, usize>,
-        e: usize,
-        v: usize,
-    ) {
-        nets[e].pins.retain(|&p| p != v);
-        nodes[v].nets.retain(|&x| x != e);
-        if nets[e].pins.is_empty() {
-            nets[e].alive = false;
-            nets[e].terminals.clear();
-            net_index.remove(&nets[e].name);
-        }
-    }
-
+    let mut overlay = Overlay::new(graph, script);
     for scripted in &script.ops {
-        let line = scripted.line;
-        match &scripted.op {
-            EditOp::AddNode { name, size } => {
-                if node_index.contains_key(name) {
-                    return Err(ApplyEditError::DuplicateNode { line, name: name.clone() });
-                }
-                if *size == 0 {
-                    return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
-                }
-                node_index.insert(name.clone(), nodes.len());
-                nodes.push(NodeSlot { name: name.clone(), size: *size, alive: true, nets: vec![] });
-                added_nodes += 1;
-            }
-            EditOp::RemoveNode { name } => {
-                let &v = node_index
-                    .get(name)
-                    .ok_or_else(|| ApplyEditError::UnknownNode { line, name: name.clone() })?;
-                for e in nodes[v].nets.clone() {
-                    drop_pin(&mut nets, &mut nodes, &mut net_index, e, v);
-                }
-                nodes[v].alive = false;
-                node_index.remove(name);
-                if v < original_nodes {
-                    removed_nodes += 1;
-                } else {
-                    added_nodes -= 1;
-                }
-            }
-            EditOp::ResizeNode { name, size } => {
-                let &v = node_index
-                    .get(name)
-                    .ok_or_else(|| ApplyEditError::UnknownNode { line, name: name.clone() })?;
-                if *size == 0 {
-                    return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
-                }
-                nodes[v].size = *size;
-            }
-            EditOp::AddNet { name, pins } => {
-                if net_index.contains_key(name) {
-                    return Err(ApplyEditError::DuplicateNet { line, name: name.clone() });
-                }
-                if pins.is_empty() {
-                    return Err(ApplyEditError::EmptyNet { line, net: name.clone() });
-                }
-                let mut resolved = Vec::with_capacity(pins.len());
-                for pin in pins {
-                    let &v = node_index
-                        .get(pin)
-                        .ok_or_else(|| ApplyEditError::UnknownNode { line, name: pin.clone() })?;
-                    if resolved.contains(&v) {
-                        return Err(ApplyEditError::DuplicatePin {
-                            line,
-                            net: name.clone(),
-                            node: pin.clone(),
-                        });
-                    }
-                    resolved.push(v);
-                }
-                let e = nets.len();
-                for &v in &resolved {
-                    nodes[v].nets.push(e);
-                }
-                net_index.insert(name.clone(), e);
-                nets.push(NetSlot {
-                    name: name.clone(),
-                    pins: resolved,
-                    terminals: vec![],
-                    alive: true,
-                });
-            }
-            EditOp::RemoveNet { name } => {
-                let &e = net_index
-                    .get(name)
-                    .ok_or_else(|| ApplyEditError::UnknownNet { line, name: name.clone() })?;
-                for v in nets[e].pins.clone() {
-                    nodes[v].nets.retain(|&x| x != e);
-                }
-                nets[e].alive = false;
-                nets[e].pins.clear();
-                nets[e].terminals.clear();
-                net_index.remove(name);
-            }
-            EditOp::ConnectPin { net, node } => {
-                let &e = net_index
-                    .get(net)
-                    .ok_or_else(|| ApplyEditError::UnknownNet { line, name: net.clone() })?;
-                let &v = node_index
-                    .get(node)
-                    .ok_or_else(|| ApplyEditError::UnknownNode { line, name: node.clone() })?;
-                if nets[e].pins.contains(&v) {
-                    return Err(ApplyEditError::DuplicatePin {
-                        line,
-                        net: net.clone(),
-                        node: node.clone(),
-                    });
-                }
-                nets[e].pins.push(v);
-                nodes[v].nets.push(e);
-            }
-            EditOp::DisconnectPin { net, node } => {
-                let &e = net_index
-                    .get(net)
-                    .ok_or_else(|| ApplyEditError::UnknownNet { line, name: net.clone() })?;
-                let &v = node_index
-                    .get(node)
-                    .ok_or_else(|| ApplyEditError::UnknownNode { line, name: node.clone() })?;
-                if !nets[e].pins.contains(&v) {
-                    return Err(ApplyEditError::MissingPin {
-                        line,
-                        net: net.clone(),
-                        node: node.clone(),
-                    });
-                }
-                drop_pin(&mut nets, &mut nodes, &mut net_index, e, v);
-            }
-        }
+        overlay.apply(scripted.line, &scripted.op)?;
     }
-
-    // Rebuild: survivors in original order, additions after them.
-    let mut builder = HypergraphBuilder::named(graph.name());
-    let mut new_ids: Vec<Option<NodeId>> = vec![None; nodes.len()];
-    for (i, slot) in nodes.iter().enumerate() {
-        if slot.alive {
-            new_ids[i] = Some(builder.add_node(slot.name.clone(), slot.size));
-        }
-    }
-    for net in &nets {
-        if !net.alive {
-            continue;
-        }
-        let pins = net.pins.iter().map(|&v| new_ids[v].expect("live net pins live nodes"));
-        let id = builder.add_net(net.name.clone(), pins)?;
-        for t in &net.terminals {
-            builder.add_terminal(t.clone(), id)?;
-        }
-    }
-    let node_map = new_ids[..original_nodes].to_vec();
-    Ok(EditApplied { graph: builder.finish()?, node_map, added_nodes, removed_nodes })
+    Ok(overlay.write())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{window_circuit, WindowConfig};
-    use crate::ids::NetId;
+    use crate::ids::TerminalId;
+    use crate::HypergraphBuilder;
     use proptest::prelude::*;
 
     fn sample() -> Hypergraph {
@@ -1363,13 +1456,16 @@ mod tests {
     /// survivors keep their order, additions come last, and pins stay
     /// in insertion order. Removing a node drops its pins, and a net
     /// left pinless (by node removal or disconnect) goes too, pads and
-    /// all.
+    /// all. Names that left the netlist may come back.
     struct Model {
         /// Live nodes: name, size, and id in the input graph (`None`
         /// for a node the script added).
         nodes: Vec<(String, u32, Option<usize>)>,
         /// Live nets: name, pin names, pad names.
         nets: Vec<(String, Vec<String>, Vec<String>)>,
+        /// Names of removed nodes and nets, free for a later add.
+        dead_nodes: Vec<String>,
+        dead_nets: Vec<String>,
         fresh: usize,
     }
 
@@ -1384,15 +1480,54 @@ mod tests {
                     graph.net_terminals(e).iter().map(|&t| graph.terminal_name(t).to_owned());
                 (graph.net_name(e).to_owned(), pins.collect(), pads.collect())
             });
-            Model { nodes: nodes.collect(), nets: nets.collect(), fresh: 0 }
+            Model {
+                nodes: nodes.collect(),
+                nets: nets.collect(),
+                dead_nodes: Vec::new(),
+                dead_nets: Vec::new(),
+                fresh: 0,
+            }
         }
 
         fn drop_node(&mut self, name: &str) {
             self.nodes.retain(|(n, ..)| n != name);
+            self.dead_nodes.push(name.to_owned());
             for (_, pins, _) in &mut self.nets {
                 pins.retain(|p| p != name);
             }
-            self.nets.retain(|(_, pins, _)| !pins.is_empty());
+            let (emptied, live) = std::mem::take(&mut self.nets)
+                .into_iter()
+                .partition::<Vec<_>, _>(|(_, pins, _)| pins.is_empty());
+            self.nets = live;
+            self.dead_nets.extend(emptied.into_iter().map(|(name, ..)| name));
+        }
+
+        /// A name for an added node or net: a dead one when `reuse` and
+        /// there is one, else a fresh one.
+        fn name(dead: &mut Vec<String>, fresh: &mut usize, prefix: &str, reuse: usize) -> String {
+            if dead.is_empty() || reuse % 2 == 1 {
+                *fresh += 1;
+                return format!("{prefix}{fresh}");
+            }
+            dead.swap_remove(reuse / 2 % dead.len())
+        }
+
+        /// The model's netlist, built independently of [`apply_script`]:
+        /// nodes and nets in model order, pads net by net.
+        fn build(&self, name: &str) -> Hypergraph {
+            let mut builder = HypergraphBuilder::named(name);
+            let mut ids = HashMap::new();
+            for (name, size, _) in &self.nodes {
+                ids.insert(name.as_str(), builder.add_node(name.clone(), *size));
+            }
+            for (name, pins, pads) in &self.nets {
+                let e =
+                    builder.add_net(name.clone(), pins.iter().map(|p| ids[p.as_str()])).unwrap();
+                for pad in pads {
+                    builder.add_terminal(pad.clone(), e).unwrap();
+                }
+            }
+            builder.finish().unwrap()
         }
     }
 
@@ -1400,7 +1535,8 @@ mod tests {
     /// of its result: each tuple is (op selector, two index seeds, a
     /// size), resolved against the model, so every op is valid by
     /// construction. Choices that cannot apply (e.g. disconnect on an
-    /// empty graph) fall through to an always-valid `add_node`.
+    /// empty graph) fall through to an always-valid `add_node`. Adds
+    /// reuse removed names about half the time.
     fn materialize(graph: &Hypergraph, raw: &[(u8, u16, u16, u32)]) -> (EditScript, Model) {
         let mut model = Model::of(graph);
         let mut ops = Vec::new();
@@ -1425,13 +1561,13 @@ mod tests {
                         pins.push(model.nodes[(a + k) % model.nodes.len()].0.clone());
                     }
                     pins.sort();
-                    let name = format!("pnet{}", model.fresh);
-                    model.fresh += 1;
+                    let name = Model::name(&mut model.dead_nets, &mut model.fresh, "pnet", b / 3);
                     model.nets.push((name.clone(), pins.clone(), Vec::new()));
                     EditOp::AddNet { name, pins }
                 }
                 4 if !model.nets.is_empty() => {
                     let (name, ..) = model.nets.remove(a % model.nets.len());
+                    model.dead_nets.push(name.clone());
                     EditOp::RemoveNet { name }
                 }
                 5 if !model.nets.is_empty() && !model.nodes.is_empty() => {
@@ -1451,12 +1587,12 @@ mod tests {
                     let node = pins.remove(b % pins.len());
                     if pins.is_empty() {
                         model.nets.remove(index);
+                        model.dead_nets.push(net.clone());
                     }
                     EditOp::DisconnectPin { net, node }
                 }
                 _ => {
-                    let name = format!("pnode{}", model.fresh);
-                    model.fresh += 1;
+                    let name = Model::name(&mut model.dead_nodes, &mut model.fresh, "pnode", b);
                     model.nodes.push((name.clone(), size, None));
                     EditOp::AddNode { name, size }
                 }
@@ -1466,12 +1602,32 @@ mod tests {
         (EditScript::new(ops), model)
     }
 
+    /// `graph` with its pads re-added in reverse id order, plus a second
+    /// pad on every third net, so terminal ids do not follow net order.
+    fn scramble_pads(graph: &Hypergraph) -> Hypergraph {
+        let mut builder = HypergraphBuilder::named(graph.name());
+        for v in graph.node_ids() {
+            builder.add_node(graph.node_name(v), graph.node_size(v));
+        }
+        for e in graph.net_ids() {
+            builder.add_net(graph.net_name(e), graph.pins(e).iter().copied()).unwrap();
+        }
+        for t in (0..graph.terminal_count()).rev().map(TerminalId::from_index) {
+            builder.add_terminal(graph.terminal_name(t), graph.terminal_net(t)).unwrap();
+        }
+        for e in (0..graph.net_count()).rev().step_by(3).map(NetId::from_index) {
+            builder.add_terminal(format!("xp{}", e.index()), e).unwrap();
+        }
+        builder.finish().unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any valid script yields the model's netlist: its nodes and
-        /// sizes, its nets with their pins and pads, all in the model's
-        /// order, and its node map and add/remove counts.
+        /// Any valid script yields the model's netlist, written out
+        /// byte for byte the same (nodes and sizes, nets with their
+        /// pins, pads in id order), with the same net list at every
+        /// node, node map and add/remove counts.
         #[test]
         fn apply_script_matches_an_independent_model(
             nodes in 15usize..60,
@@ -1481,33 +1637,16 @@ mod tests {
                 0..32,
             ),
         ) {
-            let graph = window_circuit(&WindowConfig::new("fpedit", nodes, 6), seed);
+            let graph = scramble_pads(&window_circuit(&WindowConfig::new("fpedit", nodes, 6), seed));
             let (script, model) = materialize(&graph, &raw);
             let applied = apply_script(&graph, &script).expect("materialize only emits valid ops");
             let edited = &applied.graph;
 
-            let nodes: Vec<(&str, u32)> =
-                edited.node_ids().map(|v| (edited.node_name(v), edited.node_size(v))).collect();
-            let want: Vec<(&str, u32)> = model.nodes.iter().map(|(n, s, _)| (n.as_str(), *s)).collect();
-            prop_assert_eq!(nodes, want);
-
-            let nets: Vec<(&str, Vec<&str>, Vec<&str>)> = edited
-                .net_ids()
-                .map(|e| {
-                    let pins = edited.pins(e).iter().map(|&v| edited.node_name(v));
-                    let pads = edited.net_terminals(e).iter().map(|&t| edited.terminal_name(t));
-                    (edited.net_name(e), pins.collect(), pads.collect())
-                })
-                .collect();
-            let want: Vec<(&str, Vec<&str>, Vec<&str>)> = model
-                .nets
-                .iter()
-                .map(|(n, pins, pads)| {
-                    let pins = pins.iter().map(String::as_str);
-                    (n.as_str(), pins.collect(), pads.iter().map(String::as_str).collect())
-                })
-                .collect();
-            prop_assert_eq!(nets, want);
+            let want = model.build(graph.name());
+            prop_assert_eq!(crate::io::netlist_to_string(edited), crate::io::netlist_to_string(&want));
+            for v in want.node_ids() {
+                prop_assert_eq!(edited.nets(v), want.nets(v));
+            }
 
             let mut node_map = vec![None; graph.node_count()];
             for (id, (_, _, old)) in model.nodes.iter().enumerate() {

@@ -56,6 +56,75 @@ pub struct Hypergraph {
 }
 
 impl Hypergraph {
+    /// Freezes a netlist given as named nodes, nets as a pin CSR
+    /// (`net_pins.0` offsets into `net_pins.1`) and terminals with their
+    /// nets. The node→net and net→terminal adjacency is derived here, by
+    /// counting sorts, so every node lists its nets and every net its
+    /// terminals in id order. The caller has checked the parts: pins
+    /// and terminal nets in range, no empty net, no zero size.
+    pub(crate) fn from_parts(
+        name: String,
+        node_names: Vec<String>,
+        node_sizes: Vec<u32>,
+        net_names: Vec<String>,
+        (net_pin_offsets, net_pins): (Vec<u32>, Vec<NodeId>),
+        terminal_names: Vec<String>,
+        terminal_nets: Vec<NetId>,
+    ) -> Hypergraph {
+        // node -> nets CSR
+        let n = node_sizes.len();
+        let mut node_net_offsets = vec![0u32; n + 1];
+        for p in &net_pins {
+            node_net_offsets[p.index() + 1] += 1;
+        }
+        for i in 0..n {
+            node_net_offsets[i + 1] += node_net_offsets[i];
+        }
+        let mut cursor: Vec<u32> = node_net_offsets[..n].to_vec();
+        let mut node_nets = vec![NetId::from_index(0); net_pins.len()];
+        for (e, span) in net_pin_offsets.windows(2).enumerate() {
+            for p in &net_pins[span[0] as usize..span[1] as usize] {
+                let c = &mut cursor[p.index()];
+                node_nets[*c as usize] = NetId::from_index(e);
+                *c += 1;
+            }
+        }
+
+        // net -> terminals CSR
+        let e = net_names.len();
+        let mut net_terminal_offsets = vec![0u32; e + 1];
+        for t in &terminal_nets {
+            net_terminal_offsets[t.index() + 1] += 1;
+        }
+        for i in 0..e {
+            net_terminal_offsets[i + 1] += net_terminal_offsets[i];
+        }
+        let mut cursor: Vec<u32> = net_terminal_offsets[..e].to_vec();
+        let mut net_terminals = vec![TerminalId::from_index(0); terminal_nets.len()];
+        for (t, net) in terminal_nets.iter().enumerate() {
+            let c = &mut cursor[net.index()];
+            net_terminals[*c as usize] = TerminalId::from_index(t);
+            *c += 1;
+        }
+
+        let total_size = node_sizes.iter().map(|&s| u64::from(s)).sum();
+        Hypergraph {
+            node_names,
+            node_sizes,
+            net_names,
+            net_pin_offsets,
+            net_pins,
+            node_net_offsets,
+            node_nets,
+            terminal_names,
+            terminal_nets,
+            net_terminal_offsets,
+            net_terminals,
+            total_size,
+            name,
+        }
+    }
+
     /// Returns the circuit name (empty if none was set).
     #[must_use]
     pub fn name(&self) -> &str {

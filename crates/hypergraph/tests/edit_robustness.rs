@@ -254,6 +254,33 @@ fn apply_corpus() -> Vec<ApplyCase> {
             script: "{\"op\": \"resize_node\", \"name\": \"a\", \"size\": 0}\n",
             expected: ApplyEditError::ZeroSize { line: 1, name: "a".into() },
         },
+        // The script's own earlier ops decide the cases below: each name
+        // resolves in the input, but no longer by the offending line.
+        ApplyCase {
+            name: "connecting to a net that node removals emptied",
+            script: "{\"op\": \"remove_node\", \"name\": \"a\"}\n\
+                     {\"op\": \"remove_node\", \"name\": \"b\"}\n\
+                     {\"op\": \"connect_pin\", \"net\": \"n0\", \"node\": \"c\"}\n",
+            expected: ApplyEditError::UnknownNet { line: 3, name: "n0".into() },
+        },
+        ApplyCase {
+            name: "adding a node the script itself added",
+            script: "{\"op\": \"add_node\", \"name\": \"x\", \"size\": 1}\n\
+                     {\"op\": \"add_node\", \"name\": \"x\", \"size\": 2}\n",
+            expected: ApplyEditError::DuplicateNode { line: 2, name: "x".into() },
+        },
+        ApplyCase {
+            name: "disconnecting from a removed net",
+            script: "{\"op\": \"remove_net\", \"name\": \"n1\"}\n\
+                     {\"op\": \"disconnect_pin\", \"net\": \"n1\", \"node\": \"b\"}\n",
+            expected: ApplyEditError::UnknownNet { line: 2, name: "n1".into() },
+        },
+        ApplyCase {
+            name: "disconnecting a removed node from a surviving net",
+            script: "{\"op\": \"remove_node\", \"name\": \"b\"}\n\
+                     {\"op\": \"disconnect_pin\", \"net\": \"n0\", \"node\": \"b\"}\n",
+            expected: ApplyEditError::UnknownNode { line: 2, name: "b".into() },
+        },
     ]
 }
 
