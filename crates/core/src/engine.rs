@@ -16,6 +16,11 @@
 //! since the previous pass are recomputed; the buckets are then refilled
 //! from the kept gains in cell order, so every pass sees exactly the
 //! buckets a fresh build would give it.
+//!
+//! The Krishnamurthy tie-break gains (levels 2..=L) are kept as well, per
+//! cell and target: a candidate's tie-break is computed the first time
+//! the selection inspects it in a pass and reused until a pin of one of
+//! its nets moves or locks.
 
 use fpart_hypergraph::{Hypergraph, NodeId};
 
@@ -29,7 +34,8 @@ use crate::stack::DualStacks;
 use crate::state::PartitionState;
 
 /// Maximum cells inspected per gain level when selecting a move; bounds
-/// the lazy second-level-gain tie-break work per selection.
+/// the tie-break work per selection (each inspected candidate reads its
+/// kept tie-break gains, computing them only when they are stale).
 const SELECTION_SCAN_CAP: usize = 64;
 
 /// Highest tie-break gain level the engine supports
@@ -45,6 +51,49 @@ pub const NO_REMAINDER: usize = usize::MAX;
 /// missed when a cell changes block fails loudly instead of inserting a
 /// plausible stale gain.
 const GAIN_UNSET: i32 = i32::MIN;
+
+/// The Krishnamurthy gains of levels 2..=`levels` of moving `node` to
+/// `to`, in the order the selection compares them (unused levels are 0).
+fn tie_gains(
+    state: &PartitionState<'_>,
+    node: NodeId,
+    to: usize,
+    locked: &[bool],
+    levels: u8,
+) -> [i32; MAX_TIE_LEVELS] {
+    let mut tie = [0i32; MAX_TIE_LEVELS];
+    for level in 2..=levels {
+        tie[usize::from(level) - 2] = if level == 2 {
+            level2_gain(state, node, to, locked)
+        } else {
+            level_gain(state, node, to, locked, level)
+        };
+    }
+    tie
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tie-break gain evaluations the selection made on this thread (the
+    /// kept entries it had to compute; the debug re-derivation of a kept
+    /// entry is not counted).
+    static TIE_EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Kept tie-break gains of one (cell, target slot) pair.
+#[derive(Debug, Clone, Copy)]
+struct TieEntry {
+    /// The [`PassEngine::tie_epoch`] the gains were computed in; any
+    /// other value (0 after an invalidation) marks them stale.
+    epoch: u32,
+    gains: [i32; MAX_TIE_LEVELS],
+}
+
+/// The row of node `v` in the engine's cells, if it is one of them.
+#[inline]
+fn row(row_of: &[u32], v: NodeId) -> Option<usize> {
+    (row_of[v.index()] as usize).checked_sub(1)
+}
 
 /// The remainder as an `Option`, guarding the sentinel and stale indices.
 fn remainder_opt(ctx: &ImproveContext<'_>, state: &PartitionState<'_>) -> Option<usize> {
@@ -98,18 +147,19 @@ struct PassScratch {
     pre: Vec<(u32, u32)>,
     /// Enabled directions with their optimistic max gains (`select_move`).
     dir_max: Vec<(usize, usize, i32)>,
-    /// Epoch stamps per cell: `visited[v] == epoch` ⇔ `v` was already
-    /// seen in the current step — one move's I/O-gain update (replacing
-    /// the former sort+dedup of a freshly allocated `touched` vector), or
-    /// the gain refresh before a pass.
+    /// Epoch stamps per cell row: `visited[i] == epoch` ⇔ `cells[i]` was
+    /// already seen in the current step — one move's I/O-gain update
+    /// (replacing the former sort+dedup of a freshly allocated `touched`
+    /// vector), or the gain refresh before a pass.
     visited: Vec<u32>,
     /// Epoch stamps per net, so the refresh before a pass visits the pins
     /// of each net once however many of them moved.
     net_visited: Vec<u32>,
-    /// Unique unlocked neighbours of the current move (I/O objective).
+    /// Rows of the unique unlocked neighbours of the current move (I/O
+    /// objective).
     touched: Vec<u32>,
-    /// Per-(neighbour, target-slot) accumulated I/O gain deltas; rows are
-    /// lazily zeroed when a neighbour is first stamped.
+    /// Per-(neighbour row, target-slot) accumulated I/O gain deltas; rows
+    /// are lazily zeroed when a neighbour is first stamped.
     io_delta: Vec<i32>,
     /// The current pass's applied moves `(cell, from, to)`.
     move_log: Vec<(NodeId, usize, usize)>,
@@ -120,16 +170,15 @@ struct PassScratch {
 
 impl PassScratch {
     fn new(graph: &Hypergraph, cells: usize, slots: usize, io_pins: bool) -> Self {
-        let n = graph.node_count();
         PassScratch {
             pre: Vec::with_capacity(graph.max_node_degree()),
             dir_max: Vec::with_capacity(slots * slots),
-            visited: vec![0; n],
+            visited: vec![0; cells],
             net_visited: vec![0; graph.net_count()],
             // The I/O-pin buffers are only touched by `update_io_gains`;
             // keep them empty under the cut-net objective.
-            touched: if io_pins { Vec::with_capacity(n) } else { Vec::new() },
-            io_delta: if io_pins { vec![0; n * slots] } else { Vec::new() },
+            touched: if io_pins { Vec::with_capacity(cells) } else { Vec::new() },
+            io_delta: if io_pins { vec![0; cells * slots] } else { Vec::new() },
             // A pass moves each cell at most once.
             move_log: Vec::with_capacity(cells),
             epoch: 0,
@@ -157,6 +206,9 @@ struct PassEngine<'s, 'g, 'c> {
     ctx: &'c ImproveContext<'c>,
     /// Cells eligible to move, in bucket insertion order.
     cells: &'c [NodeId],
+    /// `row_of[v]` = 1 + the index of node `v` in `cells`, or 0 when `v`
+    /// is not one of them.
+    row_of: Vec<u32>,
     /// Blocks participating in this improvement call.
     active: Vec<usize>,
     /// `block_to_slot[block]` = index into `active`, or `usize::MAX`.
@@ -176,6 +228,18 @@ struct PassEngine<'s, 'g, 'c> {
     /// Cells whose block changed since the kept gains were last
     /// refreshed (duplicates allowed).
     moved: Vec<NodeId>,
+    /// Kept tie-break gains (empty when `gain_levels` is 1):
+    /// `ties[i * slots + t]` belongs to moving `cells[i]` to active slot
+    /// `t` and is exact while its epoch equals `tie_epoch`.
+    ///
+    /// An entry reads only the cell's own block and the blocks, lock
+    /// flags and pin counts of its nets' pins. Within a pass those change
+    /// only by [`Self::apply_move`], which invalidates every pin of the
+    /// moved cell's nets; [`Self::start_pass`], which unlocks every cell
+    /// and follows every rollback and restore, invalidates them all.
+    ties: Vec<TieEntry>,
+    /// Epoch of the current pass for `ties` (0 before the first pass).
+    tie_epoch: u32,
     /// Zero-allocation scratch for the move loop.
     scratch: PassScratch,
 }
@@ -201,6 +265,10 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             block_to_slot[b] = slot;
         }
         let n = state.graph().node_count();
+        let mut row_of = vec![0u32; n];
+        for (i, &v) in cells.iter().enumerate() {
+            row_of[v.index()] = i as u32 + 1;
+        }
         // Cut gains are bounded by the node degree; an I/O gain can move
         // two blocks' counts by one per net, so it needs twice the range.
         let p_max = match ctx.config.gain_objective {
@@ -215,10 +283,12 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             slots,
             ctx.config.gain_objective == GainObjective::IoPins,
         );
+        let tie_entries = if ctx.config.gain_levels >= 2 { cells.len() * slots } else { 0 };
         let mut engine = PassEngine {
             state,
             ctx,
             cells,
+            row_of,
             active: active.to_vec(),
             block_to_slot,
             buckets,
@@ -227,6 +297,8 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             gain_bound: p_max as i32,
             gains: vec![GAIN_UNSET; cells.len() * slots],
             moved: Vec::new(),
+            ties: vec![TieEntry { epoch: 0, gains: [0; MAX_TIE_LEVELS] }; tie_entries],
+            tie_epoch: 0,
             scratch,
         };
         for i in 0..cells.len() {
@@ -274,28 +346,42 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
     /// and a net's counts change only when one of its pins changes block.
     /// A moved cell is refreshed in its own right as well: on no net, it
     /// is nobody's neighbour, yet its own block changed.
+    ///
+    /// Every kept tie-break gain goes stale here: they read lock flags,
+    /// and the pass unlocks every cell.
     fn start_pass(&mut self) {
         let graph = self.state.graph();
         let epoch = self.scratch.next_epoch();
         for &m in &self.moved {
-            self.scratch.visited[m.index()] = epoch;
+            let r = row(&self.row_of, m).expect("only cells move");
+            self.scratch.visited[r] = epoch;
             for &net in graph.nets(m) {
                 if self.scratch.net_visited[net.index()] != epoch {
                     self.scratch.net_visited[net.index()] = epoch;
                     for &u in graph.pins(net) {
-                        self.scratch.visited[u.index()] = epoch;
+                        if let Some(r) = row(&self.row_of, u) {
+                            self.scratch.visited[r] = epoch;
+                        }
                     }
                 }
             }
         }
         self.moved.clear();
+        self.tie_epoch = self.tie_epoch.wrapping_add(1);
+        if self.tie_epoch == 0 {
+            // Wraparound: no entry may carry the restarted epoch.
+            for entry in &mut self.ties {
+                entry.epoch = 0;
+            }
+            self.tie_epoch = 1;
+        }
         for bucket in &mut self.buckets {
             bucket.clear();
         }
         let slots = self.active.len();
         for (i, &v) in self.cells.iter().enumerate() {
             self.locked[v.index()] = false;
-            if self.scratch.visited[v.index()] == epoch {
+            if self.scratch.visited[i] == epoch {
                 self.refresh_gains(i);
             }
             let from_slot = self.block_to_slot[self.state.block_of(v)];
@@ -383,6 +469,7 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         metrics: &mut Metrics,
     ) -> Option<(NodeId, usize, usize)> {
         let levels = self.ctx.config.gain_levels;
+        let slots = self.active.len();
         // Bucket cells inspected over the whole selection, flushed to the
         // metrics registry once per call (not once per cell).
         let mut popped = 0u64;
@@ -412,16 +499,27 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
                     if !self.regions.move_allowed(self.state, size, from, to) {
                         continue;
                     }
-                    // Lazy higher-level gains (levels 2..=L) for
-                    // tie-breaking among equal first-level gains.
-                    let mut tie = [0i32; MAX_TIE_LEVELS];
-                    for level in 2..=levels {
-                        tie[usize::from(level) - 2] = if level == 2 {
-                            level2_gain(self.state, node, to, &self.locked)
+                    // Higher-level gains (levels 2..=L) for tie-breaking
+                    // among equal first-level gains, kept per target.
+                    let tie = if levels < 2 {
+                        [0; MAX_TIE_LEVELS]
+                    } else {
+                        let r = row(&self.row_of, node).expect("bucket cells are engine cells");
+                        let entry = &mut self.ties[r * slots + ts];
+                        if entry.epoch == self.tie_epoch {
+                            debug_assert_eq!(
+                                entry.gains,
+                                tie_gains(self.state, node, to, &self.locked, levels),
+                                "stale tie-break gains for cell {cell} towards slot {ts}"
+                            );
                         } else {
-                            level_gain(self.state, node, to, &self.locked, level)
-                        };
-                    }
+                            #[cfg(test)]
+                            TIE_EVALUATIONS.with(|n| n.set(n.get() + 1));
+                            entry.gains = tie_gains(self.state, node, to, &self.locked, levels);
+                            entry.epoch = self.tie_epoch;
+                        }
+                        entry.gains
+                    };
                     let balance =
                         self.state.block_size(from) as i64 - self.state.block_size(to) as i64;
                     let better = match &best {
@@ -447,7 +545,8 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
     }
 
     /// Applies a selected move: updates the state, locks the cell, fixes
-    /// neighbouring gains. Allocation-free: the `pre` pin counts live in
+    /// neighbouring gains and drops the kept tie-break gains of every pin
+    /// of the cell's nets. Allocation-free: the `pre` pin counts live in
     /// a scratch buffer reserved to the maximum node degree.
     fn apply_move(&mut self, node: NodeId, from: usize, to: usize) {
         let graph = self.state.graph();
@@ -499,6 +598,19 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             GainObjective::IoPins => self.update_io_gains(node, from, to, &pre),
         }
         self.scratch.pre = pre;
+
+        if !self.ties.is_empty() {
+            let slots = self.active.len();
+            for &net in graph.nets(node) {
+                for &u in graph.pins(net) {
+                    if let Some(r) = row(&self.row_of, u) {
+                        for entry in &mut self.ties[r * slots..(r + 1) * slots] {
+                            entry.epoch = 0;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Applies exact per-net I/O-gain deltas to every unlocked neighbour
@@ -535,15 +647,14 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
                 if u == moved || self.locked[u.index()] {
                     continue;
                 }
+                // Only the engine's cells hold bucket entries.
+                let Some(u_row) = row(&self.row_of, u) else { continue };
                 let c = self.state.block_of(u);
-                if self.block_to_slot[c] == usize::MAX {
-                    continue;
-                }
-                let row = u.index() * slots;
-                if self.scratch.visited[u.index()] != epoch {
-                    self.scratch.visited[u.index()] = epoch;
-                    touched.push(u.index() as u32);
-                    self.scratch.io_delta[row..row + slots].fill(0);
+                let base = u_row * slots;
+                if self.scratch.visited[u_row] != epoch {
+                    self.scratch.visited[u_row] = epoch;
+                    touched.push(u_row as u32);
+                    self.scratch.io_delta[base..base + slots].fill(0);
                 }
                 // Post- and pre-move pin counts of `u`'s own block.
                 let dc1 = self.state.net_pins_in(net, c);
@@ -560,7 +671,7 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
                     }
                     let dt1 = self.state.net_pins_in(net, t);
                     let dt0 = dt1 + u32::from(t == a) - u32::from(t == b);
-                    self.scratch.io_delta[row + ts] += io_gain_net(dc1, dt1, span1, has_term)
+                    self.scratch.io_delta[base + ts] += io_gain_net(dc1, dt1, span1, has_term)
                         - io_gain_net(dc0, dt0, span0, has_term);
                 }
             }
@@ -568,15 +679,16 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         #[cfg(debug_assertions)]
         assert_eq!(touched.capacity(), touched_cap, "touched scratch reallocated");
 
-        for &cell in &touched {
-            let u = NodeId::from_index(cell as usize);
+        for &u_row in &touched {
+            let u = self.cells[u_row as usize];
+            let cell = u.index() as u32;
             let fs = self.block_to_slot[self.state.block_of(u)];
-            let row = cell as usize * slots;
+            let base = u_row as usize * slots;
             for ts in 0..slots {
                 if ts == fs {
                     continue;
                 }
-                let delta = self.scratch.io_delta[row + ts];
+                let delta = self.scratch.io_delta[base + ts];
                 let d = self.dir(fs, ts);
                 if delta != 0 && self.buckets[d].contains(cell) {
                     self.buckets[d].adjust(cell, delta);
@@ -1047,6 +1159,35 @@ mod tests {
         let stats = improve(&mut state, &[0, 1], &ctx(&evaluator, &config, 0));
         state.assert_consistent();
         assert!(!stats.initial_key.better_than(&stats.final_key));
+    }
+
+    /// The tie-break cache, counted rather than timed: on the pinned
+    /// s13207/XC3020 run (the second row of the `golden_workloads`
+    /// search-work pins) every one of the 581,951 popped candidates used
+    /// to evaluate its tie-break gains; now only those whose kept gains
+    /// went stale do. Debug builds re-derive every kept value they reuse.
+    #[test]
+    fn tie_break_gains_are_evaluated_only_when_stale() {
+        use crate::obs::Observer;
+        use crate::search::{search, Algorithm, Restarts};
+        use fpart_device::Device;
+        use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
+        use std::cell::Cell;
+
+        let graph = synthesize_mcnc(find_profile("s13207").unwrap(), Technology::Xc3000);
+        let before = TIE_EVALUATIONS.with(Cell::get);
+        let report = search(
+            &graph,
+            Device::XC3020.constraints(0.9),
+            &FpartConfig::default(),
+            Algorithm::Flat,
+            &Restarts::default(),
+            &mut Observer::new(Metrics::enabled(), None),
+        )
+        .unwrap();
+        let evaluations = TIE_EVALUATIONS.with(Cell::get) - before;
+        assert_eq!(report.totals.get(Counter::GainBucketPops), 581_951);
+        assert_eq!(evaluations, 151_840);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!    ratio `R = C / (S(P_i)·S(P_j))`; the prefix with the smallest ratio
 //!    among those where at least one side meets the device constraints is
 //!    retained.
+//!
+//! The sweep keeps the cut and both sides' terminal counts exact at every
+//! prefix, updating them per absorbed cell from per-net pin counts. The
+//! two sweeps of one bipartition share the cell set's membership mask,
+//! size, per-net pin counts and terminal count, computed once, and the
+//! best prefix remembers which side fit when it was taken, so choosing
+//! the peel recounts nothing.
 
 use std::cmp::Reverse;
 
@@ -388,6 +395,7 @@ fn ratio_cut_sweep(
     if cells.len() < 2 {
         return (None, None);
     }
+    let set = SweepSet::new(state, cells);
     let mut best: Option<(f64, Vec<NodeId>)> = None;
     let mut best_fill: Option<(u64, Vec<NodeId>)> = None;
     let mut seeds = vec![seed1];
@@ -395,7 +403,7 @@ fn ratio_cut_sweep(
         seeds.push(seed2);
     }
     for seed in seeds {
-        let outcome = sweep_from(state, cells, seed, ctx);
+        let outcome = sweep_from(state, &set, seed, ctx, |_, _| {});
         if let Some((ratio, peel)) = outcome.min_ratio {
             match &best {
                 Some((br, _)) if *br <= ratio => {}
@@ -412,30 +420,80 @@ fn ratio_cut_sweep(
     (best.map(|(_, p)| p), best_fill.map(|(_, p)| p))
 }
 
+/// What both sweeps of one bipartition read of the cell set, computed
+/// once per bipartition.
+struct SweepSet<'a> {
+    cells: &'a [NodeId],
+    /// Node-indexed membership mask of `cells`.
+    in_set: Vec<bool>,
+    /// Total size of `cells`.
+    total_size: u64,
+    /// `pins_in_set[net]` = pins of the net among `cells`.
+    pins_in_set: Vec<u32>,
+    /// Terminal count of the whole set: `T_rest` of the empty prefix.
+    terminals: i64,
+}
+
+impl<'a> SweepSet<'a> {
+    fn new(state: &PartitionState<'_>, cells: &'a [NodeId]) -> Self {
+        let graph = state.graph();
+        let mut in_set = vec![false; graph.node_count()];
+        let mut pins_in_set = vec![0u32; graph.net_count()];
+        let mut total_size = 0u64;
+        // Each net touching the set, once.
+        let mut nets = Vec::new();
+        for &c in cells {
+            in_set[c.index()] = true;
+            total_size += u64::from(graph.node_size(c));
+            for &net in graph.nets(c) {
+                if pins_in_set[net.index()] == 0 {
+                    nets.push(net);
+                }
+                pins_in_set[net.index()] += 1;
+            }
+        }
+        // A net is a terminal of the set when it also has a pin outside
+        // the set or a pad.
+        let terminals = nets
+            .iter()
+            .filter(|&&net| {
+                (pins_in_set[net.index()] as usize) < graph.pins(net).len()
+                    || graph.net_has_terminal(net)
+            })
+            .count() as i64;
+        SweepSet { cells, in_set, total_size, pins_in_set, terminals }
+    }
+}
+
+/// The counts a sweep tracks for its current prefix `A` of the cell set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PrefixCounts {
+    /// Nets with pins both in `A` and in the rest of the set.
+    cut: i64,
+    /// Terminals of `A`: nets touching `A` with a pin elsewhere or a pad.
+    t_a: i64,
+    /// Terminals of the rest of the set, likewise.
+    t_rest: i64,
+}
+
 /// One sweep: grows `A` from `seed`, returning the best-ratio feasible
 /// prefix (as the side that meets the constraints) and the largest
-/// feasible `A` prefix.
+/// feasible `A` prefix. `on_prefix` sees every prefix (the absorbed
+/// cells in order) with its tracked counts.
 fn sweep_from(
     state: &PartitionState<'_>,
-    cells: &[NodeId],
+    set: &SweepSet<'_>,
     seed: NodeId,
     ctx: &ImproveContext<'_>,
+    mut on_prefix: impl FnMut(&[NodeId], PrefixCounts),
 ) -> SweepOutcome {
     let graph = state.graph();
     let constraints = ctx.evaluator.constraints();
-    let in_set = membership(state, cells, seed);
+    let cells = set.cells;
+    debug_assert!(set.in_set[seed.index()], "seed outside the cell set");
 
-    let total_size: u64 = cells.iter().map(|&c| u64::from(graph.node_size(c))).sum();
-
-    // cov_a[net] = pins in A; pins_in_set[net] = pins among `cells`.
+    // cov_a[net] = pins in A.
     let mut cov_a = vec![0u32; graph.net_count()];
-    let mut pins_in_set = vec![0u32; graph.net_count()];
-    for &c in cells {
-        for &net in graph.nets(c) {
-            pins_in_set[net.index()] += 1;
-        }
-    }
-
     let mut in_a = vec![false; graph.node_count()];
     let mut heap = SweepHeap::new(graph.node_count());
     let mut order: Vec<NodeId> = Vec::with_capacity(cells.len());
@@ -443,7 +501,7 @@ fn sweep_from(
     let mut s_a = 0u64;
     let mut cut = 0i64; // nets with pins both in A and in (cells − A)
     let mut t_a = 0i64;
-    let mut t_rest: i64 = rest_terminals(state, cells);
+    let mut t_rest: i64 = set.terminals;
 
     let absorb = |v: NodeId,
                   in_a: &mut Vec<bool>,
@@ -458,7 +516,7 @@ fn sweep_from(
         for &net in graph.nets(v) {
             let e = net.index();
             let n = graph.pins(net).len() as u32;
-            let set_pins = pins_in_set[e];
+            let set_pins = set.pins_in_set[e];
             let c0 = cov_a[e];
             let c1 = c0 + 1;
             cov_a[e] = c1;
@@ -483,8 +541,12 @@ fn sweep_from(
             let tr_after = rest1 >= 1 && exposed_beyond(rest1);
             *t_rest += i64::from(tr_after) - i64::from(tr_before);
 
+            // Every in-set pin of the net is in A: none left to connect.
+            if rest1 == 0 {
+                continue;
+            }
             for &u in graph.pins(net) {
-                if in_set[u.index()] && !in_a[u.index()] {
+                if set.in_set[u.index()] && !in_a[u.index()] {
                     heap.connect(u.index(), graph.node_size(u));
                 }
             }
@@ -493,8 +555,10 @@ fn sweep_from(
 
     absorb(seed, &mut in_a, &mut cov_a, &mut heap, &mut s_a, &mut cut, &mut t_a, &mut t_rest);
     order.push(seed);
+    on_prefix(&order, PrefixCounts { cut, t_a, t_rest });
 
-    let mut best: Option<(f64, usize)> = None;
+    // (ratio, prefix length, whether A rather than the rest fit).
+    let mut best: Option<(f64, usize, bool)> = None;
     let mut best_fill: Option<(u64, usize)> = None;
     let mut assigned = 1usize;
     while assigned < cells.len() {
@@ -505,9 +569,10 @@ fn sweep_from(
         let Some(v) = next else { break };
         absorb(v, &mut in_a, &mut cov_a, &mut heap, &mut s_a, &mut cut, &mut t_a, &mut t_rest);
         order.push(v);
+        on_prefix(&order, PrefixCounts { cut, t_a, t_rest });
         assigned += 1;
 
-        let s_rest = total_size - s_a;
+        let s_rest = set.total_size - s_a;
         if s_rest == 0 {
             break;
         }
@@ -525,36 +590,22 @@ fn sweep_from(
         }
         let ratio = cut.max(0) as f64 / (s_a as f64 * s_rest as f64);
         match best {
-            Some((br, _)) if br <= ratio => {}
-            _ => best = Some((ratio, order.len())),
+            Some((br, _, _)) if br <= ratio => {}
+            _ => best = Some((ratio, order.len(), a_fits)),
         }
     }
 
     let fill_peel = best_fill.map(|(size, prefix)| (size, order[..prefix].to_vec()));
-
-    let Some((ratio, prefix)) = best else {
-        return SweepOutcome { min_ratio: None, max_fill: fill_peel };
-    };
-    // Re-derive which side fits at that prefix to decide the peel.
-    let a_cells: Vec<NodeId> = order[..prefix].to_vec();
-    let a_size: u64 = a_cells.iter().map(|&c| u64::from(graph.node_size(c))).sum();
-    let (t_a_final, t_rest_final) = prefix_terminals(state, cells, &a_cells);
-    let a_fits = constraints.fits(a_size, t_a_final);
-    let min_ratio = if a_fits {
-        Some((ratio, a_cells))
-    } else {
-        let mut mask = vec![false; graph.node_count()];
-        for &c in &a_cells {
-            mask[c.index()] = true;
+    // The peel is the side that fit at the best prefix.
+    let min_ratio = best.map(|(ratio, prefix, a_fits)| {
+        if a_fits {
+            return (ratio, order[..prefix].to_vec());
         }
-        let rest: Vec<NodeId> = cells.iter().copied().filter(|c| !mask[c.index()]).collect();
-        let rest_size = total_size - a_size;
-        if constraints.fits(rest_size, t_rest_final) {
-            Some((ratio, rest))
-        } else {
-            None
+        for &v in &order[prefix..] {
+            in_a[v.index()] = false;
         }
-    };
+        (ratio, cells.iter().copied().filter(|c| !in_a[c.index()]).collect())
+    });
     SweepOutcome { min_ratio, max_fill: fill_peel }
 }
 
@@ -648,82 +699,119 @@ struct SweepOutcome {
     max_fill: Option<(u64, Vec<NodeId>)>,
 }
 
-/// Terminal count of the whole cell set (the sweep's initial `T_rest`,
-/// before the seed is absorbed — the seed's removal is accounted by the
-/// incremental update).
-fn rest_terminals(state: &PartitionState<'_>, cells: &[NodeId]) -> i64 {
-    let graph = state.graph();
-    let mut mask = vec![false; graph.node_count()];
-    for &c in cells {
-        mask[c.index()] = true;
-    }
-    let mut seen = vec![false; graph.net_count()];
-    let mut t = 0i64;
-    for &c in cells {
-        for &net in graph.nets(c) {
-            if seen[net.index()] {
-                continue;
-            }
-            seen[net.index()] = true;
-            let outside =
-                graph.pins(net).iter().any(|p| !mask[p.index()]) || graph.net_has_terminal(net);
-            if outside {
-                t += 1;
-            }
-        }
-    }
-    t
-}
-
-/// Exact terminal counts of a prefix split (A vs cells − A), in global
-/// context.
-fn prefix_terminals(
-    state: &PartitionState<'_>,
-    cells: &[NodeId],
-    a_cells: &[NodeId],
-) -> (usize, usize) {
-    let graph = state.graph();
-    let mut in_a = vec![false; graph.node_count()];
-    for &c in a_cells {
-        in_a[c.index()] = true;
-    }
-    let mut in_set = vec![false; graph.node_count()];
-    for &c in cells {
-        in_set[c.index()] = true;
-    }
-    let mut t_a = 0usize;
-    let mut t_rest = 0usize;
-    let mut seen = vec![false; graph.net_count()];
-    for &c in cells {
-        for &net in graph.nets(c) {
-            if seen[net.index()] {
-                continue;
-            }
-            seen[net.index()] = true;
-            let pins = graph.pins(net);
-            let term = graph.net_has_terminal(net);
-            let touches_a = pins.iter().any(|p| in_a[p.index()]);
-            let touches_rest = pins.iter().any(|p| in_set[p.index()] && !in_a[p.index()]);
-            let touches_outside = pins.iter().any(|p| !in_set[p.index()]);
-            if touches_a && (touches_rest || touches_outside || term) {
-                t_a += 1;
-            }
-            if touches_rest && (touches_a || touches_outside || term) {
-                t_rest += 1;
-            }
-        }
-    }
-    (t_a, t_rest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FpartConfig;
     use crate::cost::CostEvaluator;
     use fpart_device::DeviceConstraints;
-    use fpart_hypergraph::gen::{clustered_circuit, ClusteredConfig};
+    use fpart_hypergraph::gen::{clustered_circuit, window_circuit, ClusteredConfig, WindowConfig};
     use fpart_hypergraph::HypergraphBuilder;
+    use proptest::prelude::*;
+
+    /// The cut and both sides' terminal counts of the split of `cells`
+    /// into `a_cells` and the rest, in global context, recounted from
+    /// scratch: the independent oracle of what a sweep tracks.
+    fn prefix_terminals(
+        state: &PartitionState<'_>,
+        cells: &[NodeId],
+        a_cells: &[NodeId],
+    ) -> PrefixCounts {
+        let graph = state.graph();
+        let mut in_a = vec![false; graph.node_count()];
+        for &c in a_cells {
+            in_a[c.index()] = true;
+        }
+        let mut in_set = vec![false; graph.node_count()];
+        for &c in cells {
+            in_set[c.index()] = true;
+        }
+        let mut counts = PrefixCounts { cut: 0, t_a: 0, t_rest: 0 };
+        let mut seen = vec![false; graph.net_count()];
+        for &c in cells {
+            for &net in graph.nets(c) {
+                if seen[net.index()] {
+                    continue;
+                }
+                seen[net.index()] = true;
+                let pins = graph.pins(net);
+                let term = graph.net_has_terminal(net);
+                let touches_a = pins.iter().any(|p| in_a[p.index()]);
+                let touches_rest = pins.iter().any(|p| in_set[p.index()] && !in_a[p.index()]);
+                let touches_outside = pins.iter().any(|p| !in_set[p.index()]);
+                counts.cut += i64::from(touches_a && touches_rest);
+                counts.t_a += i64::from(touches_a && (touches_rest || touches_outside || term));
+                counts.t_rest += i64::from(touches_rest && (touches_a || touches_outside || term));
+            }
+        }
+        counts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// At every prefix of both sweeps of a bipartition, the tracked
+        /// cut, `T_A` and `T_rest` equal the recount, and each peel the
+        /// sweeps return fits the device under the recount. The remainder
+        /// is a random subset of a random circuit whose other cells sit
+        /// in two more blocks, so nets leave the set as well as cross it.
+        #[test]
+        fn sweep_counts_match_a_recount_at_every_prefix(
+            nodes in 4usize..40,
+            terminals in 0usize..8,
+            seed in any::<u64>(),
+            outside in any::<u64>(),
+            s_max in 1u64..40,
+            t_max in 1usize..16,
+        ) {
+            let mut cfg = WindowConfig::new("sweep", nodes, terminals);
+            cfg.extra_size_prob = 0.3;
+            let g = window_circuit(&cfg, seed);
+            // Bit i set (mostly clear): cell i lies outside the remainder.
+            let outside = outside & outside.rotate_left(17);
+            let assignment: Vec<u32> = (0..g.node_count() as u32)
+                .map(|i| if outside >> (i % 64) & 1 == 1 { 1 + i % 2 } else { 0 })
+                .collect();
+            let state = PartitionState::from_assignment(&g, assignment, 3);
+            let cells = state.nodes_in_block(0);
+            prop_assume!(cells.len() >= 2);
+            let config = FpartConfig::default();
+            let evaluator = CostEvaluator::new(
+                DeviceConstraints::new(s_max, t_max),
+                &config,
+                2,
+                g.terminal_count(),
+            );
+            let ctx = make_ctx(&evaluator, &config, 0);
+            let set = SweepSet::new(&state, &cells);
+            let seed1 = biggest_cell(&state, &cells);
+            let seed2 = farthest_cell(&state, &cells, seed1);
+            let fits = |peel: &[NodeId]| {
+                let size = peel.iter().map(|&c| u64::from(g.node_size(c))).sum();
+                let terminals = prefix_terminals(&state, &cells, peel).t_a;
+                evaluator.constraints().fits(size, terminals as usize)
+            };
+            for seed in [seed1, seed2] {
+                let mut mismatches = Vec::new();
+                let mut prefixes = 0;
+                let outcome = sweep_from(&state, &set, seed, &ctx, |a, tracked| {
+                    prefixes += 1;
+                    let recount = prefix_terminals(&state, &cells, a);
+                    if tracked != recount {
+                        mismatches.push((a.len(), tracked, recount));
+                    }
+                });
+                prop_assert!(mismatches.is_empty(), "(prefix, tracked, recount): {mismatches:?}");
+                prop_assert!(prefixes >= 2, "the sweep stopped after {prefixes} prefix(es)");
+                if let Some((_, peel)) = outcome.min_ratio {
+                    prop_assert!(fits(&peel), "min-ratio peel {peel:?} does not fit");
+                }
+                if let Some((_, peel)) = outcome.max_fill {
+                    prop_assert!(fits(&peel), "max-fill peel {peel:?} does not fit");
+                }
+            }
+        }
+    }
 
     fn make_ctx<'c>(
         evaluator: &'c CostEvaluator,

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc links, release build, tests,
 # benchmark harness tests, served-session peak-RSS gate, parser fuzz,
-# degradation smoke, peak-RSS gate, large run, kill-resume durability
-# gate, quality-regression gate, paper tables, observability smoke,
-# partition-server smoke. No step compares
+# degradation smoke, peak-RSS and search-work gate, large run,
+# kill-resume durability gate, quality-regression gate, paper tables,
+# observability smoke, partition-server smoke. No step compares
 # wall times: every gate checks a deterministic result, a count, or
 # peak memory. Speed is measured by the perfbench A/B
 # (perfbench/README.md), not gated here.
@@ -142,27 +142,45 @@ case "$err" in
     *RUST_BACKTRACE*) echo "parse error printed a backtrace: $err" >&2; exit 1 ;;
 esac
 
-step "peak-RSS gate (40k-cell n-level run on XC3064 at --threads 1 <= 100 MiB)"
+step "peak-RSS and search-work gate (40k-cell n-level run on XC3064 at --threads 1: <= 100 MiB, same search as goldens/rent40k_search_work.json)"
 # One partition state of this run (47,863 nets x ~200 devices, dense
 # row stride 256) is ~47 MiB. One-worker boundary refinement refines
 # the caller's state in place, so the whole run peaks near 73 MiB; a
 # per-job or per-level copy of the state coming back pushes it past
 # 100 MiB. Memory, unlike time, does not vary with machine load, so
 # this gate catches such a copy where a timing gate could not.
+# The same run pins its search: the seven search-work counters of its
+# metrics (passes, moves applied and reverted, gain-bucket pops, stack
+# restarts, key evaluations, materialized snapshots) and the SHA-256 of
+# its assignment must equal the golden. That is the k ~ 200 regime
+# (201 devices) no tier-1 test reaches, so a change that claims the
+# same search with less work is held to it there too. An intentional
+# search change re-pins the golden in the same commit.
 ./target/release/fpart gen rent --nodes 40000 --terminals 1200 --seed 42 \
     --output "$smoke_dir/rent40k.fhg"
-timeout 120 python3 - ./target/release/fpart "$smoke_dir" <<'EOF'
-import os, subprocess, sys
-fpart, work = sys.argv[1], sys.argv[2]
+timeout 120 python3 - ./target/release/fpart "$smoke_dir" goldens/rent40k_search_work.json <<'EOF'
+import hashlib, json, os, subprocess, sys
+fpart, work, golden = sys.argv[1], sys.argv[2], json.load(open(sys.argv[3]))
 proc = subprocess.Popen([fpart, "partition", f"{work}/rent40k.fhg", "--multilevel",
                          "--device", "XC3064", "--threads", "1",
-                         "--output", f"{work}/rent40k.txt"], stdout=subprocess.DEVNULL)
+                         "--output", f"{work}/rent40k.txt",
+                         "--metrics", f"{work}/rent40k.json"], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 proc.returncode = os.waitstatus_to_exitcode(status)
 peak_mib = usage.ru_maxrss / 1024.0
 assert proc.returncode == 0, f"fpart partition exited {proc.returncode}"
 print(f"peak RSS {peak_mib:.1f} MiB (limit 100 MiB)")
 assert peak_mib <= 100.0, f"peak RSS {peak_mib:.1f} MiB exceeds 100 MiB"
+metrics = json.load(open(f"{work}/rent40k.json"))
+counters = {k: metrics["totals"]["counters"][k] for k in golden["counters"]}
+assert counters == golden["counters"], \
+    f"search work moved: {counters}, golden {golden['counters']}"
+quality = (metrics["quality"]["device_count"], metrics["quality"]["cut"])
+assert quality == (golden["device_count"], golden["cut"]), \
+    f"(devices, cut) {quality}, golden {(golden['device_count'], golden['cut'])}"
+digest = hashlib.sha256(open(f"{work}/rent40k.txt", "rb").read()).hexdigest()
+assert digest == golden["assignment_sha256"], f"assignment digest {digest} moved"
+print(f"search work and assignment match the golden ({counters['moves_applied']} moves)")
 EOF
 
 step "large run (200k-cell n-level run at --threads 1, verified)"

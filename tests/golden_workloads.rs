@@ -18,9 +18,8 @@ use std::sync::Once;
 
 use fpart_core::config::GainObjective;
 use fpart_core::{
-    partition_multilevel, partition_multilevel_restarts_observed, partition_observed,
-    repartition_eco, Counter, EcoConfig, FaultPlan, FpartConfig, Metrics, MultilevelConfig,
-    Observer, PartitionOutcome,
+    partition_multilevel_restarts_observed, partition_observed, repartition_eco_observed, Counter,
+    EcoConfig, FaultPlan, FpartConfig, Metrics, MultilevelConfig, Observer, PartitionOutcome,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -167,10 +166,11 @@ fn quiet_injected_panics() {
 }
 
 /// The exact n-level, ECO and pair-panic results on the pinned circuit,
-/// at whatever worker count `FPART_THREADS` selects (every count must
-/// give the same values). If an intentional algorithm change moves
-/// them, re-pin from the failed assertion's left-hand side in the same
-/// commit that refreshes the quality gate's golden.
+/// and the search work of the n-level and ECO runs, at whatever worker
+/// count `FPART_THREADS` selects (every count must give the same
+/// values). If an intentional algorithm change moves them, re-pin from
+/// the failed assertion's left-hand side in the same commit that
+/// refreshes the quality gate's golden.
 #[test]
 fn refinement_results_are_pinned() {
     quiet_injected_panics();
@@ -178,17 +178,21 @@ fn refinement_results_are_pinned() {
     let config = FpartConfig::default();
     let ml = MultilevelConfig::default();
 
-    let multilevel = partition_multilevel(&graph, constraints, &config, &ml).expect("partitions");
-    assert!(multilevel.device_count >= 30, "{} devices", multilevel.device_count);
+    let multilevel =
+        partition_multilevel_restarts_observed(&graph, constraints, &config, &ml, 1, ml.threads)
+            .expect("partitions");
+    assert!(multilevel.outcome.device_count >= 30, "{} devices", multilevel.outcome.device_count);
 
     let applied = apply_script(&graph, &pinned_edit(&graph)).expect("edit applies");
-    let eco = repartition_eco(
+    let mut eco_obs = Observer::new(Metrics::enabled(), None);
+    let eco = repartition_eco_observed(
         &applied.graph,
         constraints,
         &config,
         &EcoConfig::default(),
-        &multilevel.assignment,
+        &multilevel.outcome.assignment,
         &applied.node_map,
+        &mut eco_obs,
     )
     .expect("repairs");
     assert!(eco.repaired, "the edit must take the dirty-block repair path");
@@ -209,8 +213,10 @@ fn refinement_results_are_pinned() {
     assert!(faulted.totals.get(Counter::PairPanics) >= 1, "the fault must hit a pair job");
 
     let measured =
-        [result_key(&multilevel), result_key(&eco.outcome), result_key(&faulted.outcome)];
+        [result_key(&multilevel.outcome), result_key(&eco.outcome), result_key(&faulted.outcome)];
     assert_eq!(measured, PINNED_REFINEMENT_RESULTS);
+    let work = [multilevel.totals, eco_obs.metrics].map(|m| SEARCH_WORK_COUNTERS.map(|c| m.get(c)));
+    assert_eq!(work, PINNED_REFINEMENT_SEARCH_WORK);
 }
 
 /// `(assignment hash, devices, cut)` for the n-level run, the ECO repair
@@ -221,6 +227,12 @@ const PINNED_REFINEMENT_RESULTS: [(u64, usize, usize); 3] = [
     (0xf24e_1f75_e49a_2a46, 34, 215),
     (0x1afe_db44_13e2_b33c, 34, 211),
 ];
+
+/// The [`SEARCH_WORK_COUNTERS`] of the n-level run (coarse peel plus
+/// boundary refinement) and of the ECO repair of
+/// [`refinement_results_are_pinned`].
+const PINNED_REFINEMENT_SEARCH_WORK: [[u64; 7]; 2] =
+    [[1_951, 57_957, 52_525, 1_444_067, 795, 61_081, 1_159], [89, 445, 374, 538, 42, 604, 42]];
 
 /// The engine counters that describe the work of a search, in the order
 /// [`SearchWork::counters`] lists them.
@@ -244,12 +256,17 @@ struct SearchWork {
 }
 
 /// Flat FPART on one pinned XC3000 workload, with metrics enabled.
-fn flat_search_work(circuit: &str, device: Device, gain_objective: GainObjective) -> SearchWork {
+fn flat_search_work(
+    circuit: &str,
+    device: Device,
+    gain_objective: GainObjective,
+    gain_levels: u8,
+) -> SearchWork {
     let profile = find_profile(circuit).expect("known circuit");
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let pinned = PINNED_XC3000.iter().find(|(name, _)| *name == circuit).expect("pinned circuit");
     assert_eq!(fingerprint(&graph), pinned.1, "{circuit} is not the pinned workload");
-    let config = FpartConfig { gain_objective, ..FpartConfig::default() };
+    let config = FpartConfig { gain_objective, gain_levels, ..FpartConfig::default() };
     let mut obs = Observer::new(Metrics::enabled(), None);
     let outcome =
         partition_observed(&graph, device.constraints(0.9), &config, &mut obs).expect("partitions");
@@ -270,9 +287,9 @@ fn flat_search_work(circuit: &str, device: Device, gain_objective: GainObjective
 #[test]
 fn flat_search_work_is_pinned() {
     let measured = [
-        flat_search_work("c6288", Device::XC3020, GainObjective::CutNets),
-        flat_search_work("s13207", Device::XC3020, GainObjective::CutNets),
-        flat_search_work("c6288", Device::XC3020, GainObjective::IoPins),
+        flat_search_work("c6288", Device::XC3020, GainObjective::CutNets, 2),
+        flat_search_work("s13207", Device::XC3020, GainObjective::CutNets, 2),
+        flat_search_work("c6288", Device::XC3020, GainObjective::IoPins, 2),
     ];
     assert_eq!(measured, PINNED_SEARCH_WORK);
 }
@@ -291,4 +308,51 @@ const PINNED_SEARCH_WORK: [SearchWork; 3] = [
         result: (0x17da_bc77_b8f6_97d4, 15, 210),
         counters: [896, 206_092, 193_612, 1_601_605, 379, 207_469, 600],
     },
+];
+
+/// The search work of the runs of [`flat_search_work_is_pinned`] on
+/// c6288 and s13207 without a tie-break (`gain_levels` 1) and with the
+/// deeper Krishnamurthy tie-breaks (levels 3 and 4), which only the
+/// `ablation` binary runs otherwise. A refactor of how tie-break gains
+/// are computed or kept must reproduce every pass of these searches.
+#[test]
+fn flat_search_work_is_pinned_at_gain_levels_1_3_4() {
+    let measured = ["c6288", "s13207"].map(|circuit| {
+        [1, 3, 4]
+            .map(|levels| flat_search_work(circuit, Device::XC3020, GainObjective::CutNets, levels))
+    });
+    assert_eq!(measured, PINNED_SEARCH_WORK_BY_GAIN_LEVEL);
+}
+
+/// [`SearchWork`] of [`flat_search_work_is_pinned_at_gain_levels_1_3_4`]:
+/// c6288 then s13207, each at gain levels 1, 3 and 4.
+const PINNED_SEARCH_WORK_BY_GAIN_LEVEL: [[SearchWork; 3]; 2] = [
+    [
+        SearchWork {
+            result: (0x8386_174b_afda_d256, 15, 188),
+            counters: [859, 175_175, 168_687, 1_732_394, 370, 176_510, 530],
+        },
+        SearchWork {
+            result: (0x4648_dd2c_3110_a25a, 15, 212),
+            counters: [943, 238_644, 219_916, 2_659_058, 373, 240_060, 627],
+        },
+        SearchWork {
+            result: (0x0cb3_19cc_63b2_3b54, 15, 209),
+            counters: [886, 208_824, 192_156, 2_294_956, 353, 210_159, 630],
+        },
+    ],
+    [
+        SearchWork {
+            result: (0xb8b4_87f2_38fd_2712, 17, 411),
+            counters: [730, 83_251, 78_407, 540_826, 308, 84_377, 464],
+        },
+        SearchWork {
+            result: (0xd7da_29ac_4b4d_2da7, 18, 441),
+            counters: [863, 95_573, 90_479, 635_103, 380, 96_926, 608],
+        },
+        SearchWork {
+            result: (0x3763_6928_7adb_0b86, 18, 439),
+            counters: [748, 81_550, 76_506, 523_430, 326, 82_724, 565],
+        },
+    ],
 ];
