@@ -5,7 +5,6 @@
 //! in a structured form. Used by the CLI's `verify` subcommand, the test
 //! suite, and anyone consuming assignments produced outside this crate.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use fpart_device::DeviceConstraints;
@@ -127,18 +126,28 @@ pub fn verify_assignment(
     }
 
     // Terminals per block: distinct nets that touch the block and either
-    // span more than one block or carry a primary terminal.
+    // span more than one block or carry a primary terminal. A net's
+    // distinct blocks are those whose stamp is not yet the net's index.
     let mut terminals = vec![0usize; k];
+    let mut stamps = vec![usize::MAX; k];
+    let mut blocks: Vec<usize> = Vec::new();
     let mut cut = 0usize;
     for net in graph.net_ids() {
-        let blocks: HashSet<u32> = graph.pins(net).iter().map(|p| assignment[p.index()]).collect();
+        blocks.clear();
+        for p in graph.pins(net) {
+            let b = assignment[p.index()] as usize;
+            if stamps[b] != net.index() {
+                stamps[b] = net.index();
+                blocks.push(b);
+            }
+        }
         if blocks.len() > 1 {
             cut += 1;
         }
         let exposed = blocks.len() > 1 || graph.net_has_terminal(net);
         if exposed {
             for &b in &blocks {
-                terminals[b as usize] += 1;
+                terminals[b] += 1;
             }
         }
     }
@@ -174,7 +183,9 @@ mod tests {
     use crate::{partition, FpartConfig};
     use fpart_device::Device;
     use fpart_hypergraph::gen::{window_circuit, WindowConfig};
-    use fpart_hypergraph::HypergraphBuilder;
+    use fpart_hypergraph::rng::StdRng;
+    use fpart_hypergraph::{HypergraphBuilder, NodeId};
+    use proptest::prelude::*;
 
     #[test]
     fn fpart_outcome_verifies_clean() {
@@ -236,6 +247,92 @@ mod tests {
             .iter()
             .any(|x| matches!(x, Violation::OverTerminals { block: 0, .. })));
         assert!(v.violations.iter().any(|x| matches!(x, Violation::EmptyBlock { block: 1 })));
+    }
+
+    /// The plainest recount of a valid-length, in-range assignment: each
+    /// net's blocks sorted and deduplicated, each limit compared
+    /// directly, findings listed block by block.
+    fn naive_recount(
+        graph: &Hypergraph,
+        assignment: &[u32],
+        k: usize,
+        constraints: DeviceConstraints,
+    ) -> Verification {
+        let mut sizes = vec![0u64; k];
+        for (v, &block) in assignment.iter().enumerate() {
+            sizes[block as usize] += u64::from(graph.node_size(NodeId::from_index(v)));
+        }
+        let mut terminals = vec![0usize; k];
+        let mut cut = 0;
+        for net in graph.net_ids() {
+            let mut blocks: Vec<u32> =
+                graph.pins(net).iter().map(|p| assignment[p.index()]).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            if blocks.len() > 1 {
+                cut += 1;
+            }
+            if blocks.len() > 1 || !graph.net_terminals(net).is_empty() {
+                for block in blocks {
+                    terminals[block as usize] += 1;
+                }
+            }
+        }
+        let mut violations = Vec::new();
+        for block in 0..k {
+            if sizes[block] == 0 {
+                violations.push(Violation::EmptyBlock { block });
+                continue;
+            }
+            if sizes[block] > constraints.s_max {
+                violations.push(Violation::OverSize {
+                    block,
+                    size: sizes[block],
+                    s_max: constraints.s_max,
+                });
+            }
+            if terminals[block] > constraints.t_max {
+                violations.push(Violation::OverTerminals {
+                    block,
+                    terminals: terminals[block],
+                    t_max: constraints.t_max,
+                });
+            }
+        }
+        Verification { violations, cut, sizes, terminals }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `verify_assignment` equals the naive recount on random
+        /// circuits and random assignments of up to a few hundred
+        /// blocks. The cells go into the first `used` blocks only, so
+        /// the rest are empty, and the small limits make oversize and
+        /// over-terminal blocks common.
+        #[test]
+        fn verification_matches_a_naive_recount(
+            nodes in 2usize..160,
+            pads in 0usize..24,
+            seed in any::<u64>(),
+            k in 1usize..300,
+            used in any::<u64>(),
+            s_max in 1u64..40,
+            t_max in 0usize..16,
+        ) {
+            let mut cfg = WindowConfig::new("oracle", nodes, pads);
+            cfg.extra_size_prob = 0.3;
+            let g = window_circuit(&cfg, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ used);
+            let used = 1 + used % k as u64;
+            let assignment: Vec<u32> =
+                g.node_ids().map(|_| rng.bounded_u64(used) as u32).collect();
+            let constraints = DeviceConstraints::new(s_max, t_max);
+            prop_assert_eq!(
+                verify_assignment(&g, &assignment, k, constraints),
+                naive_recount(&g, &assignment, k, constraints)
+            );
+        }
     }
 
     #[test]

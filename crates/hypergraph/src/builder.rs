@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use crate::error::BuildError;
-use crate::graph::Hypergraph;
+use crate::graph::{Hypergraph, NameTable};
 use crate::ids::{NetId, NodeId, TerminalId};
 
 /// Builder for [`Hypergraph`].
@@ -28,16 +28,41 @@ use crate::ids::{NetId, NodeId, TerminalId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HypergraphBuilder {
     name: String,
-    node_names: Vec<String>,
+    node_names: NameTable,
     node_sizes: Vec<u32>,
-    net_names: Vec<String>,
-    net_pins: Vec<Vec<NodeId>>,
-    terminal_names: Vec<String>,
+    net_names: NameTable,
+    /// The nets' pin CSR as [`Hypergraph`] keeps it: net `i`'s pins are
+    /// `net_pins[net_pin_offsets[i]..net_pin_offsets[i + 1]]`.
+    net_pin_offsets: Vec<u32>,
+    net_pins: Vec<NodeId>,
+    /// Per node, the number of the `add_net` call that last listed it:
+    /// a pin already stamped with the current call's is a duplicate.
+    pin_stamps: Vec<u32>,
+    stamp: u32,
+    terminal_names: NameTable,
     terminal_nets: Vec<NetId>,
     check_duplicate_names: bool,
+}
+
+impl Default for HypergraphBuilder {
+    fn default() -> Self {
+        HypergraphBuilder {
+            name: String::new(),
+            node_names: NameTable::default(),
+            node_sizes: Vec::new(),
+            net_names: NameTable::default(),
+            net_pin_offsets: vec![0],
+            net_pins: Vec::new(),
+            pin_stamps: Vec::new(),
+            stamp: 0,
+            terminal_names: NameTable::default(),
+            terminal_nets: Vec::new(),
+            check_duplicate_names: false,
+        }
+    }
 }
 
 impl HypergraphBuilder {
@@ -77,7 +102,7 @@ impl HypergraphBuilder {
     /// Returns the number of nets added so far.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.net_pins.len()
+        self.net_names.len()
     }
 
     /// Returns the number of terminals added so far.
@@ -91,9 +116,10 @@ impl HypergraphBuilder {
     /// A size of zero is tolerated here and rejected at [`Self::finish`],
     /// so that callers may build nodes before sizes are known.
     pub fn add_node(&mut self, name: impl Into<String>, size: u32) -> NodeId {
-        let id = NodeId::from_index(self.node_names.len());
-        self.node_names.push(name.into());
+        let id = NodeId::from_index(self.node_sizes.len());
+        self.node_names.push(&name.into());
         self.node_sizes.push(size);
+        self.pin_stamps.push(0);
         id
     }
 
@@ -119,22 +145,36 @@ impl HypergraphBuilder {
         pins: impl IntoIterator<Item = NodeId>,
     ) -> Result<NetId, BuildError> {
         let name = name.into();
-        let pins: Vec<NodeId> = pins.into_iter().collect();
-        if pins.is_empty() {
+        // A fresh stamp per call; on wrap-around every old stamp is
+        // cleared so none can match a later call's.
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.pin_stamps.fill(0);
+            self.stamp = 1;
+        }
+        let start = self.net_pins.len();
+        for p in pins {
+            let error = match self.pin_stamps.get_mut(p.index()) {
+                None => BuildError::UnknownNode { node: p.index(), net: name },
+                Some(stamp) if *stamp == self.stamp => {
+                    BuildError::DuplicatePin { net: name, node: p.index() }
+                }
+                Some(stamp) => {
+                    *stamp = self.stamp;
+                    self.net_pins.push(p);
+                    continue;
+                }
+            };
+            self.net_pins.truncate(start);
+            return Err(error);
+        }
+        if self.net_pins.len() == start {
             return Err(BuildError::EmptyNet { net: name });
         }
-        let mut seen = HashSet::with_capacity(pins.len());
-        for &p in &pins {
-            if p.index() >= self.node_names.len() {
-                return Err(BuildError::UnknownNode { node: p.index(), net: name });
-            }
-            if !seen.insert(p) {
-                return Err(BuildError::DuplicatePin { net: name, node: p.index() });
-            }
-        }
         let id = NetId::from_index(self.net_names.len());
-        self.net_names.push(name);
-        self.net_pins.push(pins);
+        self.net_names.push(&name);
+        let end = u32::try_from(self.net_pins.len()).expect("pin count fits u32 CSR offsets");
+        self.net_pin_offsets.push(end);
         Ok(id)
     }
 
@@ -152,8 +192,8 @@ impl HypergraphBuilder {
         if net.index() >= self.net_names.len() {
             return Err(BuildError::UnknownNet { net: net.index(), terminal: name });
         }
-        let id = TerminalId::from_index(self.terminal_names.len());
-        self.terminal_names.push(name);
+        let id = TerminalId::from_index(self.terminal_nets.len());
+        self.terminal_names.push(&name);
         self.terminal_nets.push(net);
         Ok(id)
     }
@@ -167,32 +207,24 @@ impl HypergraphBuilder {
     /// and any two entities of the same kind share a name.
     pub fn finish(self) -> Result<Hypergraph, BuildError> {
         if let Some(i) = self.node_sizes.iter().position(|&s| s == 0) {
-            return Err(BuildError::ZeroSizeNode { node: self.node_names[i].clone() });
+            return Err(BuildError::ZeroSizeNode { node: self.node_names.get(i).to_owned() });
         }
         if self.check_duplicate_names {
             for names in [&self.node_names, &self.net_names, &self.terminal_names] {
                 let mut seen = HashSet::with_capacity(names.len());
-                for n in names {
-                    if !seen.insert(n.as_str()) {
-                        return Err(BuildError::DuplicateName { name: n.clone() });
+                for n in names.iter() {
+                    if !seen.insert(n) {
+                        return Err(BuildError::DuplicateName { name: n.to_owned() });
                     }
                 }
             }
-        }
-
-        let mut net_pin_offsets = Vec::with_capacity(self.net_pins.len() + 1);
-        net_pin_offsets.push(0u32);
-        let mut net_pins = Vec::new();
-        for pins in &self.net_pins {
-            net_pins.extend_from_slice(pins);
-            net_pin_offsets.push(net_pins.len() as u32);
         }
         Ok(Hypergraph::from_parts(
             self.name,
             self.node_names,
             self.node_sizes,
             self.net_names,
-            (net_pin_offsets, net_pins),
+            (self.net_pin_offsets, self.net_pins),
             self.terminal_names,
             self.terminal_nets,
         ))
@@ -224,6 +256,46 @@ mod tests {
         let a = b.add_node("a", 1);
         let err = b.add_net("n", [a, a]).unwrap_err();
         assert!(matches!(err, BuildError::DuplicatePin { .. }));
+    }
+
+    /// Builds `first` and `second` after four nodes, with the calls of
+    /// `failing` in between when asked to.
+    fn with_failed_calls(fail: bool) -> Hypergraph {
+        let mut b = HypergraphBuilder::named("retry");
+        let v: Vec<NodeId> = (0..4).map(|i| b.add_node(format!("v{i}"), i + 1)).collect();
+        b.add_net("first", [v[0], v[1]]).unwrap();
+        if fail {
+            let err = b.add_net("dup", [v[1], v[2], v[1]]).unwrap_err();
+            assert!(matches!(err, BuildError::DuplicatePin { node: 1, .. }));
+        }
+        b.add_net("second", [v[1], v[2]]).unwrap();
+        if fail {
+            let err = b.add_net("unknown", [v[2], v[3], NodeId::from_index(9)]).unwrap_err();
+            assert!(matches!(err, BuildError::UnknownNode { node: 9, .. }));
+        }
+        let third = b.add_net("third", [v[2], v[3]]).unwrap();
+        if fail {
+            let err = b.add_net("empty", []).unwrap_err();
+            assert!(matches!(err, BuildError::EmptyNet { .. }));
+        }
+        b.add_net("fourth", [v[3], v[0], v[1], v[2]]).unwrap();
+        b.add_terminal("pad", third).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn a_failed_add_net_leaves_no_stale_pin_or_stamp() {
+        // Each failed call stamps some of its pins before it fails; the
+        // next call over the same pins must still succeed, and the graph
+        // must equal one whose builder never saw the failed calls.
+        let clean = with_failed_calls(false);
+        let retried = with_failed_calls(true);
+        assert_eq!(retried.net_count(), 4);
+        assert_eq!(crate::io::netlist_to_string(&retried), crate::io::netlist_to_string(&clean));
+        assert_eq!(crate::fingerprint_graph(&retried), crate::fingerprint_graph(&clean));
+        for v in clean.node_ids() {
+            assert_eq!(retried.nets(v), clean.nets(v));
+        }
     }
 
     #[test]

@@ -24,11 +24,13 @@
 //!
 //! Net projection onto the coarse graph is likewise split: the per-net
 //! pin mapping (map + sort + dedup, the expensive part) is sharded over
-//! worker threads into disjoint slots, and only the builder insertion
-//! walks nets serially in index order.
+//! worker threads, each net working in its own span of one flat buffer,
+//! and only the write of the coarse arrays walks nets serially in index
+//! order. The coarse graph is written directly into its flat arrays and
+//! name tables, so a level costs a constant number of allocations, not
+//! one per coarse node or net.
 
-use crate::builder::HypergraphBuilder;
-use crate::graph::Hypergraph;
+use crate::graph::{Hypergraph, NameTable};
 use crate::ids::{NetId, NodeId};
 use crate::rng::StdRng;
 
@@ -257,53 +259,102 @@ fn match_level(graph: &Hypergraph, max_cluster_size: u64, seed: u64, threads: us
         }
     }
 
-    // Assign cluster ids.
+    // Assign cluster ids in the order of each cluster's unabsorbed node
+    // and name them `c0`, `c1`, ...
+    let clusters = n - partner.iter().flatten().count();
+    let digits = clusters.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut node_names = NameTable::with_capacity(clusters, clusters * (1 + digits));
+    let mut node_sizes = Vec::with_capacity(clusters);
     let mut map = vec![NodeId::from_index(0); n];
-    let mut builder = HypergraphBuilder::named(format!("{}_coarse", graph.name()));
-    let mut next = 0usize;
     for v_idx in 0..n {
-        let v = NodeId::from_index(v_idx);
-        if let Some(u) = partner[v_idx] {
-            let id = builder.add_node(format!("c{next}"), graph.node_size(v) + graph.node_size(u));
-            map[v_idx] = id;
-            map[u.index()] = id;
-            next += 1;
-        } else if !absorbed[v_idx] {
-            // Singleton (not absorbed by anyone).
-            let id = builder.add_node(format!("c{next}"), graph.node_size(v));
-            map[v_idx] = id;
-            next += 1;
+        if absorbed[v_idx] {
+            continue;
         }
+        let id = NodeId::from_index(node_sizes.len());
+        let mut size = graph.node_size(NodeId::from_index(v_idx));
+        map[v_idx] = id;
+        if let Some(u) = partner[v_idx] {
+            size += graph.node_size(u);
+            map[u.index()] = id;
+        }
+        node_names.push_fmt(format_args!("c{}", id.index()));
+        node_sizes.push(size);
     }
 
-    // Project nets: the per-net pin mapping (map + sort + dedup) shards
-    // over workers into disjoint slots; coarse node ids are already
-    // final, so projection is independent per net. `None` marks a net
-    // absorbed inside one cluster with no terminal.
-    let mut projected: Vec<Option<Vec<NodeId>>> = vec![None; graph.net_count()];
-    sharded(&mut projected, threads, &|start, shard| {
-        for (offset, slot) in shard.iter_mut().enumerate() {
-            let net = NetId::from_index(start + offset);
-            let mut pins: Vec<NodeId> = graph.pins(net).iter().map(|p| map[p.index()]).collect();
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() >= 2 || graph.net_has_terminal(net) {
-                *slot = Some(pins);
-            }
+    // Project nets: map every pin to its cluster, then sort and dedup
+    // each net's span of the mapped buffer in place, shrinking the span
+    // to its distinct clusters. Coarse node ids are already final, so
+    // projection is independent per net and shards over workers.
+    let mut mapped: Vec<NodeId> = graph.net_pins.iter().map(|p| map[p.index()]).collect();
+    let mut spans: Vec<&mut [NodeId]> = Vec::with_capacity(graph.net_count());
+    let mut rest = mapped.as_mut_slice();
+    for net in graph.net_ids() {
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut(graph.pins(net).len());
+        spans.push(span);
+        rest = tail;
+    }
+    sharded(&mut spans, threads, &|_, shard| {
+        for span in shard {
+            span.sort_unstable();
+            let distinct = dedup_sorted(span);
+            *span = &mut std::mem::take(span)[..distinct];
         }
     });
-    for (net, pins) in graph.net_ids().zip(projected) {
-        let Some(pins) = pins else { continue };
-        let id = builder
-            .add_net(graph.net_name(net), pins)
-            .expect("projected pins are valid coarse nodes");
+
+    // A net absorbed inside one cluster with no terminal is dropped.
+    let kept = || {
+        graph
+            .net_ids()
+            .zip(&spans)
+            .filter(|(net, pins)| pins.len() >= 2 || graph.net_has_terminal(*net))
+    };
+    let (mut nets, mut pins, mut bytes) = (0, 0, 0);
+    for (net, span) in kept() {
+        nets += 1;
+        pins += span.len();
+        bytes += graph.net_name(net).len();
+    }
+    let mut net_names = NameTable::with_capacity(nets, bytes);
+    let mut net_pin_offsets = Vec::with_capacity(nets + 1);
+    net_pin_offsets.push(0u32);
+    let mut net_pins = Vec::with_capacity(pins);
+    let terminals = graph.terminal_count();
+    let mut terminal_names = NameTable::with_capacity(terminals, graph.terminal_names.text_len());
+    let mut terminal_nets = Vec::with_capacity(terminals);
+    for (net, span) in kept() {
+        let id = NetId::from_index(net_names.len());
+        net_names.push(graph.net_name(net));
+        net_pins.extend_from_slice(span);
+        net_pin_offsets.push(net_pins.len() as u32);
         for &t in graph.net_terminals(net) {
-            builder.add_terminal(graph.terminal_name(t), id).expect("net id from this builder");
+            terminal_names.push(graph.terminal_name(t));
+            terminal_nets.push(id);
         }
     }
 
-    let coarse = builder.finish().expect("coarse hypergraph is structurally valid");
+    let coarse = Hypergraph::from_parts(
+        format!("{}_coarse", graph.name()),
+        node_names,
+        node_sizes,
+        net_names,
+        (net_pin_offsets, net_pins),
+        terminal_names,
+        terminal_nets,
+    );
     Coarsening { coarse, map }
+}
+
+/// Moves the distinct values of the sorted `span` to its front and
+/// returns how many there are.
+fn dedup_sorted(span: &mut [NodeId]) -> usize {
+    let mut distinct = 0;
+    for i in 0..span.len() {
+        if distinct == 0 || span[i] != span[distinct - 1] {
+            span[distinct] = span[i];
+            distinct += 1;
+        }
+    }
+    distinct
 }
 
 /// A full n-level coarsening hierarchy: `levels[0]` clusters the input

@@ -39,7 +39,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
-use crate::graph::Hypergraph;
+use crate::graph::{Hypergraph, NameTable};
 use crate::ids::{NetId, NodeId};
 
 /// One netlist edit operation. All references are by name, the stable
@@ -1003,10 +1003,11 @@ struct Overlay<'a> {
     /// Live ids of the node and net names the script mentions.
     node_ids: HashMap<&'a str, usize>,
     net_ids: HashMap<&'a str, usize>,
-    /// Names by id. The input's are cloned once, and the survivors'
-    /// move into the edited graph.
-    node_names: Vec<String>,
-    net_names: Vec<String>,
+    /// Names of the nodes and nets the script adds, by id past the
+    /// input's, borrowed from the script. The input's are read from its
+    /// name tables.
+    added_node_names: Vec<&'a str>,
+    added_net_names: Vec<&'a str>,
     node_alive: Vec<bool>,
     node_sizes: Vec<u32>,
     nets: Vec<NetPins>,
@@ -1018,21 +1019,18 @@ struct Overlay<'a> {
 }
 
 impl<'a> Overlay<'a> {
-    /// Resolves every name the script mentions in the one pass that
-    /// clones the input's node and net names, so each name is read
-    /// once. A name the input repeats resolves to its last occurrence.
+    /// Resolves every name the script mentions in one pass over the
+    /// input's node and net names. A name the input repeats resolves to
+    /// its last occurrence.
     fn new(graph: &'a Hypergraph, script: &'a EditScript) -> Self {
         const ABSENT: usize = usize::MAX;
-        fn resolve(ids: &mut HashMap<&str, usize>, names: &[String]) -> Vec<String> {
-            let mut owned = Vec::with_capacity(names.len());
+        fn resolve(ids: &mut HashMap<&str, usize>, names: &NameTable) {
             for (i, name) in names.iter().enumerate() {
-                if let Some(id) = ids.get_mut(name.as_str()) {
+                if let Some(id) = ids.get_mut(name) {
                     *id = i;
                 }
-                owned.push(name.clone());
             }
             ids.retain(|_, id| *id != ABSENT);
-            owned
         }
         let mut node_ids = HashMap::new();
         let mut net_ids = HashMap::new();
@@ -1056,14 +1054,14 @@ impl<'a> Overlay<'a> {
                 }
             }
         }
-        let node_names = resolve(&mut node_ids, &graph.node_names);
-        let net_names = resolve(&mut net_ids, &graph.net_names);
+        resolve(&mut node_ids, &graph.node_names);
+        resolve(&mut net_ids, &graph.net_names);
         Overlay {
             graph,
             node_ids,
             net_ids,
-            node_names,
-            net_names,
+            added_node_names: Vec::new(),
+            added_net_names: Vec::new(),
             node_alive: vec![true; graph.node_count()],
             node_sizes: graph.node_sizes.clone(),
             nets: vec![NetPins::Input; graph.net_count()],
@@ -1082,6 +1080,15 @@ impl<'a> Overlay<'a> {
     fn net(&self, line: usize, name: &str) -> Result<usize, ApplyEditError> {
         let unknown = || ApplyEditError::UnknownNet { line, name: name.to_owned() };
         self.net_ids.get(name).copied().ok_or_else(unknown)
+    }
+
+    /// The name of net `e`.
+    fn net_name(&self, e: usize) -> &'a str {
+        let graph = self.graph;
+        match e.checked_sub(graph.net_count()) {
+            None => graph.net_name(NetId::from_index(e)),
+            Some(added) => self.added_net_names[added],
+        }
     }
 
     /// The current pins of net `e` (none once removed).
@@ -1117,7 +1124,7 @@ impl<'a> Overlay<'a> {
         pins.retain(|p| p.index() != v);
         if pins.is_empty() {
             self.nets[e] = NetPins::Removed;
-            self.net_ids.remove(self.net_names[e].as_str());
+            self.net_ids.remove(self.net_name(e));
         }
     }
 
@@ -1131,7 +1138,7 @@ impl<'a> Overlay<'a> {
                     return Err(ApplyEditError::ZeroSize { line, name: name.clone() });
                 }
                 self.node_ids.insert(name, self.node_alive.len());
-                self.node_names.push(name.clone());
+                self.added_node_names.push(name);
                 self.node_alive.push(true);
                 self.node_sizes.push(*size);
                 self.added_nodes += 1;
@@ -1188,7 +1195,7 @@ impl<'a> Overlay<'a> {
                 self.net_ids.insert(name, e);
                 self.nets.push(NetPins::Edited(self.edited.len()));
                 self.edited.push(resolved);
-                self.net_names.push(name.clone());
+                self.added_net_names.push(name);
             }
             EditOp::RemoveNet { name } => {
                 let e = self.net(line, name)?;
@@ -1226,7 +1233,8 @@ impl<'a> Overlay<'a> {
 
     /// Writes the edited graph: survivors in id order, then additions.
     /// Each untouched net copies its input pin run with remapped ids,
-    /// and terminals follow their nets, net by net.
+    /// terminals follow their nets, net by net, and each run of
+    /// surviving input names is one slice copy out of the input's tables.
     fn write(mut self) -> EditApplied {
         fn kept<T>(items: Vec<T>, alive: &[bool]) -> Vec<T> {
             items
@@ -1236,41 +1244,45 @@ impl<'a> Overlay<'a> {
                 .collect()
         }
         let graph = self.graph;
+        let (input_nodes, input_nets) = (graph.node_count(), graph.net_count());
         let mut new_ids = Vec::with_capacity(self.node_alive.len());
         let mut live = 0;
         for &alive in &self.node_alive {
             new_ids.push(alive.then(|| NodeId::from_index(live)));
             live += usize::from(alive);
         }
-        let node_names = kept(std::mem::take(&mut self.node_names), &self.node_alive);
-        let node_sizes = kept(std::mem::take(&mut self.node_sizes), &self.node_alive);
+        let alive = &self.node_alive;
+        let node_sizes = kept(std::mem::take(&mut self.node_sizes), alive);
+        let survivors = (0..input_nodes).filter(|&v| alive[v]);
+        let added = self.added_node_names.iter().zip(&alive[input_nodes..]);
+        let added = added.filter_map(|(&name, &alive)| alive.then_some(name));
+        let node_names = edited_names(&graph.node_names, survivors, added, live);
 
-        let live_nets = self.nets.iter().filter(|e| !matches!(e, NetPins::Removed)).count();
-        let mut net_names = Vec::with_capacity(live_nets);
+        let is_live = |e: &usize| !matches!(self.nets[*e], NetPins::Removed);
+        let live_nets = (0..self.nets.len()).filter(is_live).count();
+        let survivors = (0..input_nets).filter(is_live);
+        let added = (input_nets..self.nets.len()).filter(is_live).map(|e| self.net_name(e));
+        let net_names = edited_names(&graph.net_names, survivors, added, live_nets);
         let mut offsets = Vec::with_capacity(live_nets + 1);
         offsets.push(0u32);
         let edited_pins: usize = self.edited.iter().map(Vec::len).sum();
         let mut net_pins = Vec::with_capacity(graph.pin_count() + edited_pins);
-        let mut terminal_names = Vec::with_capacity(graph.terminal_count());
-        let mut terminal_nets = Vec::with_capacity(graph.terminal_count());
-        for (e, name) in std::mem::take(&mut self.net_names).into_iter().enumerate() {
-            if matches!(self.nets[e], NetPins::Removed) {
-                continue;
-            }
-            let id = NetId::from_index(net_names.len());
-            net_names.push(name);
+        let pads = graph.terminal_count();
+        let mut terminal_names = NameTable::with_capacity(pads, graph.terminal_names.text_len());
+        let mut terminal_nets = Vec::with_capacity(pads);
+        for e in (0..self.nets.len()).filter(is_live) {
+            let id = NetId::from_index(offsets.len() - 1);
             let pins = self.pins(e).iter();
             net_pins.extend(pins.map(|p| new_ids[p.index()].expect("live nets pin live nodes")));
             offsets.push(net_pins.len() as u32);
-            if e < graph.net_count() {
-                for &t in graph.net_terminals(NetId::from_index(e)) {
-                    terminal_names.push(graph.terminal_name(t).to_owned());
-                    terminal_nets.push(id);
-                }
+            if e < input_nets {
+                let pads = graph.net_terminals(NetId::from_index(e));
+                terminal_names.extend_from(&graph.terminal_names, pads.iter().map(|t| t.index()));
+                terminal_nets.extend(pads.iter().map(|_| id));
             }
         }
 
-        new_ids.truncate(graph.node_count());
+        new_ids.truncate(input_nodes);
         EditApplied {
             graph: Hypergraph::from_parts(
                 graph.name().to_owned(),
@@ -1286,6 +1298,24 @@ impl<'a> Overlay<'a> {
             removed_nodes: self.removed_nodes,
         }
     }
+}
+
+/// The `count` names of an edited table: `input`'s names with ids
+/// `kept`, in order, each run of consecutive ids one slice copy, then
+/// `added`.
+fn edited_names<'s>(
+    input: &NameTable,
+    kept: impl Iterator<Item = usize>,
+    added: impl Iterator<Item = &'s str> + Clone,
+    count: usize,
+) -> NameTable {
+    let added_bytes: usize = added.clone().map(str::len).sum();
+    let mut names = NameTable::with_capacity(count, input.text_len() + added_bytes);
+    names.extend_from(input, kept);
+    for name in added {
+        names.push(name);
+    }
+    names
 }
 
 /// Applies a script to a graph, producing the edited graph and the

@@ -2,8 +2,98 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::ids::{NetId, NodeId, TerminalId};
+
+/// Names in id order, kept as one text buffer and the end offset of each
+/// name in it, so a table of any size is two allocations and copying a
+/// run of consecutive names is one slice copy. No algorithm reads names;
+/// they are identity for I/O and edit scripts.
+///
+/// Offsets are `usize`, the buffer's own length type: the most text a
+/// table can hold under [`crate::ParseLimits::default`] (10 M names of
+/// 1 KiB) overflows `u32` but not a 64-bit `usize`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameTable {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl NameTable {
+    /// An empty table with room for `names` names of `bytes` bytes in all.
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
+        NameTable { text: String::with_capacity(bytes), ends: Vec::with_capacity(names) }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Total bytes of text held.
+    pub(crate) fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    /// The name with id `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn get(&self, i: usize) -> &str {
+        &self.text[self.span(i)]
+    }
+
+    /// The names in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    pub(crate) fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    /// Appends the name `args` formats, writing it straight into the
+    /// buffer.
+    pub(crate) fn push_fmt(&mut self, args: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(&mut self.text, args).expect("writing to a String cannot fail");
+        self.ends.push(self.text.len());
+    }
+
+    /// Appends the names of `src` with the given ids, in order, copying
+    /// each run of consecutive ids with one slice copy.
+    pub(crate) fn extend_from(&mut self, src: &NameTable, ids: impl IntoIterator<Item = usize>) {
+        let mut run = 0..0;
+        for id in ids {
+            if run.is_empty() || run.end != id {
+                self.copy_run(src, std::mem::replace(&mut run, id..id));
+            }
+            run.end += 1;
+        }
+        self.copy_run(src, run);
+    }
+
+    fn copy_run(&mut self, src: &NameTable, ids: Range<usize>) {
+        if ids.is_empty() {
+            return;
+        }
+        let from = src.span(ids.start).start;
+        let base = self.text.len();
+        self.text.push_str(&src.text[from..src.ends[ids.end - 1]]);
+        self.ends.extend(src.ends[ids].iter().map(|&end| end - from + base));
+    }
+
+    /// Heap bytes in use: the text plus one offset per name.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        (self.text.len() + std::mem::size_of_val(self.ends.as_slice())) as u64
+    }
+}
 
 /// An immutable circuit hypergraph `H = ({X, Y}, E)`.
 ///
@@ -37,16 +127,16 @@ use crate::ids::{NetId, NodeId, TerminalId};
 /// ```
 #[derive(Clone)]
 pub struct Hypergraph {
-    pub(crate) node_names: Vec<String>,
+    pub(crate) node_names: NameTable,
     pub(crate) node_sizes: Vec<u32>,
-    pub(crate) net_names: Vec<String>,
+    pub(crate) net_names: NameTable,
     /// CSR offsets into `net_pins`; length `net_count() + 1`.
     pub(crate) net_pin_offsets: Vec<u32>,
     pub(crate) net_pins: Vec<NodeId>,
     /// CSR offsets into `node_nets`; length `node_count() + 1`.
     pub(crate) node_net_offsets: Vec<u32>,
     pub(crate) node_nets: Vec<NetId>,
-    pub(crate) terminal_names: Vec<String>,
+    pub(crate) terminal_names: NameTable,
     pub(crate) terminal_nets: Vec<NetId>,
     /// CSR offsets into `net_terminals`; length `net_count() + 1`.
     pub(crate) net_terminal_offsets: Vec<u32>,
@@ -64,11 +154,11 @@ impl Hypergraph {
     /// and terminal nets in range, no empty net, no zero size.
     pub(crate) fn from_parts(
         name: String,
-        node_names: Vec<String>,
+        node_names: NameTable,
         node_sizes: Vec<u32>,
-        net_names: Vec<String>,
+        net_names: NameTable,
         (net_pin_offsets, net_pins): (Vec<u32>, Vec<NodeId>),
-        terminal_names: Vec<String>,
+        terminal_names: NameTable,
         terminal_nets: Vec<NetId>,
     ) -> Hypergraph {
         // node -> nets CSR
@@ -156,21 +246,17 @@ impl Hypergraph {
     }
 
     /// Estimated heap footprint of this graph in bytes: the flat
-    /// adjacency arrays plus name storage (`String` buffers counted at
-    /// their length plus the struct header). Used by memory budgets to
-    /// bound hierarchy construction; an estimate, not an allocator
-    /// measurement.
+    /// adjacency arrays plus the name tables (text plus one offset per
+    /// name). Used by memory budgets to bound hierarchy construction; an
+    /// estimate, not an allocator measurement.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        fn strings(v: &[String]) -> u64 {
-            v.iter().map(|s| s.len() as u64 + std::mem::size_of::<String>() as u64).sum()
-        }
         fn slice<T>(v: &[T]) -> u64 {
             std::mem::size_of_val(v) as u64
         }
-        strings(&self.node_names)
-            + strings(&self.net_names)
-            + strings(&self.terminal_names)
+        self.node_names.approx_bytes()
+            + self.net_names.approx_bytes()
+            + self.terminal_names.approx_bytes()
             + self.name.len() as u64
             + slice(&self.node_sizes)
             + slice(&self.net_pin_offsets)
@@ -200,7 +286,7 @@ impl Hypergraph {
     /// Panics if `node` is out of range for this graph.
     #[must_use]
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.index()]
+        self.node_names.get(node.index())
     }
 
     /// Returns the name of a net.
@@ -210,7 +296,7 @@ impl Hypergraph {
     /// Panics if `net` is out of range for this graph.
     #[must_use]
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.index()]
+        self.net_names.get(net.index())
     }
 
     /// Returns the name of a terminal.
@@ -220,7 +306,7 @@ impl Hypergraph {
     /// Panics if `terminal` is out of range for this graph.
     #[must_use]
     pub fn terminal_name(&self, terminal: TerminalId) -> &str {
-        &self.terminal_names[terminal.index()]
+        self.terminal_names.get(terminal.index())
     }
 
     /// Returns the interior-node pins of a net.
@@ -357,11 +443,7 @@ impl Hypergraph {
     /// Builds a name → node index for repeated lookups.
     #[must_use]
     pub fn node_index_by_name(&self) -> HashMap<&str, NodeId> {
-        self.node_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), NodeId::from_index(i)))
-            .collect()
+        self.node_names.iter().enumerate().map(|(i, n)| (n, NodeId::from_index(i))).collect()
     }
 }
 
@@ -444,6 +526,76 @@ mod tests {
         assert!(h.find_net("n1").is_some());
         let idx = h.node_index_by_name();
         assert_eq!(idx["a"].index(), 0);
+    }
+
+    #[test]
+    fn empty_multibyte_and_repeated_names_round_trip() {
+        use crate::ids::{NetId, NodeId, TerminalId};
+        use crate::{apply_script, io, BuildError, EditOp, EditScript, HypergraphBuilder};
+
+        let names = ["", "ü", "日本語", "ü", "a", ""];
+        let mut b = HypergraphBuilder::named("名前");
+        let v: Vec<NodeId> = names.iter().map(|name| b.add_node(*name, 1)).collect();
+        let e0 = b.add_net("", [v[0], v[1]]).unwrap();
+        let e1 = b.add_net("네트", [v[2], v[3], v[4]]).unwrap();
+        let e2 = b.add_net("네트", [v[5], v[0]]).unwrap();
+        b.add_terminal("", e0).unwrap();
+        b.add_terminal("ピン", e1).unwrap();
+        let h = b.finish().unwrap();
+
+        let node_names: Vec<&str> = h.node_ids().map(|v| h.node_name(v)).collect();
+        assert_eq!(node_names, names);
+        assert_eq!([h.net_name(e0), h.net_name(e1), h.net_name(e2)], ["", "네트", "네트"]);
+        let pads: Vec<&str> = h.terminal_ids().map(|t| h.terminal_name(t)).collect();
+        assert_eq!(pads, ["", "ピン"]);
+        // A linear lookup finds the first of repeated names, the index
+        // keeps the last.
+        assert_eq!(h.find_node(""), Some(v[0]));
+        assert_eq!(h.find_node("ü"), Some(v[1]));
+        assert_eq!(h.find_node("日本"), None);
+        assert_eq!(h.find_net("네트"), Some(e1));
+        let index = h.node_index_by_name();
+        assert_eq!(index.len(), 4);
+        assert_eq!((index[""], index["ü"], index["日本語"]), (v[5], v[3], v[2]));
+
+        // Edits resolve a repeated name to its last occurrence and keep
+        // the survivors' names in order around the removed ones.
+        let script = EditScript::new(vec![
+            EditOp::RemoveNode { name: "日本語".into() },
+            EditOp::RemoveNode { name: "ü".into() },
+            EditOp::AddNode { name: "é".into(), size: 2 },
+            EditOp::ConnectPin { net: "".into(), node: "é".into() },
+            EditOp::AddNet { name: "ß".into(), pins: vec!["é".into(), "a".into()] },
+            EditOp::ConnectPin { net: "네트".into(), node: "é".into() },
+        ]);
+        let edited = apply_script(&h, &script).unwrap().graph;
+        let node_names: Vec<&str> = edited.node_ids().map(|v| edited.node_name(v)).collect();
+        assert_eq!(node_names, ["", "ü", "a", "", "é"]);
+        let nets: Vec<(&str, usize)> =
+            edited.net_ids().map(|e| (edited.net_name(e), edited.pins(e).len())).collect();
+        assert_eq!(nets, [("", 3), ("네트", 1), ("네트", 3), ("ß", 2)]);
+        assert_eq!(edited.terminal_name(TerminalId::from_index(1)), "ピン");
+        assert_eq!(edited.terminal_net(TerminalId::from_index(1)), NetId::from_index(1));
+        assert_eq!(edited.node_index_by_name()[""], NodeId::from_index(3));
+
+        // The text format separates names by whitespace and rejects a
+        // repeated name, so it carries the multi-byte names, not the
+        // empty or repeated ones.
+        let mut b = HypergraphBuilder::named("名前");
+        let v: Vec<NodeId> = ["ü", "日本語", "ß"].iter().map(|name| b.add_node(*name, 2)).collect();
+        let e = b.add_net("네트", [v[2], v[0], v[1]]).unwrap();
+        b.add_terminal("ピン", e).unwrap();
+        let h = b.finish().unwrap();
+        let text = io::netlist_to_string(&h);
+        let parsed = io::parse_netlist(&text).unwrap();
+        assert_eq!(io::netlist_to_string(&parsed), text);
+        assert_eq!(crate::fingerprint_graph(&parsed), crate::fingerprint_graph(&h));
+        assert_eq!(parsed.find_node("ß"), Some(v[2]));
+        let repeated = format!("{text}node ü 1\n");
+        assert!(matches!(
+            io::parse_netlist(&repeated),
+            Err(crate::ParseNetlistError::Build(BuildError::DuplicateName { .. }))
+        ));
     }
 
     #[test]

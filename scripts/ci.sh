@@ -62,11 +62,14 @@ step "served-session peak-RSS gate (serve-eco session at --threads 1 <= 64 MiB)"
 # One `fpart serve` session replays the benchmark's seeded serve-eco
 # request stream (8 rounds: 200 ECOs plus cold, reseeded and repeated
 # partitions on a 20k-cell circuit, 242 requests) in a closed loop: one
-# request, then its final reply. Every reply must be ok. A session holds
-# the graph, the partition state of each run and the solution memo; the
-# whole process peaks near 35 MiB. A cache that keeps one artifact per
-# graph state the session has seen (a coarsening hierarchy is ~6.5 MiB
-# here) pushes it past 64 MiB.
+# request, then its final reply. Every reply must be ok. Each ECO
+# replaces 10 cells one for one, so every `eco` reply must report
+# 20,000 nodes, 10 added and 10 removed: a served apply that drops or
+# duplicates a cell fails here even when its reply is ok. A session
+# holds the graph, the partition state of each run and the solution
+# memo; the whole process peaks near 20 MiB. A cache that keeps one
+# artifact per graph state the session has seen (a coarsening
+# hierarchy is ~6.5 MiB here) pushes it past 64 MiB.
 bench_target=${CARGO_TARGET_DIR:-.bench_build}
 CARGO_TARGET_DIR="$bench_target" cargo build --release --offline \
     --manifest-path perfbench/harness/Cargo.toml
@@ -82,8 +85,10 @@ proc = subprocess.Popen([fpart, "serve", "--threads", "1"], cwd=work,
                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 assert '"hello"' in proc.stdout.readline(), "fpart serve sent no hello banner"
 requests = open(os.path.join(work, "requests.jsonl")).read().splitlines()
+ecos = 0
 for line in requests + ['{"id": "bye", "cmd": "shutdown"}']:
-    rid = json.loads(line)["id"]
+    request = json.loads(line)
+    rid = request["id"]
     proc.stdin.write(line + "\n")
     proc.stdin.flush()
     while True:
@@ -93,12 +98,20 @@ for line in requests + ['{"id": "bye", "cmd": "shutdown"}']:
         if reply.get("id") == rid and "ok" in reply:
             break
     assert reply["ok"] is True, f"{rid}: {text.strip()}"
+    if request["cmd"] == "eco":
+        ecos += 1
+        result = reply["result"]
+        counts = (result["nodes"], result["added_nodes"], result["removed_nodes"])
+        assert counts == (20000, 10, 10), \
+            f"{rid}: (nodes, added, removed) {counts}, expected (20000, 10, 10)"
 proc.stdin.close()
 proc.stdout.read()
 _, status, usage = os.wait4(proc.pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0, "fpart serve exited nonzero"
 peak_mib = usage.ru_maxrss / 1024.0
-print(f"{len(requests)} requests, all ok; peak RSS {peak_mib:.1f} MiB (limit 64 MiB)")
+assert ecos == 200, f"{ecos} eco requests, expected 200"
+print(f"{len(requests)} requests, all ok, {ecos} ECOs kept 20,000 cells; "
+      f"peak RSS {peak_mib:.1f} MiB (limit 64 MiB)")
 assert peak_mib <= 64.0, f"peak RSS {peak_mib:.1f} MiB exceeds 64 MiB"
 EOF
 
@@ -145,7 +158,7 @@ esac
 step "peak-RSS and search-work gate (40k-cell n-level run on XC3064 at --threads 1: <= 100 MiB, same search as goldens/rent40k_search_work.json)"
 # One partition state of this run (47,863 nets x ~200 devices, dense
 # row stride 256) is ~47 MiB. One-worker boundary refinement refines
-# the caller's state in place, so the whole run peaks near 73 MiB; a
+# the caller's state in place, so the whole run peaks near 61 MiB; a
 # per-job or per-level copy of the state coming back pushes it past
 # 100 MiB. Memory, unlike time, does not vary with machine load, so
 # this gate catches such a copy where a timing gate could not.
