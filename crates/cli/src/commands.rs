@@ -15,6 +15,7 @@ use fpart_hypergraph::gen::{
     clustered_circuit, layered_circuit, rent_circuit, synthesize_mcnc, window_circuit,
     ClusteredConfig, LayeredConfig, RentConfig, Technology, WindowConfig,
 };
+use fpart_hypergraph::io::read_netlist_path;
 use fpart_hypergraph::stats::{rent_exponent, CircuitStats};
 use fpart_hypergraph::{Hypergraph, ParseLimits};
 
@@ -58,7 +59,7 @@ pub fn partition(raw: &[String]) -> Result<(), CliError> {
         .positional(0)
         .ok_or_else(|| CliError::Usage("partition needs a netlist file".into()))?;
     let limits = resolve_limits(&args).map_err(CliError::Usage)?;
-    let graph = netlist_file::read_limited(Path::new(input), &limits).map_err(CliError::Input)?;
+    let graph = read_netlist_path(Path::new(input), &limits).map_err(CliError::Input)?;
 
     let constraints = resolve_constraints(&args).map_err(CliError::Usage)?;
     let method = args.option("method").unwrap_or("fpart");
@@ -754,7 +755,7 @@ pub fn eco(raw: &[String]) -> Result<(), CliError> {
     let input =
         args.positional(0).ok_or_else(|| CliError::Usage("eco needs a netlist file".into()))?;
     let limits = resolve_limits(&args).map_err(CliError::Usage)?;
-    let graph = netlist_file::read_limited(Path::new(input), &limits).map_err(CliError::Input)?;
+    let graph = read_netlist_path(Path::new(input), &limits).map_err(CliError::Input)?;
     let constraints = resolve_constraints(&args).map_err(CliError::Usage)?;
     let assignment_file = args
         .option("assignment")

@@ -6,36 +6,13 @@ use std::path::Path;
 use fpart_hypergraph::{Hypergraph, ParseLimits};
 
 /// Reads a netlist with default resource limits, choosing the parser by
-/// file extension (`.hgr` → hMETIS, `.blif` → BLIF, anything else →
-/// `.fhg`).
+/// file extension (see [`fpart_hypergraph::io::read_netlist_path`]).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message on I/O or parse failure.
 pub fn read(path: &Path) -> Result<Hypergraph, String> {
-    read_limited(path, &ParseLimits::default())
-}
-
-/// Reads a netlist with explicit resource limits (the `--max-*` flags):
-/// hostile inputs fail with a typed line/column message *before* any
-/// allocation proportional to their claimed sizes.
-///
-/// # Errors
-///
-/// See [`read`].
-pub fn read_limited(path: &Path, limits: &ParseLimits) -> Result<Hypergraph, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let ext = |name: &str| path.extension().is_some_and(|e| e.eq_ignore_ascii_case(name));
-    if ext("hgr") {
-        fpart_hypergraph::hmetis::read_hmetis_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    } else if ext("blif") {
-        fpart_hypergraph::blif::read_blif_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        fpart_hypergraph::io::read_netlist_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    }
+    fpart_hypergraph::io::read_netlist_path(path, &ParseLimits::default())
 }
 
 /// Writes a netlist, choosing the format by file extension.

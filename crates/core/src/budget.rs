@@ -188,9 +188,9 @@ pub enum FaultAction {
 
 /// Deterministic fault-injection schedule, keyed by pass boundary.
 ///
-/// Installed through [`crate::FpartConfig`] / [`crate::fm::FmConfig`];
-/// when absent the budget tracker's fast path never looks at it, so
-/// production runs pay nothing (mirroring the zero-overhead obs design).
+/// Installed through [`crate::FpartConfig`]; when absent the budget
+/// tracker's fast path never looks at it, so production runs pay nothing
+/// (mirroring the zero-overhead obs design).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// When set, the plan only applies to this restart index; other

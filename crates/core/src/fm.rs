@@ -39,11 +39,6 @@ pub struct FmConfig {
     pub threads: usize,
     /// Seed for the initial splits.
     pub seed: u64,
-    /// Execution budget shared by all runs (each run enforces it with
-    /// its own tracker). Unlimited by default.
-    pub budget: crate::budget::RunBudget,
-    /// Deterministic fault-injection schedule; `None` is a no-op branch.
-    pub fault_plan: Option<crate::budget::FaultPlan>,
 }
 
 impl Default for FmConfig {
@@ -55,8 +50,6 @@ impl Default for FmConfig {
             runs: 2,
             threads: 1,
             seed: 0xF11,
-            budget: crate::budget::RunBudget::default(),
-            fault_plan: None,
         }
     }
 }
@@ -154,17 +147,12 @@ pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig, metrics: &mut Metri
 
     // One fully deterministic run per index: nothing here depends on
     // execution order, so the runs parallelize without changing results.
-    // Each run enforces the shared budget with its own tracker (checked
-    // at the engine's pass boundaries) and is panic-isolated: a run lost
-    // to a panic is dropped from the reduction below.
+    // Each run is panic-isolated: a run lost to a panic is dropped from
+    // the reduction below.
     let run_one = |run: usize, (): &mut (), metrics: &mut Metrics| -> Bipartition {
         metrics.bump(Counter::Runs);
         metrics.set_span_lane(run as u32);
         metrics.span_open(crate::obs::SpanKind::Bipartition, 0);
-        let budget = crate::budget::BudgetTracker::new(
-            &config.budget,
-            config.fault_plan.as_ref().and_then(|plan| plan.for_restart(run)),
-        );
         let assignment = initial_split(graph, config.seed.wrapping_add(run as u64), cap);
         let mut state = PartitionState::from_assignment(graph, assignment, 2);
         let ctx = ImproveContext {
@@ -172,13 +160,9 @@ pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig, metrics: &mut Metri
             config: &engine_config,
             remainder: NO_REMAINDER,
             minimum_reached: false,
-            budget: Some(&budget),
+            budget: None,
         };
         let stats = improve_cells(&mut state, &[0, 1], None, &ctx, metrics);
-        if budget.stopped() {
-            metrics.bump(Counter::BudgetStops);
-        }
-        metrics.add(Counter::FaultsInjected, budget.faults_injected());
         metrics.span_close(crate::obs::SpanStats {
             nodes: graph.node_count() as u64,
             nets: graph.net_count() as u64,

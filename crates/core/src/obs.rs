@@ -58,7 +58,10 @@ use crate::trace::{ImproveKind, TraceEvent};
 /// Version 11 removes the coarsening-hierarchy cache and its
 /// `hierarchy_cache_hits` / `hierarchy_cache_misses` /
 /// `hierarchy_cache_evictions` counters.
-pub const SCHEMA_VERSION: u32 = 11;
+///
+/// Version 12 removes server request coalescing and its
+/// `server_coalesced` counter.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// The named engine counters. Every counter is a monotonically
 /// increasing `u64`; [`Counter::name`] is the stable `snake_case` key used
@@ -124,13 +127,11 @@ pub enum Counter {
     /// Restarts replayed from the solution memo instead of searching
     /// (always verified against the live graph before being trusted).
     MemoWarmStarts,
-    /// Duplicate in-flight server requests coalesced onto one run.
-    ServerCoalesced,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::Passes,
         Counter::MovesApplied,
         Counter::MovesReverted,
@@ -157,7 +158,6 @@ impl Counter {
         Counter::ServerRequests,
         Counter::ServerCancelled,
         Counter::MemoWarmStarts,
-        Counter::ServerCoalesced,
     ];
 
     /// Stable `snake_case` key of this counter in serialized metrics.
@@ -190,7 +190,6 @@ impl Counter {
             Counter::ServerRequests => "server_requests",
             Counter::ServerCancelled => "server_cancelled",
             Counter::MemoWarmStarts => "memo_warm_starts",
-            Counter::ServerCoalesced => "server_coalesced",
         }
     }
 }

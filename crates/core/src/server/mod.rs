@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fpart_device::{Device, DeviceConstraints};
+use fpart_hypergraph::io::read_netlist_path;
 use fpart_hypergraph::{apply_script, fingerprint_graph, EditScript, Hypergraph, ParseLimits};
 
 use crate::budget::{CancelToken, Completion, RunBudget};
@@ -136,7 +137,8 @@ pub struct Server {
     shutdown: AtomicBool,
 }
 
-/// A partition or eco job parked in a session's queue.
+/// A registered partition or eco run: [`Server::handle`] executes it
+/// inline, [`Server::serve`] parks it in its session's queue.
 struct Job {
     id: String,
     name: String,
@@ -151,49 +153,19 @@ enum JobKind {
     Eco(EditScript),
 }
 
+/// What one request line decodes to.
+enum Decoded {
+    /// The final reply of a request answered without a run.
+    Answered(String),
+    /// A run registered under its id, so `cancel` can reach it.
+    Run(Box<Job>),
+}
+
 /// A lazily-spawned per-session worker: the submit side of its bounded
 /// queue plus the count of jobs accepted but not yet finished.
 struct WorkerHandle {
-    tx: SyncSender<Job>,
+    tx: SyncSender<Box<Job>>,
     pending: Arc<AtomicUsize>,
-    /// Eco jobs accepted but not yet finished. While nonzero, new
-    /// `partition` requests must not coalesce onto an in-flight run:
-    /// the queued eco will change the graph between the leader's
-    /// execution and the newcomer's would-be execution.
-    eco_pending: Arc<AtomicUsize>,
-}
-
-/// One accepted `partition` run that a later identical request on the
-/// same connection may join instead of re-running the search. The
-/// entry lives from enqueue until the leader's reply is rendered; its
-/// followers each hold their own [`CancelToken`] (registered in the
-/// server's inflight table, so `cancel` can detach one without
-/// touching the leader).
-struct CoalesceEntry {
-    session: String,
-    params: RunParams,
-    leader: String,
-    followers: Vec<(String, CancelToken)>,
-}
-
-/// Removes the coalesce entry led by `leader`, returning its followers
-/// (empty when the job never had an entry — eco and progress runs).
-fn take_followers(
-    registry: &Mutex<Vec<CoalesceEntry>>,
-    leader: &str,
-) -> Vec<(String, CancelToken)> {
-    let mut entries = registry.lock().unwrap();
-    match entries.iter().position(|e| e.leader == leader) {
-        Some(i) => entries.swap_remove(i).followers,
-        None => Vec::new(),
-    }
-}
-
-/// Marks a fanned-out reply body as served from a coalesced leader run.
-fn coalesced_body(body: &str) -> String {
-    let mut marked = body.strip_suffix('}').unwrap_or(body).to_owned();
-    marked.push_str(", \"coalesced\": true}");
-    marked
 }
 
 fn write_line<W: Write>(out: &Mutex<W>, line: &str) {
@@ -266,83 +238,57 @@ impl Server {
     /// Processes one request line synchronously on the calling thread,
     /// writing every reply line (interim and final) to `out`. This is
     /// the no-concurrency core of the protocol — [`Server::serve`]
-    /// adds the per-session queues and workers on top — and the
-    /// entry point tests and benchmarks drive directly.
+    /// decodes each line the same way and adds the per-session queues
+    /// and workers on top — and the entry point tests and benchmarks
+    /// drive directly.
     pub fn handle<W: Write + Send>(&self, line: &str, out: &mut W) {
-        let shared = Mutex::new(out);
+        let out = Mutex::new(out);
+        let reply = match self.decode(line) {
+            Decoded::Answered(reply) => reply,
+            Decoded::Run(job) => self.execute(&job, &out),
+        };
+        write_line(&out, &reply);
+    }
+
+    /// Decodes one request line. `load`, `query`, `cancel`, `shutdown`
+    /// and every refusal (shutting down, bad edits, unknown session,
+    /// duplicate id, in that order) are answered here; a partition or
+    /// eco request comes back as a registered [`Job`].
+    fn decode(&self, line: &str) -> Decoded {
         let (id, command) = protocol::parse_request(line);
         let command = match command {
             Ok(command) => command,
-            Err(e) => {
-                write_line(&shared, &protocol::error_line(id.as_deref(), &e));
-                return;
-            }
+            Err(e) => return Decoded::Answered(protocol::error_line(id.as_deref(), &e)),
         };
         let id = id.expect("every decoded command has an id");
-        let reply = self.dispatch_sync(&id, command, &shared);
-        write_line(&shared, &reply);
-    }
-
-    /// Runs one decoded command to completion, returning its final
-    /// reply line. Partition/eco jobs execute inline.
-    fn dispatch_sync<W: Write + Send>(
-        &self,
-        id: &str,
-        command: Command,
-        out: &Mutex<&mut W>,
-    ) -> String {
+        let answer = |result| Decoded::Answered(reply_line(&id, result));
         if self.is_stopped() && !matches!(command, Command::Query { .. } | Command::Shutdown) {
-            let e = ProtocolError::new("shutting_down", "server is shutting down");
-            return protocol::error_line(Some(id), &e);
+            return answer(Err(ProtocolError::new("shutting_down", "server is shutting down")));
         }
-        match command {
+        let (name, kind, params) = match command {
             Command::Load { session, path, device, s_max, t_max, delta } => {
-                match self.load(&session, &path, device.as_deref(), s_max, t_max, delta) {
-                    Ok(body) => protocol::ok_line(id, &body),
-                    Err(e) => protocol::error_line(Some(id), &e),
-                }
+                return answer(self.load(&session, &path, device.as_deref(), s_max, t_max, delta));
             }
-            Command::Query { session } => match self.query(session.as_deref()) {
-                Ok(body) => protocol::ok_line(id, &body),
-                Err(e) => protocol::error_line(Some(id), &e),
-            },
-            Command::Cancel { target } => protocol::ok_line(id, &self.cancel(&target)),
+            Command::Query { session } => return answer(self.query(session.as_deref())),
+            Command::Cancel { target } => return answer(Ok(self.cancel(&target))),
             Command::Shutdown => {
                 self.shutdown();
                 let sessions = self.session_count();
-                protocol::ok_line(id, &format!("{{\"shutdown\": true, \"sessions\": {sessions}}}"))
+                return answer(Ok(format!("{{\"shutdown\": true, \"sessions\": {sessions}}}")));
             }
-            Command::Partition { session, params } => {
-                match self.submit_sync(id, &session, &JobKind::Partition, &params, out) {
-                    Ok(line) => line,
-                    Err(e) => protocol::error_line(Some(id), &e),
-                }
+            Command::Partition { session, params } => (session, JobKind::Partition, params),
+            Command::Eco { session, edits, params } => match self.parse_edits(&edits) {
+                Ok(script) => (session, JobKind::Eco(script), params),
+                Err(e) => return answer(Err(e)),
+            },
+        };
+        let registered = self.session(&name).and_then(|session| Ok((session, self.register(&id)?)));
+        match registered {
+            Ok((session, cancel)) => {
+                Decoded::Run(Box::new(Job { id, name, session, kind, params, cancel }))
             }
-            Command::Eco { session, edits, params } => {
-                match self.parse_edits(&edits).and_then(|script| {
-                    self.submit_sync(id, &session, &JobKind::Eco(script), &params, out)
-                }) {
-                    Ok(line) => line,
-                    Err(e) => protocol::error_line(Some(id), &e),
-                }
-            }
+            Err(e) => answer(Err(e)),
         }
-    }
-
-    /// Inline (queue-less) execution used by [`Server::handle`].
-    fn submit_sync<W: Write + Send>(
-        &self,
-        id: &str,
-        name: &str,
-        kind: &JobKind,
-        params: &RunParams,
-        out: &Mutex<&mut W>,
-    ) -> Result<String, ProtocolError> {
-        let session = self.session(name)?;
-        let cancel = self.register(id)?;
-        let line = self.execute(id, name, &session, kind, params, Some(out), &cancel);
-        self.inflight.lock().unwrap().remove(id);
-        Ok(line)
     }
 
     /// Looks up a session by name.
@@ -390,7 +336,7 @@ impl Server {
         delta: f64,
     ) -> Result<String, ProtocolError> {
         let constraints = resolve_constraints(device, s_max, t_max, delta)?;
-        let graph = read_netlist(Path::new(path), &self.config.limits)
+        let graph = read_netlist_path(Path::new(path), &self.config.limits)
             .map_err(|e| ProtocolError::new("load_failed", e))?;
         let (nodes, nets, pins) = (graph.node_count(), graph.net_count(), graph.pin_count());
         let session = Session {
@@ -428,9 +374,8 @@ impl Server {
                 "{{\"session\": {}, \"path\": {}, \"nodes\": {}, \"nets\": {}, \
                  \"s_max\": {}, \"t_max\": {}, \"requests\": {}, \"blocks\": {}, \
                  \"has_assignment\": {}, \"fingerprint\": \"{}\", \
-                 \"counters\": {{\"server_requests\": {}, \
-                 \"server_cancelled\": {}, \"server_coalesced\": {}, \"runs\": {}, \
-                 \"passes\": {}, \"moves_applied\": {}}}}}",
+                 \"counters\": {{\"server_requests\": {}, \"server_cancelled\": {}, \
+                 \"runs\": {}, \"passes\": {}, \"moves_applied\": {}}}}}",
                 protocol::json_string(name),
                 protocol::json_string(&s.path),
                 s.graph.node_count(),
@@ -443,7 +388,6 @@ impl Server {
                 fingerprint_graph(&s.graph),
                 s.totals.get(Counter::ServerRequests),
                 s.totals.get(Counter::ServerCancelled),
-                s.totals.get(Counter::ServerCoalesced),
                 s.totals.get(Counter::Runs),
                 s.totals.get(Counter::Passes),
                 s.totals.get(Counter::MovesApplied),
@@ -484,41 +428,32 @@ impl Server {
         format!("{{\"target\": {}, \"cancelled\": {found}}}", protocol::json_string(target))
     }
 
-    /// Runs one partition/eco job and returns its final reply line.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<W: Write + Send>(
-        &self,
-        id: &str,
-        name: &str,
-        session: &Arc<Mutex<Session>>,
-        kind: &JobKind,
-        params: &RunParams,
-        out: Option<&Mutex<W>>,
-        cancel: &CancelToken,
-    ) -> String {
-        let result = match kind {
-            JobKind::Partition => self.run_partition(id, name, session, params, out, cancel),
-            JobKind::Eco(script) => self.run_eco(name, session, script, params, cancel),
+    /// Runs one registered job and returns its final reply line. The
+    /// id is deregistered before the reply goes out, so a client that
+    /// reacts to the reply at once may reuse it.
+    fn execute<W: Write + Send>(&self, job: &Job, out: &Mutex<W>) -> String {
+        let result = match &job.kind {
+            JobKind::Partition => self.run_partition(job, out),
+            JobKind::Eco(script) => self.run_eco(job, script),
         };
-        match result {
-            Ok(body) => protocol::ok_line(id, &body),
-            Err(e) => protocol::error_line(Some(id), &e),
-        }
+        self.inflight.lock().unwrap().remove(&job.id);
+        reply_line(&job.id, result)
     }
 
-    /// Runs one request's restart search: `params` shape the budget,
-    /// seed, restarts and threads (clamped to the server's total), and a
-    /// single-restart run streams heartbeats to `progress` when given.
-    /// Returns the report and the thread budget it ran with.
+    /// Runs one request's restart search: the job's params shape the
+    /// budget, seed, restarts and threads (clamped to the server's
+    /// total), and a single-restart run streams heartbeats to
+    /// `progress` when given. Returns the report and the thread budget
+    /// it ran with.
     fn run_search(
         &self,
         graph: &Hypergraph,
         constraints: DeviceConstraints,
         algorithm: Algorithm<'_>,
-        params: &RunParams,
-        cancel: &CancelToken,
+        job: &Job,
         progress: Option<&mut dyn EventSink>,
     ) -> Result<(RestartsReport, usize), ProtocolError> {
+        let params = &job.params;
         let mut cfg = FpartConfig::default();
         if let Some(seed) = params.seed {
             cfg.seed = seed;
@@ -527,7 +462,7 @@ impl Server {
             deadline: params.deadline_ms.map(Duration::from_millis),
             max_passes: params.max_passes,
             max_moves: params.max_moves,
-            cancel: Some(cancel.clone()),
+            cancel: Some(job.cancel.clone()),
         };
         let total = self.config.threads.max(1);
         let threads = params.threads.unwrap_or(total).clamp(1, total);
@@ -544,49 +479,40 @@ impl Server {
 
     fn run_partition<W: Write + Send>(
         &self,
-        id: &str,
-        name: &str,
-        session: &Arc<Mutex<Session>>,
-        params: &RunParams,
-        out: Option<&Mutex<W>>,
-        cancel: &CancelToken,
+        job: &Job,
+        out: &Mutex<W>,
     ) -> Result<String, ProtocolError> {
         let (graph, constraints) = {
-            let s = session.lock().unwrap();
+            let s = job.session.lock().unwrap();
             (Arc::clone(&s.graph), s.constraints)
         };
         let ml = MultilevelConfig { memo: self.config.memo.clone(), ..MultilevelConfig::default() };
-        let algorithm = match params.method {
+        let algorithm = match job.params.method {
             Method::Multilevel => Algorithm::Multilevel(&ml),
             Method::Fpart => Algorithm::Flat,
         };
-        let mut sink = out.filter(|_| params.progress).map(|out| WireSink { out, id });
+        let mut sink = job.params.progress.then_some(WireSink { out, id: &job.id });
         let progress = sink.as_mut().map(|sink| sink as &mut dyn EventSink);
         let started = Instant::now();
-        let (report, threads) =
-            self.run_search(&graph, constraints, algorithm, params, cancel, progress)?;
+        let (report, threads) = self.run_search(&graph, constraints, algorithm, job, progress)?;
         let elapsed_ms = started.elapsed().as_millis();
-        if let Some(path) = &params.output {
+        if let Some(path) = &job.params.output {
             write_assignment_atomic(path, &graph, &report.outcome)?;
         }
-        session.lock().unwrap().record(&report);
-        Ok(render_run_result(name, &report, params.restarts, threads, elapsed_ms, params, ""))
+        job.session.lock().unwrap().record(&report);
+        Ok(render_run_result(job, &report, threads, elapsed_ms, ""))
     }
 
-    fn run_eco(
-        &self,
-        name: &str,
-        session: &Arc<Mutex<Session>>,
-        script: &EditScript,
-        params: &RunParams,
-        cancel: &CancelToken,
-    ) -> Result<String, ProtocolError> {
+    fn run_eco(&self, job: &Job, script: &EditScript) -> Result<String, ProtocolError> {
         let (graph, constraints, previous) = {
-            let s = session.lock().unwrap();
+            let s = job.session.lock().unwrap();
             let previous = s.last.clone().ok_or_else(|| {
                 ProtocolError::new(
                     "no_assignment",
-                    format!("session `{name}` has no partition to repair; run `partition` first"),
+                    format!(
+                        "session `{}` has no partition to repair; run `partition` first",
+                        job.name
+                    ),
                 )
             })?;
             (Arc::clone(&s.graph), s.constraints, previous)
@@ -599,10 +525,10 @@ impl Server {
         let algorithm =
             Algorithm::Eco { eco: &eco, previous: &previous, node_map: &edited.node_map };
         let (report, threads) =
-            self.run_search(&edited.graph, constraints, algorithm, params, cancel, None)?;
+            self.run_search(&edited.graph, constraints, algorithm, job, None)?;
         let elapsed_ms = started.elapsed().as_millis();
         let edited_graph = Arc::new(edited.graph);
-        if let Some(path) = &params.output {
+        if let Some(path) = &job.params.output {
             write_assignment_atomic(path, &edited_graph, &report.outcome)?;
         }
         let extra = format!(
@@ -612,19 +538,19 @@ impl Server {
             edited.removed_nodes,
             edited_graph.node_count(),
         );
-        let mut s = session.lock().unwrap();
+        let mut s = job.session.lock().unwrap();
         s.record(&report);
         s.graph = edited_graph;
-        Ok(render_run_result(name, &report, params.restarts, threads, elapsed_ms, params, &extra))
+        Ok(render_run_result(job, &report, threads, elapsed_ms, &extra))
     }
 
     /// Serves one connection over arbitrary reader/writer halves
     /// (stdio in the CLI). Blocks until the stream ends or a
-    /// `shutdown` request (or the external stop flag) fires. Partition
-    /// and eco requests run on lazily-spawned per-session worker
-    /// threads behind bounded queues; everything else is answered
-    /// inline, so `query` and `cancel` stay responsive while runs are
-    /// in flight.
+    /// `shutdown` request (or the external stop flag) fires. Each line
+    /// is decoded as [`Server::handle`] decodes it; partition and eco
+    /// runs go to lazily-spawned per-session worker threads behind
+    /// bounded queues, and everything else is answered inline, so
+    /// `query` and `cancel` stay responsive while runs are in flight.
     ///
     /// # Errors
     ///
@@ -638,16 +564,9 @@ impl Server {
         let out = Mutex::new(writer);
         write_line(&out, &protocol::hello_line());
         let stop = || self.is_stopped();
-        // Per-connection: coalescing fans replies out over this
-        // connection's writer, so requests from different connections
-        // never join each other's runs.
-        let registry: Mutex<Vec<CoalesceEntry>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| -> std::io::Result<()> {
             let mut workers: HashMap<String, WorkerHandle> = HashMap::new();
-            loop {
-                if self.is_stopped() {
-                    break;
-                }
+            while !self.is_stopped() {
                 let line = match protocol::read_line_limited(
                     &mut reader,
                     self.config.limits.max_line_len,
@@ -663,77 +582,9 @@ impl Server {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let (id, command) = protocol::parse_request(&line);
-                let command = match command {
-                    Ok(command) => command,
-                    Err(e) => {
-                        write_line(&out, &protocol::error_line(id.as_deref(), &e));
-                        continue;
-                    }
-                };
-                let id = id.expect("every decoded command has an id");
-                match command {
-                    Command::Partition { session, params } => {
-                        self.enqueue(
-                            scope,
-                            &mut workers,
-                            &registry,
-                            &out,
-                            &id,
-                            &session,
-                            JobKind::Partition,
-                            params,
-                        );
-                    }
-                    Command::Eco { session, edits, params } => match self.parse_edits(&edits) {
-                        Ok(script) => {
-                            self.enqueue(
-                                scope,
-                                &mut workers,
-                                &registry,
-                                &out,
-                                &id,
-                                &session,
-                                JobKind::Eco(script),
-                                params,
-                            );
-                        }
-                        Err(e) => write_line(&out, &protocol::error_line(Some(&id), &e)),
-                    },
-                    Command::Shutdown => {
-                        self.shutdown();
-                        let sessions = self.session_count();
-                        write_line(
-                            &out,
-                            &protocol::ok_line(
-                                &id,
-                                &format!("{{\"shutdown\": true, \"sessions\": {sessions}}}"),
-                            ),
-                        );
-                        break;
-                    }
-                    other => {
-                        // Load/query/cancel are fast; answer inline.
-                        let reply = match other {
-                            Command::Load { session, path, device, s_max, t_max, delta } => self
-                                .load(&session, &path, device.as_deref(), s_max, t_max, delta)
-                                .map_or_else(
-                                    |e| protocol::error_line(Some(&id), &e),
-                                    |body| protocol::ok_line(&id, &body),
-                                ),
-                            Command::Query { session } => {
-                                self.query(session.as_deref()).map_or_else(
-                                    |e| protocol::error_line(Some(&id), &e),
-                                    |body| protocol::ok_line(&id, &body),
-                                )
-                            }
-                            Command::Cancel { target } => {
-                                protocol::ok_line(&id, &self.cancel(&target))
-                            }
-                            _ => unreachable!("run commands handled above"),
-                        };
-                        write_line(&out, &reply);
-                    }
+                match self.decode(&line) {
+                    Decoded::Answered(reply) => write_line(&out, &reply),
+                    Decoded::Run(job) => self.enqueue(scope, &mut workers, &out, job),
                 }
             }
             // Dropping the submit handles lets workers drain their
@@ -744,158 +595,46 @@ impl Server {
         })
     }
 
-    /// Parks a run request in its session's queue, spawning the
-    /// session's worker on first use. A non-streaming `partition`
-    /// whose params exactly match an accepted-but-unfinished one (and
-    /// with no eco pending in between) does not enqueue at all: it
-    /// joins that leader's [`CoalesceEntry`] and shares its run.
-    #[allow(clippy::too_many_arguments)]
+    /// Parks a registered job in its session's queue, spawning the
+    /// session's worker on first use. A full queue refuses the job with
+    /// `busy`; a job parked behind others is acknowledged with `queued`.
     fn enqueue<'scope, 'env, W: Write + Send + 'scope>(
         &'env self,
         scope: &'scope std::thread::Scope<'scope, 'env>,
         workers: &mut HashMap<String, WorkerHandle>,
-        registry: &'scope Mutex<Vec<CoalesceEntry>>,
         out: &'scope Mutex<W>,
-        id: &str,
-        name: &str,
-        kind: JobKind,
-        params: RunParams,
+        job: Box<Job>,
     ) {
-        if self.is_stopped() {
-            let e = ProtocolError::new("shutting_down", "server is shutting down");
-            write_line(out, &protocol::error_line(Some(id), &e));
-            return;
-        }
-        let session = match self.session(name) {
-            Ok(session) => session,
-            Err(e) => {
-                write_line(out, &protocol::error_line(Some(id), &e));
-                return;
-            }
-        };
-        // Streaming runs never coalesce: each wants its own progress
-        // event stream.
-        let coalescable = matches!(kind, JobKind::Partition) && !params.progress;
-        if coalescable
-            && workers.get(name).is_some_and(|w| w.eco_pending.load(Ordering::SeqCst) == 0)
-        {
-            let mut entries = registry.lock().unwrap();
-            if let Some(entry) =
-                entries.iter_mut().find(|e| e.session == name && e.params == params)
-            {
-                match self.register(id) {
-                    Ok(token) => {
-                        entry.followers.push((id.to_owned(), token));
-                    }
-                    Err(e) => {
-                        drop(entries);
-                        write_line(out, &protocol::error_line(Some(id), &e));
-                    }
-                }
-                return;
-            }
-        }
-        let cancel = match self.register(id) {
-            Ok(token) => token,
-            Err(e) => {
-                write_line(out, &protocol::error_line(Some(id), &e));
-                return;
-            }
-        };
-        let worker = workers.entry(name.to_owned()).or_insert_with(|| {
-            let (tx, rx) = sync_channel::<Job>(self.config.queue_capacity);
+        let worker = workers.entry(job.name.clone()).or_insert_with(|| {
+            let (tx, rx) = sync_channel::<Box<Job>>(self.config.queue_capacity);
             let pending = Arc::new(AtomicUsize::new(0));
-            let eco_pending = Arc::new(AtomicUsize::new(0));
             let worker_pending = Arc::clone(&pending);
-            let worker_eco = Arc::clone(&eco_pending);
             scope.spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let result = match &job.kind {
-                        JobKind::Partition => self.run_partition(
-                            &job.id,
-                            &job.name,
-                            &job.session,
-                            &job.params,
-                            Some(out),
-                            &job.cancel,
-                        ),
-                        JobKind::Eco(script) => {
-                            self.run_eco(&job.name, &job.session, script, &job.params, &job.cancel)
-                        }
-                    };
-                    if matches!(job.kind, JobKind::Eco(_)) {
-                        worker_eco.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    let followers = take_followers(registry, &job.id);
-                    if !followers.is_empty() {
-                        let mut s = job.session.lock().unwrap();
-                        s.totals.add(Counter::ServerCoalesced, followers.len() as u64);
-                    }
-                    let line = match &result {
-                        Ok(body) => protocol::ok_line(&job.id, body),
-                        Err(e) => protocol::error_line(Some(&job.id), e),
-                    };
+                    let line = self.execute(&job, out);
                     // Counted down on completion (not on start) so
-                    // `pending` is running-plus-queued: a submit
-                    // parked behind a running job sees position 1.
-                    // Deregister and count down BEFORE the reply goes
-                    // out: a client that reacts to the final reply
-                    // immediately must not observe stale backpressure.
-                    self.inflight.lock().unwrap().remove(&job.id);
+                    // `pending` is running-plus-queued: a submit parked
+                    // behind a running job sees position 1. Count down
+                    // BEFORE the reply goes out: a client that reacts to
+                    // the final reply immediately must not observe stale
+                    // backpressure.
                     worker_pending.fetch_sub(1, Ordering::SeqCst);
                     write_line(out, &line);
-                    // Fan the leader's result out to every coalesced
-                    // follower — unless a `cancel` detached it while
-                    // the run was in flight.
-                    for (fid, token) in followers {
-                        self.inflight.lock().unwrap().remove(&fid);
-                        let fline = if token.is_cancelled() {
-                            let e = ProtocolError::new(
-                                "cancelled",
-                                "request was cancelled while coalesced onto an \
-                                 identical in-flight run",
-                            );
-                            protocol::error_line(Some(&fid), &e)
-                        } else {
-                            match &result {
-                                Ok(body) => protocol::ok_line(&fid, &coalesced_body(body)),
-                                Err(e) => protocol::error_line(Some(&fid), e),
-                            }
-                        };
-                        write_line(out, &fline);
-                    }
                 }
             });
-            WorkerHandle { tx, pending, eco_pending }
+            WorkerHandle { tx, pending }
         });
-        // The entry goes in BEFORE the job is visible to the worker,
-        // so the worker's post-run sweep always finds it.
-        if coalescable {
-            registry.lock().unwrap().push(CoalesceEntry {
-                session: name.to_owned(),
-                params: params.clone(),
-                leader: id.to_owned(),
-                followers: Vec::new(),
-            });
-        }
-        if matches!(kind, JobKind::Eco(_)) {
-            worker.eco_pending.fetch_add(1, Ordering::SeqCst);
-        }
-        let job = Job { id: id.to_owned(), name: name.to_owned(), session, kind, params, cancel };
+        let id = job.id.clone();
         let ahead = worker.pending.fetch_add(1, Ordering::SeqCst);
         match worker.tx.try_send(job) {
             Ok(()) => {
                 if ahead > 0 {
-                    write_line(out, &protocol::queued_line(id, ahead));
+                    write_line(out, &protocol::queued_line(&id, ahead));
                 }
             }
             Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
                 worker.pending.fetch_sub(1, Ordering::SeqCst);
-                if matches!(job.kind, JobKind::Eco(_)) {
-                    worker.eco_pending.fetch_sub(1, Ordering::SeqCst);
-                }
-                let _ = take_followers(registry, &job.id);
-                self.inflight.lock().unwrap().remove(&job.id);
+                self.inflight.lock().unwrap().remove(&id);
                 let e = ProtocolError::new(
                     "busy",
                     format!(
@@ -903,7 +642,7 @@ impl Server {
                         job.name, self.config.queue_capacity
                     ),
                 );
-                write_line(out, &protocol::error_line(Some(&job.id), &e));
+                write_line(out, &protocol::error_line(Some(&id), &e));
             }
         }
     }
@@ -976,24 +715,6 @@ fn resolve_constraints(
     }
 }
 
-/// Reads a netlist by extension (`.hgr` hMETIS, `.blif` BLIF, default
-/// `.fhg`) under the server's parse limits.
-fn read_netlist(path: &Path, limits: &ParseLimits) -> Result<Hypergraph, String> {
-    let file =
-        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let ext = |name: &str| path.extension().is_some_and(|e| e.eq_ignore_ascii_case(name));
-    if ext("hgr") {
-        fpart_hypergraph::hmetis::read_hmetis_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    } else if ext("blif") {
-        fpart_hypergraph::blif::read_blif_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        fpart_hypergraph::io::read_netlist_limited(file, limits)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
 /// Writes the winning assignment in the versioned format via the
 /// crash-safe temp-fsync-rename path.
 fn write_assignment_atomic(
@@ -1013,36 +734,42 @@ fn write_assignment_atomic(
         .map_err(|e| ProtocolError::new("run_failed", format!("cannot write {path}: {e}")))
 }
 
+/// The final reply line of request `id`: its result body, or its error.
+fn reply_line(id: &str, result: Result<String, ProtocolError>) -> String {
+    match result {
+        Ok(body) => protocol::ok_line(id, &body),
+        Err(e) => protocol::error_line(Some(id), &e),
+    }
+}
+
 /// Renders the shared result body of `partition` and `eco` replies.
-#[allow(clippy::too_many_arguments)]
 fn render_run_result(
-    name: &str,
+    job: &Job,
     report: &RestartsReport,
-    restarts: usize,
     threads: usize,
     elapsed_ms: u128,
-    params: &RunParams,
     extra: &str,
 ) -> String {
     let o = &report.outcome;
     let mut body = format!(
         "{{\"session\": {}, \"devices\": {}, \"lower_bound\": {}, \"feasible\": {}, \
-         \"cut\": {}, \"total_moves\": {}, \"completion\": \"{}\", \"restarts\": {restarts}, \
+         \"cut\": {}, \"total_moves\": {}, \"completion\": \"{}\", \"restarts\": {}, \
          \"threads\": {threads}, \"failed_restarts\": {}, \"elapsed_ms\": {elapsed_ms}, \
          \"counters\": {{\"runs\": {}, \"passes\": {}, \"moves_applied\": {}}}{extra}",
-        protocol::json_string(name),
+        protocol::json_string(&job.name),
         o.device_count,
         o.lower_bound,
         o.feasible,
         o.cut,
         o.total_moves,
         report.completion.as_str(),
+        job.params.restarts,
         report.failed.len(),
         report.totals.get(Counter::Runs),
         report.totals.get(Counter::Passes),
         report.totals.get(Counter::MovesApplied),
     );
-    if params.return_assignment {
+    if job.params.return_assignment {
         body.push_str(", \"assignment\": [");
         for (i, b) in o.assignment.iter().enumerate() {
             if i > 0 {
@@ -1052,7 +779,7 @@ fn render_run_result(
         }
         body.push(']');
     }
-    if let Some(path) = &params.output {
+    if let Some(path) = &job.params.output {
         let _ = write!(body, ", \"output\": {}", protocol::json_string(path));
     }
     body.push('}');

@@ -312,7 +312,7 @@ mod tests {
         /// over-terminal blocks common.
         #[test]
         fn verification_matches_a_naive_recount(
-            nodes in 2usize..160,
+            nodes in 1usize..160,
             pads in 0usize..24,
             seed in any::<u64>(),
             k in 1usize..300,

@@ -17,13 +17,13 @@
 //! silently ignored.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 
 use crate::builder::HypergraphBuilder;
 use crate::error::ParseNetlistError;
 use crate::graph::Hypergraph;
 use crate::ids::NodeId;
-use crate::limits::ParseLimits;
+use crate::limits::{LineReader, ParseLimits};
 
 /// Parses a structural BLIF model into a hypergraph, enforcing
 /// [`ParseLimits::default`].
@@ -53,13 +53,11 @@ pub fn read_blif_limited<R: Read>(
     // Collect logical lines (BLIF continues lines with a trailing `\`).
     let mut logical: Vec<(usize, String)> = Vec::new();
     let mut pending: Option<(usize, String)> = None;
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.map_err(|_| ParseNetlistError::NotUtf8 { line: line_no })?;
-        limits.check_line(line_no, &line)?;
+    let mut lines = LineReader::new(reader, limits);
+    while let Some((line_no, line)) = lines.next_line()? {
         let without_comment = match line.find('#') {
             Some(pos) => &line[..pos],
-            None => &line[..],
+            None => line,
         };
         let trimmed = without_comment.trim_end();
         let (continued, content) = match trimmed.strip_suffix('\\') {

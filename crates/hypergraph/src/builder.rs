@@ -115,9 +115,9 @@ impl HypergraphBuilder {
     ///
     /// A size of zero is tolerated here and rejected at [`Self::finish`],
     /// so that callers may build nodes before sizes are known.
-    pub fn add_node(&mut self, name: impl Into<String>, size: u32) -> NodeId {
+    pub fn add_node(&mut self, name: impl AsRef<str>, size: u32) -> NodeId {
         let id = NodeId::from_index(self.node_sizes.len());
-        self.node_names.push(&name.into());
+        self.node_names.push(name.as_ref());
         self.node_sizes.push(size);
         self.pin_stamps.push(0);
         id
@@ -141,10 +141,10 @@ impl HypergraphBuilder {
     /// [`BuildError::EmptyNet`] if `pins` is empty.
     pub fn add_net(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         pins: impl IntoIterator<Item = NodeId>,
     ) -> Result<NetId, BuildError> {
-        let name = name.into();
+        let name = name.as_ref();
         // A fresh stamp per call; on wrap-around every old stamp is
         // cleared so none can match a later call's.
         self.stamp = self.stamp.wrapping_add(1);
@@ -155,9 +155,9 @@ impl HypergraphBuilder {
         let start = self.net_pins.len();
         for p in pins {
             let error = match self.pin_stamps.get_mut(p.index()) {
-                None => BuildError::UnknownNode { node: p.index(), net: name },
+                None => BuildError::UnknownNode { node: p.index(), net: name.to_owned() },
                 Some(stamp) if *stamp == self.stamp => {
-                    BuildError::DuplicatePin { net: name, node: p.index() }
+                    BuildError::DuplicatePin { net: name.to_owned(), node: p.index() }
                 }
                 Some(stamp) => {
                     *stamp = self.stamp;
@@ -169,10 +169,10 @@ impl HypergraphBuilder {
             return Err(error);
         }
         if self.net_pins.len() == start {
-            return Err(BuildError::EmptyNet { net: name });
+            return Err(BuildError::EmptyNet { net: name.to_owned() });
         }
         let id = NetId::from_index(self.net_names.len());
-        self.net_names.push(&name);
+        self.net_names.push(name);
         let end = u32::try_from(self.net_pins.len()).expect("pin count fits u32 CSR offsets");
         self.net_pin_offsets.push(end);
         Ok(id)
@@ -185,15 +185,15 @@ impl HypergraphBuilder {
     /// Returns [`BuildError::UnknownNet`] if `net` is out of range.
     pub fn add_terminal(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         net: NetId,
     ) -> Result<TerminalId, BuildError> {
-        let name = name.into();
+        let name = name.as_ref();
         if net.index() >= self.net_names.len() {
-            return Err(BuildError::UnknownNet { net: net.index(), terminal: name });
+            return Err(BuildError::UnknownNet { net: net.index(), terminal: name.to_owned() });
         }
         let id = TerminalId::from_index(self.terminal_nets.len());
-        self.terminal_names.push(&name);
+        self.terminal_names.push(name);
         self.terminal_nets.push(net);
         Ok(id)
     }

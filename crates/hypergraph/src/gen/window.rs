@@ -135,7 +135,8 @@ fn sample_span(rng: &mut StdRng, p: f64, degree: usize, n: usize) -> usize {
     let u: f64 = rng.gen_range(1e-9..1.0);
     // Inverse CDF of Pareto with tail exponent (1 − p).
     let span = min_span * u.powf(-1.0 / (1.0 - p));
-    (span.round() as usize).clamp(degree.max(2), n)
+    // A one-node circuit has no span of two.
+    (span.round() as usize).clamp(degree.max(2).min(n), n)
 }
 
 /// Picks `degree` distinct node indices in `[start, start + span)`.
@@ -236,6 +237,13 @@ mod tests {
         let s = CircuitStats::of(&g);
         assert!(s.mean_net_degree >= 2.0);
         assert!(s.terminal_net_fraction > 0.0);
+    }
+
+    #[test]
+    fn one_node_circuit_builds() {
+        let g = window_circuit(&WindowConfig::new("t", 1, 2), 3);
+        assert_eq!(g.node_count(), 1);
+        assert!(g.net_ids().all(|e| g.pins(e).len() == 1));
     }
 
     #[test]

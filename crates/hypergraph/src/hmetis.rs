@@ -19,13 +19,13 @@
 //! builder if needed).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 use crate::builder::HypergraphBuilder;
 use crate::error::ParseNetlistError;
 use crate::graph::Hypergraph;
 use crate::ids::NodeId;
-use crate::limits::{fields_with_columns, ParseLimits};
+use crate::limits::{fields_with_columns, LineReader, ParseLimits};
 
 /// Parses the field at `(column, text)` as a number, reporting the exact
 /// location on failure.
@@ -78,16 +78,14 @@ pub fn read_hmetis_limited<R: Read>(
     // can always point at a real location.
     let mut data: Vec<(usize, String)> = Vec::new();
     let mut end_line = 1usize;
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let no = idx + 1;
+    let mut lines = LineReader::new(reader, limits);
+    while let Some((no, line)) = lines.next_line()? {
         end_line = no;
-        let line = line.map_err(|_| ParseNetlistError::NotUtf8 { line: no })?;
-        limits.check_line(no, &line)?;
         let trimmed = line.trim();
         if !trimmed.is_empty() && !trimmed.starts_with('%') {
             // Keep the untrimmed text: columns in errors must match the
             // original file, leading whitespace included.
-            data.push((no, line));
+            data.push((no, line.to_owned()));
         }
     }
     let mut records = data.iter().map(|(no, line)| (*no, line.as_str()));

@@ -16,13 +16,14 @@
 //! it is referenced. Blank lines and `#` comments are ignored.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
+use std::path::Path;
 
 use crate::builder::HypergraphBuilder;
 use crate::error::ParseNetlistError;
 use crate::graph::Hypergraph;
 use crate::ids::{NetId, NodeId};
-use crate::limits::{fields_with_columns, ParseLimits};
+use crate::limits::{fields_with_columns, LineReader, ParseLimits};
 
 /// Parses a netlist from any reader (pass `&mut reader` if you need the
 /// reader back afterwards), enforcing [`ParseLimits::default`].
@@ -56,10 +57,8 @@ pub fn read_netlist_limited<R: Read>(
     let mut nets: HashMap<String, NetId> = HashMap::new();
     let mut pin_total = 0usize;
 
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let line_no = idx + 1;
-        let line = line.map_err(|_| ParseNetlistError::NotUtf8 { line: line_no })?;
-        limits.check_line(line_no, &line)?;
+    let mut lines = LineReader::new(reader, limits);
+    while let Some((line_no, line)) = lines.next_line()? {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -156,6 +155,28 @@ pub fn read_netlist_limited<R: Read>(
         }
     }
     Ok(builder.finish()?)
+}
+
+/// Reads the netlist file at `path` under `limits`, choosing the reader
+/// by extension: `.hgr` is hMETIS, `.blif` is BLIF and anything else is
+/// `.fhg`.
+///
+/// # Errors
+///
+/// Returns a human-readable message naming `path` when the file cannot
+/// be opened or does not parse.
+pub fn read_netlist_path(path: &Path, limits: &ParseLimits) -> Result<Hypergraph, String> {
+    let file =
+        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    let ext = |name: &str| path.extension().is_some_and(|e| e.eq_ignore_ascii_case(name));
+    let parsed = if ext("hgr") {
+        crate::hmetis::read_hmetis_limited(file, limits)
+    } else if ext("blif") {
+        crate::blif::read_blif_limited(file, limits)
+    } else {
+        read_netlist_limited(file, limits)
+    };
+    parsed.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Parses a netlist from a string slice.

@@ -17,6 +17,10 @@
 //! callers (in-process generators, tests of the parsers themselves) can
 //! opt out with [`ParseLimits::unlimited`].
 
+use std::io::{BufRead, BufReader, ErrorKind, Read};
+
+use crate::error::ParseNetlistError;
+
 /// Hard caps applied while parsing netlists (`.fhg`, `.hgr`, BLIF) and
 /// edit scripts. All counts are totals per document; lengths are in
 /// bytes.
@@ -66,33 +70,15 @@ impl ParseLimits {
         }
     }
 
-    /// Checks one raw input line against `max_line_len`, reporting the
-    /// first over-limit column.
-    pub(crate) fn check_line(
-        &self,
-        line_no: usize,
-        line: &str,
-    ) -> Result<(), crate::error::ParseNetlistError> {
-        if line.len() > self.max_line_len {
-            return Err(crate::error::ParseNetlistError::LimitExceeded {
-                line: line_no,
-                column: self.max_line_len + 1,
-                what: "line length",
-                limit: self.max_line_len,
-            });
-        }
-        Ok(())
-    }
-
     /// Checks a name token (at 1-based `column`) against `max_name_len`.
     pub(crate) fn check_name(
         &self,
         line_no: usize,
         column: usize,
         name: &str,
-    ) -> Result<(), crate::error::ParseNetlistError> {
+    ) -> Result<(), ParseNetlistError> {
         if name.len() > self.max_name_len {
-            return Err(crate::error::ParseNetlistError::LimitExceeded {
+            return Err(ParseNetlistError::LimitExceeded {
                 line: line_no,
                 column,
                 what: "name length",
@@ -100,6 +86,81 @@ impl ParseLimits {
             });
         }
         Ok(())
+    }
+}
+
+/// Reads the lines of a netlist through one reused buffer, refusing a
+/// line longer than [`ParseLimits::max_line_len`] as soon as it passes
+/// the limit, before the rest of it is read. It yields the lines
+/// `BufRead::lines` yields: the newline is stripped, and a `\r` only
+/// where it precedes the newline. A read error or a line that is not
+/// UTF-8 is [`ParseNetlistError::NotUtf8`]; a line both too long and
+/// not UTF-8 is refused as too long.
+pub(crate) struct LineReader<R> {
+    reader: BufReader<R>,
+    buf: Vec<u8>,
+    line_no: usize,
+    max_len: usize,
+}
+
+impl<R: Read> LineReader<R> {
+    pub(crate) fn new(reader: R, limits: &ParseLimits) -> Self {
+        LineReader {
+            reader: BufReader::new(reader),
+            buf: Vec::new(),
+            line_no: 0,
+            max_len: limits.max_line_len,
+        }
+    }
+
+    /// The next line and its 1-based number, or `None` at the end of
+    /// the input.
+    pub(crate) fn next_line(&mut self) -> Result<Option<(usize, &str)>, ParseNetlistError> {
+        let line = self.line_no + 1;
+        let too_long = ParseNetlistError::LimitExceeded {
+            line,
+            column: self.max_len.saturating_add(1),
+            what: "line length",
+            limit: self.max_len,
+        };
+        // One byte past the limit may still be a `\r` before the newline.
+        let cap = self.max_len.saturating_add(1);
+        self.buf.clear();
+        let mut newline = false;
+        while !newline {
+            let chunk = match self.reader.fill_buf() {
+                Ok([]) => break,
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Err(ParseNetlistError::NotUtf8 { line }),
+            };
+            let take = match chunk.iter().position(|&b| b == b'\n') {
+                Some(at) => {
+                    newline = true;
+                    at
+                }
+                None => chunk.len(),
+            };
+            if self.buf.len() + take > cap {
+                return Err(too_long);
+            }
+            self.buf.extend_from_slice(&chunk[..take]);
+            self.reader.consume(take + usize::from(newline));
+        }
+        if !newline && self.buf.is_empty() {
+            return Ok(None);
+        }
+        self.line_no = line;
+        if newline && self.buf.last() == Some(&b'\r') {
+            self.buf.pop();
+        }
+        if self.buf.len() > self.max_len {
+            return Err(too_long);
+        }
+        match std::str::from_utf8(&self.buf) {
+            Ok(text) => Ok(Some((line, text))),
+            Err(_) => Err(ParseNetlistError::NotUtf8 { line }),
+        }
     }
 }
 
@@ -130,7 +191,6 @@ pub(crate) fn fields_with_columns(line: &str) -> Vec<(usize, &str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ParseNetlistError;
 
     #[test]
     fn defaults_are_sane_and_unlimited_is_unbounded() {
@@ -141,15 +201,49 @@ mod tests {
         assert_eq!(u.max_pins, usize::MAX);
     }
 
+    /// Every line `BufRead::lines` yields, read through a `LineReader`.
+    fn read_all(text: &[u8], limits: &ParseLimits) -> Result<Vec<String>, ParseNetlistError> {
+        let mut reader = LineReader::new(text, limits);
+        let mut lines = Vec::new();
+        while let Some((no, line)) = reader.next_line()? {
+            assert_eq!(no, lines.len() + 1);
+            lines.push(line.to_owned());
+        }
+        Ok(lines)
+    }
+
     #[test]
     fn line_check_reports_limit_and_column() {
         let limits = ParseLimits { max_line_len: 8, ..ParseLimits::default() };
-        assert!(limits.check_line(3, "short").is_ok());
-        let err = limits.check_line(3, "123456789").unwrap_err();
+        assert_eq!(read_all(b"short\n12345678\r\n", &limits).unwrap(), ["short", "12345678"]);
+        let err = read_all(b"a\nb\n123456789\nc\n", &limits).unwrap_err();
         assert_eq!(
             err,
             ParseNetlistError::LimitExceeded { line: 3, column: 9, what: "line length", limit: 8 }
         );
+        // A `\r` that ends the input precedes no newline, so it counts.
+        let err = read_all(b"12345678\r", &limits).unwrap_err();
+        assert!(matches!(err, ParseNetlistError::LimitExceeded { line: 1, .. }));
+    }
+
+    #[test]
+    fn line_reader_yields_what_lines_yields() {
+        use std::io::BufRead as _;
+        let unlimited = ParseLimits::unlimited();
+        for text in [
+            &b""[..],
+            b"\n",
+            b"a",
+            b"a\n",
+            b"a\r\nb\r",
+            b"\r\n\r\r\n\n x \r y\r\n",
+            b"no newline at the end\r",
+        ] {
+            let expected: Vec<String> = text.lines().map(Result::unwrap).collect();
+            assert_eq!(read_all(text, &unlimited).unwrap(), expected, "{text:?}");
+        }
+        let err = read_all(b"ok\nnet n \xff\n", &unlimited).unwrap_err();
+        assert_eq!(err, ParseNetlistError::NotUtf8 { line: 2 });
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation gates for `apply_script`, graph teardown and coarsening.
+//! Allocation gates for `apply_script`, graph teardown, coarsening and
+//! parsing.
 //!
 //! A graph keeps its names in flat tables and its structure in flat
 //! arrays, so what it costs to write one out or free it does not grow
@@ -6,7 +7,8 @@
 //! plus a little per script op, dropping the edited graph frees a fixed
 //! set of buffers, and each coarsening level allocates a constant. A
 //! body that holds one heap object per name, net or coarse node makes
-//! tens of thousands of allocations on these inputs. The gates count
+//! tens of thousands of allocations on these inputs. Parsing a netlist
+//! allocates per name, for its name lookup, but within a fixed budget. The gates count
 //! allocations and frees, not time, so they give the same answer on any
 //! machine.
 //!
@@ -19,6 +21,7 @@ use std::cell::Cell;
 
 use fpart_hypergraph::coarsen::coarsen_to_floor;
 use fpart_hypergraph::gen::{rent_circuit, RentConfig};
+use fpart_hypergraph::io::{netlist_to_string, parse_netlist};
 use fpart_hypergraph::{apply_script, EditApplied, EditOp, EditScript, Hypergraph};
 
 /// Counts the allocations (fresh or grown) and frees made on a thread
@@ -121,6 +124,26 @@ const GRAPH_BUFFERS: usize = 15;
 /// Allocations one coarsening level may make: the matching's per-node
 /// arrays and scratch, the projection buffers, and the coarse graph's.
 const PER_LEVEL: usize = 48;
+
+/// Allocations parsing may make per node, net and terminal name: the
+/// name's key in the reader's lookup and its share of the per-line field
+/// and pin lists and of the growth of the graph's tables.
+const PARSE_PER_NAME: usize = 3;
+
+#[test]
+fn parsing_20k_cells_allocates_at_most_three_times_per_name() {
+    let graph = rent20k();
+    let text = netlist_to_string(&graph);
+    let (parsed, allocations, _) = counted(|| parse_netlist(&text).expect("parses"));
+    assert_eq!(parsed.node_count(), graph.node_count());
+    let names = parsed.node_count() + parsed.net_count() + parsed.terminal_count();
+    let bound = PARSE_PER_NAME * names;
+    assert!(
+        allocations <= bound,
+        "parsing {names} names made {allocations} allocations; the bound is \
+         {PARSE_PER_NAME} per name = {bound}"
+    );
+}
 
 #[test]
 fn a_ten_cell_eco_on_20k_cells_allocates_per_op_not_per_name() {

@@ -7,10 +7,12 @@
 //! verbatim to users, so a refactor that shifts a line number or
 //! collapses variants is a regression, not a cosmetic change.
 
-use fpart_hypergraph::blif::{parse_blif, read_blif};
-use fpart_hypergraph::hmetis::{parse_hmetis, read_hmetis};
-use fpart_hypergraph::io::{parse_netlist, read_netlist};
-use fpart_hypergraph::{BuildError, ParseNetlistError};
+use std::io::Read;
+
+use fpart_hypergraph::blif::{parse_blif, read_blif, read_blif_limited};
+use fpart_hypergraph::hmetis::{parse_hmetis, read_hmetis, read_hmetis_limited};
+use fpart_hypergraph::io::{parse_netlist, read_netlist, read_netlist_limited};
+use fpart_hypergraph::{BuildError, Hypergraph, ParseLimits, ParseNetlistError};
 
 /// One corpus entry: a name (for failure messages), the raw input, and
 /// the expected rejection.
@@ -252,5 +254,47 @@ fn corpus_errors_display_with_location_context() {
             _ => assert!(text.starts_with("line "), "{}: {text}", case.name),
         }
         assert!(!text.contains("Error"), "{}: looks like debug output: {text}", case.name);
+    }
+}
+
+/// A source of `left` bytes with no newline among them, counting the
+/// bytes it has served.
+struct Newlineless {
+    left: usize,
+    served: usize,
+}
+
+impl Read for Newlineless {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.left);
+        buf[..n].fill(b'x');
+        self.left -= n;
+        self.served += n;
+        Ok(n)
+    }
+}
+
+/// A line longer than `max_line_len` is refused once it passes the
+/// limit, not after the whole of it has been read into memory: each
+/// reader stops a 64 MiB line with no newline within its first MiB.
+#[test]
+fn an_endless_line_is_refused_before_it_is_read() {
+    type Reader = fn(&mut Newlineless, &ParseLimits) -> Result<Hypergraph, ParseNetlistError>;
+    let readers: [(&str, Reader); 3] = [
+        (".fhg", |r, l| read_netlist_limited(r, l)),
+        ("hMETIS", |r, l| read_hmetis_limited(r, l)),
+        ("BLIF", |r, l| read_blif_limited(r, l)),
+    ];
+    let limits = ParseLimits { max_line_len: 16, ..ParseLimits::default() };
+    let refused =
+        ParseNetlistError::LimitExceeded { line: 1, column: 17, what: "line length", limit: 16 };
+    for (format, read) in readers {
+        let mut source = Newlineless { left: 64 << 20, served: 0 };
+        assert_eq!(read(&mut source, &limits).unwrap_err(), refused, "{format}");
+        assert!(
+            source.served < 1 << 20,
+            "the {format} reader read {} bytes of a line it refuses at 16",
+            source.served
+        );
     }
 }

@@ -346,10 +346,10 @@ grep -q '"ph": "X"' "$smoke_dir/trace.chrome.json" \
 step "partition server smoke (fpart serve over a Unix socket)"
 # A scripted client drives one full protocol session against a real
 # `fpart serve` process: load, a deterministic partition, an inline
-# eco edit, a session query, a coalesced duplicate-request pair (the
-# second byte-identical partition must be served from the leader's
-# run and marked `"coalesced": true`), a cancelled long run, and a
-# clean shutdown (exit 0). Every reply must be a typed JSON line; the
+# eco edit, a session query, a pipelined duplicate-request pair (the
+# second byte-identical partition queues behind the first and replays
+# its restarts from the solution memo: the same result, no pass and
+# no move), a cancelled long run, and a clean shutdown (exit 0). Every reply must be a typed JSON line; the
 # normalized exchange must match the committed golden byte for byte,
 # so a protocol drift is a reviewed diff, not a silent change.
 timeout 120 python3 scripts/server_smoke.py ./target/release/fpart \

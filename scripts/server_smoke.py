@@ -12,10 +12,10 @@ Drives one full protocol session against a real server process:
 5. apply an inline `eco` edit script and assert the repair result,
 6. `query` the session and assert its request/assignment bookkeeping,
 7. submit two byte-identical `partition` requests back-to-back and
-   assert the duplicate coalesces onto the leader's in-flight run (its
-   fanned-out reply is marked `"coalesced": true` and carries the
-   identical result), then `query` again and assert the session counted
-   one coalesced duplicate and a stable 128-bit graph fingerprint,
+   assert the duplicate queues behind its twin and replays the twin's
+   memoized restarts (the identical result with no pass and no move),
+   then `query` again and assert the session counted both runs and a
+   stable 128-bit graph fingerprint,
 8. submit a long `partition` and `cancel` it mid-flight, asserting the
    cancel is acknowledged and the run's final reply is a verifiable
    cancelled/degraded outcome,
@@ -183,45 +183,44 @@ def main():
                f"session must hold the eco assignment: {query}")
         transcript.append(query)
 
-        # Two byte-identical submits: the duplicate must coalesce onto
-        # the leader's in-flight run — the server runs the search once
-        # and fans the result out, marking the follower's reply. The
-        # leader's search takes orders of magnitude longer than reading
-        # the already-buffered duplicate line, so the join is reliable.
+        # Two byte-identical submits: the duplicate queues behind its
+        # twin (a `queued` event), then replays the twin's restarts from
+        # the solution memo: the identical result without a pass or a
+        # move. The twin's search takes orders of magnitude longer than
+        # reading the already-buffered duplicate line, so the duplicate
+        # is always parked behind it.
         dup = {"cmd": "partition", "session": "s", "seed": 3, "restarts": 2}
         client.send({"id": "d1", **dup})
         client.send({"id": "d2", **dup})
         dpair = {}
         while len(dpair) < 2:
             reply = client.read_line()
+            if reply.get("id") == "d2" and reply.get("event") == "queued":
+                continue
             expect("ok" in reply and reply.get("id") in ("d1", "d2"),
-                   f"unexpected reply during the dedup exchange: {reply}")
+                   f"unexpected reply during the duplicate exchange: {reply}")
             expect(reply["id"] not in dpair,
                    f"duplicate final reply for {reply['id']!r}")
             dpair[reply["id"]] = reply
         d1, d2 = dpair["d1"], dpair["d2"]
-        expect(d1.get("ok") is True, f"leader run failed: {d1}")
-        expect(d2.get("ok") is True, f"coalesced run failed: {d2}")
-        expect("coalesced" not in d1["result"],
-               f"the leader ran for real, not coalesced: {d1}")
-        expect(d2["result"].get("coalesced") is True,
-               f"the duplicate must be served from the leader's run: {d2}")
-        for key in ("cut", "devices", "completion", "feasible"):
+        expect(d1.get("ok") is True, f"first run failed: {d1}")
+        expect(d2.get("ok") is True, f"duplicate run failed: {d2}")
+        expect(d1["result"]["counters"]["passes"] > 0,
+               f"the first run must search: {d1}")
+        for key in ("cut", "devices", "total_moves", "completion"):
             expect(d1["result"].get(key) == d2["result"].get(key),
-                   f"fanned-out {key} differs: {d1} vs {d2}")
+                   f"the memo replay's {key} differs: {d1} vs {d2}")
+        for key in ("passes", "moves_applied"):
+            expect(d2["result"]["counters"][key] == 0,
+                   f"the duplicate must replay the memo, not search: {d2}")
         transcript.append(d1)
         transcript.append(d2)
 
         query2, _ = client.request({"id": "query2", "cmd": "query",
                                     "session": "s"})
         expect(query2.get("ok") is True, f"query2 failed: {query2}")
-        counters = query2["result"]["counters"]
-        expect(counters.get("server_coalesced") == 1,
-               f"the session must have counted one coalesced duplicate: "
-               f"{query2}")
-        expect(query2["result"]["requests"] == 3,
-               f"the coalesced duplicate must not count as a served run: "
-               f"{query2}")
+        expect(query2["result"]["requests"] == 4,
+               f"both duplicates must count as served runs: {query2}")
         fingerprint = query2["result"].get("fingerprint", "")
         expect(len(fingerprint) == 32
                and all(c in "0123456789abcdef" for c in fingerprint),

@@ -310,7 +310,8 @@ fn cancel_mid_run_yields_verifiable_outcome() {
 
 /// The malformed-request corpus: every hostile line gets a typed error
 /// reply with the right code, and the connection keeps serving
-/// afterwards (the final valid request succeeds).
+/// afterwards (the final valid request succeeds). `handle` decodes a
+/// line as `serve` does, so it answers each line with the same code.
 #[test]
 fn malformed_requests_get_typed_errors_and_never_disconnect() {
     let graph = window_circuit(&WindowConfig::new("mal", 80, 8), 5);
@@ -336,12 +337,11 @@ fn malformed_requests_get_typed_errors_and_never_disconnect() {
         &load,      // valid
         "{\"id\": \"ok-run\", \"cmd\": \"partition\", \"session\": \"s\", \"seed\": 1}",
         "{\"id\": \"bye\", \"cmd\": \"shutdown\"}",
-    ]
-    .join("\n");
+    ];
 
     let server = Server::new(ServerConfig { limits, ..ServerConfig::default() });
     let mut out = Vec::new();
-    server.serve(Cursor::new(script), &mut out).unwrap();
+    server.serve(Cursor::new(script.join("\n")), &mut out).unwrap();
     let replies = parse_lines(&out);
 
     let code_of = |idx: usize| {
@@ -361,14 +361,33 @@ fn malformed_requests_get_typed_errors_and_never_disconnect() {
     assert_eq!(final_reply(&replies, "ok-load").get("ok"), Some(&Json::Bool(true)));
     assert_eq!(final_reply(&replies, "ok-run").get("ok"), Some(&Json::Bool(true)));
     assert_eq!(final_reply(&replies, "bye").get("ok"), Some(&Json::Bool(true)));
+
+    // `serve` answers the lines up to the load in order; the run and
+    // the shutdown by id. The oversized line never reaches `handle`:
+    // `serve` refuses it while reading.
+    let code = |reply: &Json| reply.get("error").and_then(|e| e.get("code")).cloned();
+    let handled = Server::new(ServerConfig { limits, ..ServerConfig::default() });
+    for (i, line) in script.iter().enumerate().filter(|(_, line)| **line != oversized) {
+        let served = match i {
+            9 => final_reply(&replies, "ok-run"),
+            10 => final_reply(&replies, "bye"),
+            _ => &replies[i + 1],
+        };
+        let mut out = Vec::new();
+        handled.handle(line, &mut out);
+        let reply = parse_lines(&out);
+        assert_eq!(reply.len(), 1, "{line}");
+        assert_eq!(code(&reply[0]), code(served), "{line}");
+        assert_eq!(reply[0].get("id"), served.get("id"), "{line}");
+    }
 }
 
-/// Duplicate in-flight `partition` requests coalesce: the leader runs
-/// the search once and the follower's reply is fanned out from the
-/// same result (marked `"coalesced": true`), while a request with
-/// different params still runs on its own.
+/// Pipelined duplicate `partition` requests each run in turn, and the
+/// memo answers the repeats: the default V-cycle reads no driver seed,
+/// so both the byte-identical `p2` and the reseeded `p3` replay `p1`'s
+/// memoized restarts without a pass and return its result.
 #[test]
-fn identical_concurrent_partitions_coalesce() {
+fn identical_pipelined_partitions_replay_from_the_memo() {
     let graph = rent_circuit(&RentConfig::new("dedup", 2000, 120), 5);
     let path = write_netlist("dedup", &graph);
     let socket = std::env::temp_dir().join("fpart_server_it").join("dedup.sock");
@@ -396,7 +415,7 @@ fn identical_concurrent_partitions_coalesce() {
         assert!(line.contains("\"ok\": true"), "{line}");
 
         // Two byte-identical submits plus one that differs only in its
-        // seed, sent back-to-back: p2 must join p1's run, p3 must not.
+        // seed, sent back-to-back: p2 and p3 queue behind p1.
         let run = |id: &str, seed: u64| {
             format!(
                 "{{\"id\": \"{id}\", \"cmd\": \"partition\", \"session\": \"s\", \
@@ -418,36 +437,31 @@ fn identical_concurrent_partitions_coalesce() {
             }
         }
         let result = |id: &str| finals[id].get("result").unwrap();
+        let passes =
+            |id: &str| result(id).get("counters").unwrap().get("passes").and_then(Json::as_u64);
         for id in ["p1", "p2", "p3"] {
             assert_eq!(finals[id].get("ok"), Some(&Json::Bool(true)), "{id}");
+            assert_eq!(result(id).get("coalesced"), None, "{id}: no reply is coalesced");
         }
-        assert_eq!(result("p1").get("coalesced"), None, "the leader ran for real");
-        assert_eq!(
-            result("p2").get("coalesced"),
-            Some(&Json::Bool(true)),
-            "the duplicate must be served from the leader's run"
-        );
-        assert_eq!(result("p3").get("coalesced"), None, "different seed, not coalesced");
-        assert_eq!(
-            assignment_of(result("p1")),
-            assignment_of(result("p2")),
-            "fanned-out reply carries the identical assignment"
-        );
-        assert_eq!(result("p1").get("cut"), result("p2").get("cut"));
+        assert!(passes("p1").unwrap() > 0, "the first request searches");
+        for id in ["p2", "p3"] {
+            assert_eq!(passes(id), Some(0), "{id} replays p1's memoized restarts");
+            assert_eq!(assignment_of(result(id)), assignment_of(result("p1")), "{id}");
+            for field in ["cut", "devices"] {
+                assert_eq!(result(id).get(field), result("p1").get(field), "{id}: {field}");
+            }
+        }
 
-        // p3 was not coalesced, but it searched nothing either: the
-        // default V-cycle reads no driver seed, so it replayed p1's
-        // memoized restarts. The session counts two executed requests
-        // and one coalesced duplicate.
+        // Every request ran, so the session counts three.
         writeln!(stream, "{{\"id\": \"q\", \"cmd\": \"query\", \"session\": \"s\"}}").unwrap();
         line.clear();
         reader.read_line(&mut line).unwrap();
         let q = Json::parse(line.trim()).unwrap();
         let qr = q.get("result").unwrap();
-        assert_eq!(qr.get("requests").and_then(Json::as_u64), Some(2));
+        assert_eq!(qr.get("requests").and_then(Json::as_u64), Some(3));
         let counters = qr.get("counters").unwrap();
-        assert_eq!(counters.get("server_requests").and_then(Json::as_u64), Some(2));
-        assert_eq!(counters.get("server_coalesced").and_then(Json::as_u64), Some(1));
+        assert_eq!(counters.get("server_requests").and_then(Json::as_u64), Some(3));
+        assert_eq!(counters.get("server_coalesced"), None);
         let fp = qr.get("fingerprint").and_then(Json::as_str).unwrap();
         assert_eq!(fp.len(), 32, "128-bit session fingerprint rendered as hex: {fp}");
 
@@ -548,9 +562,9 @@ fn bounded_queue_reports_busy_and_queued() {
     );
     // Queue capacity 2: the first run occupies the worker (or its
     // buffer slot), the second parks with a `queued` ack, and the
-    // burst after that bounces with `busy`. Distinct seeds keep the
-    // submits from coalescing — identical ones would dedup instead of
-    // exercising the queue.
+    // burst after that bounces with `busy`. The runs are read faster
+    // than the first one searches, so the queue fills whatever their
+    // seeds.
     let mut script = vec![load];
     for i in 0..6 {
         script.push(format!(
