@@ -169,9 +169,15 @@ struct PassScratch {
 }
 
 impl PassScratch {
-    fn new(graph: &Hypergraph, cells: usize, slots: usize, io_pins: bool) -> Self {
+    fn new(
+        graph: &Hypergraph,
+        max_degree: usize,
+        cells: usize,
+        slots: usize,
+        io_pins: bool,
+    ) -> Self {
         PassScratch {
-            pre: Vec::with_capacity(graph.max_node_degree()),
+            pre: Vec::with_capacity(max_degree),
             dir_max: Vec::with_capacity(slots * slots),
             visited: vec![0; cells],
             net_visited: vec![0; graph.net_count()],
@@ -271,14 +277,16 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         }
         // Cut gains are bounded by the node degree; an I/O gain can move
         // two blocks' counts by one per net, so it needs twice the range.
+        let max_degree = state.graph().max_node_degree();
         let p_max = match ctx.config.gain_objective {
-            GainObjective::CutNets => state.graph().max_node_degree(),
-            GainObjective::IoPins => 2 * state.graph().max_node_degree(),
+            GainObjective::CutNets => max_degree,
+            GainObjective::IoPins => 2 * max_degree,
         };
         let slots = active.len();
         let buckets = (0..slots * slots).map(|_| GainBucket::new(n, p_max)).collect();
         let scratch = PassScratch::new(
             state.graph(),
+            max_degree,
             cells.len(),
             slots,
             ctx.config.gain_objective == GainObjective::IoPins,
@@ -554,12 +562,7 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         pre.clear();
         #[cfg(debug_assertions)]
         let pre_cap = pre.capacity();
-        pre.extend(
-            graph
-                .nets(node)
-                .iter()
-                .map(|&e| (self.state.net_pins_in(e, from), self.state.net_pins_in(e, to))),
-        );
+        pre.extend(graph.nets(node).iter().map(|&e| self.state.net_pins_in_pair(e, from, to)));
         #[cfg(debug_assertions)]
         assert_eq!(pre.capacity(), pre_cap, "pre scratch reallocated");
 

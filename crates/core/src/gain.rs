@@ -36,10 +36,11 @@ pub fn level1_gain(state: &PartitionState<'_>, node: NodeId, to: usize) -> i32 {
     let mut gain = 0i32;
     for &net in graph.nets(node) {
         let n = graph.pins(net).len() as u32;
-        if state.net_pins_in(net, to) == n - 1 {
+        let (in_from, in_to) = state.net_pins_in_pair(net, from, to);
+        if in_to == n - 1 {
             gain += 1;
         }
-        if state.net_pins_in(net, from) == n {
+        if in_from == n {
             gain -= 1;
         }
     }
@@ -64,12 +65,8 @@ pub fn io_gain(state: &PartitionState<'_>, node: NodeId, to: usize) -> i32 {
     let graph = state.graph();
     let mut gain = 0i32;
     for &net in graph.nets(node) {
-        gain += io_gain_net(
-            state.net_pins_in(net, from),
-            state.net_pins_in(net, to),
-            state.net_span(net),
-            graph.net_has_terminal(net),
-        );
+        let (da, db) = state.net_pins_in_pair(net, from, to);
+        gain += io_gain_net(da, db, state.net_span(net), graph.net_has_terminal(net));
     }
     gain
 }
@@ -125,7 +122,8 @@ pub fn level2_gain(state: &PartitionState<'_>, node: NodeId, to: usize, locked: 
     for &net in graph.nets(node) {
         let pins = graph.pins(net);
         let n = pins.len() as u32;
-        let outside_to = n - state.net_pins_in(net, to);
+        let (in_from, in_to) = state.net_pins_in_pair(net, from, to);
+        let outside_to = n - in_to;
         // +1: v plus exactly one other pin outside `to`, that pin unlocked.
         if outside_to == 2 {
             if let Some(w) = pins.iter().find(|&&w| w != node && state.block_of(w) != to) {
@@ -136,7 +134,7 @@ pub fn level2_gain(state: &PartitionState<'_>, node: NodeId, to: usize, locked: 
         }
         // −1: net is one outside pin away from being internal to `from`,
         // and that pin could still be pulled in.
-        if state.net_pins_in(net, from) == n - 1 {
+        if in_from == n - 1 {
             if let Some(w) = pins.iter().find(|&&w| state.block_of(w) != from) {
                 if !locked[w.index()] {
                     gain -= 1;

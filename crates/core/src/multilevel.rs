@@ -70,10 +70,12 @@ pub struct MultilevelConfig {
     /// Estimated-byte cap for hierarchy construction. When the next
     /// coarsening level would exceed it, coarsening stops at the current
     /// depth and the run reports [`Completion::Degraded`]. Partition
-    /// states are not counted (see [`crate::MemoryBudget`]): each level's
-    /// refinement keeps one live per worker of [`Self::threads`], so one
-    /// at a single thread. The cap is a deterministic function of the
-    /// input, so budgeted runs stay bit-identical at any thread count.
+    /// states are not counted (see [`crate::MemoryBudget`]): each takes
+    /// at most 2 MiB of dense pin counts or O(nets + pins) bytes of
+    /// compact ones at any device count, and each level's refinement
+    /// keeps one live per worker of [`Self::threads`], so one at a single
+    /// thread. The cap is a deterministic function of the input, so
+    /// budgeted runs stay bit-identical at any thread count.
     pub memory: crate::budget::MemoryBudget,
     /// Optional shared restart-solution memo (see [`crate::memo`]),
     /// read only by the n-level restart search ([`crate::search()`] over

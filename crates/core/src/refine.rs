@@ -341,12 +341,13 @@ pub fn top_crossing_pairs(state: &PartitionState<'_>, limit: usize) -> Vec<(usiz
     let k = state.block_count();
     let graph = state.graph();
     let mut crossings = std::collections::HashMap::<(usize, usize), usize>::new();
+    let mut blocks = Vec::new();
     for net in graph.net_ids() {
         let net: NetId = net;
         if state.net_span(net) < 2 {
             continue;
         }
-        let blocks: Vec<usize> = (0..k).filter(|&b| state.net_pins_in(net, b) > 0).collect();
+        state.net_blocks_into(net, &mut blocks);
         for i in 0..blocks.len() {
             for j in (i + 1)..blocks.len() {
                 *crossings.entry((blocks[i], blocks[j])).or_default() += 1;

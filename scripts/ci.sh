@@ -67,7 +67,7 @@ step "served-session peak-RSS gate (serve-eco session at --threads 1 <= 64 MiB)"
 # 20,000 nodes, 10 added and 10 removed: a served apply that drops or
 # duplicates a cell fails here even when its reply is ok. A session
 # holds the graph, the partition state of each run and the solution
-# memo; the whole process peaks near 20 MiB. A cache that keeps one
+# memo; the whole process peaks near 15 MiB. A cache that keeps one
 # artifact per graph state the session has seen (a coarsening
 # hierarchy is ~6.5 MiB here) pushes it past 64 MiB.
 bench_target=${CARGO_TARGET_DIR:-.bench_build}
@@ -155,13 +155,15 @@ case "$err" in
     *RUST_BACKTRACE*) echo "parse error printed a backtrace: $err" >&2; exit 1 ;;
 esac
 
-step "peak-RSS and search-work gate (40k-cell n-level run on XC3064 at --threads 1: <= 100 MiB, same search as goldens/rent40k_search_work.json)"
-# One partition state of this run (47,863 nets x ~200 devices, dense
-# row stride 256) is ~47 MiB. One-worker boundary refinement refines
-# the caller's state in place, so the whole run peaks near 61 MiB; a
-# per-job or per-level copy of the state coming back pushes it past
-# 100 MiB. Memory, unlike time, does not vary with machine load, so
-# this gate catches such a copy where a timing gate could not.
+step "peak-RSS and search-work gate (40k-cell n-level run on XC3064 at --threads 1: <= 40 MiB, same search as goldens/rent40k_search_work.json)"
+# A partition state of this run (47,863 nets, 103,038 pins, ~200
+# devices) keeps its pin counts compact, per net and touched block, in
+# ~1.3 MiB; the dense nets x 256 matrix it replaced was ~47 MiB. One-
+# worker boundary refinement refines the caller's state in place, so
+# the whole run peaks near 18 MiB. The dense matrix coming back, or a
+# few per-job or per-level copies of a state, push it past 40 MiB.
+# Memory, unlike time, does not vary with machine load, so this gate
+# catches such a change where a timing gate could not.
 # The same run pins its search: the seven search-work counters of its
 # metrics (passes, moves applied and reverted, gain-bucket pops, stack
 # restarts, key evaluations, materialized snapshots) and the SHA-256 of
@@ -182,8 +184,8 @@ _, status, usage = os.wait4(proc.pid, 0)
 proc.returncode = os.waitstatus_to_exitcode(status)
 peak_mib = usage.ru_maxrss / 1024.0
 assert proc.returncode == 0, f"fpart partition exited {proc.returncode}"
-print(f"peak RSS {peak_mib:.1f} MiB (limit 100 MiB)")
-assert peak_mib <= 100.0, f"peak RSS {peak_mib:.1f} MiB exceeds 100 MiB"
+print(f"peak RSS {peak_mib:.1f} MiB (limit 40 MiB)")
+assert peak_mib <= 40.0, f"peak RSS {peak_mib:.1f} MiB exceeds 40 MiB"
 metrics = json.load(open(f"{work}/rent40k.json"))
 counters = {k: metrics["totals"]["counters"][k] for k in golden["counters"]}
 assert counters == golden["counters"], \
@@ -196,15 +198,33 @@ assert digest == golden["assignment_sha256"], f"assignment digest {digest} moved
 print(f"search work and assignment match the golden ({counters['moves_applied']} moves)")
 EOF
 
-step "large run (200k-cell n-level run at --threads 1, verified)"
+step "large run (200k-cell n-level run at --threads 1: verified, peak RSS <= 300 bytes per pin)"
 # End-to-end scale without a wall-clock gate: the full V-cycle on the
 # 200k-cell Rent circuit must finish and its assignment must verify.
-# The run takes ~20 s on one core of a 2-core x86-64 VM; the timeout
-# only catches a hang.
+# Its peak RSS must stay within 300 bytes per pin of the circuit (about
+# 143 MiB for its 499,775 pins). With O(pins) partition states the run
+# peaks near 65 MiB; the dense nets x next_pow2(k) matrix (231,796 nets
+# x 512 at ~500 devices) took it to 515 MiB. The run takes ~20 s on one
+# core of a 2-core x86-64 VM; the timeout only catches a hang.
 ./target/release/fpart gen rent --nodes 200000 --terminals 3000 --seed 42 \
     --output "$smoke_dir/rent200k.fhg"
-timeout 600 ./target/release/fpart partition "$smoke_dir/rent200k.fhg" --multilevel \
-    --s-max 400 --t-max 120 --threads 1 --output "$smoke_dir/rent200k.txt"
+timeout 600 python3 - ./target/release/fpart "$smoke_dir" <<'EOF'
+import os, re, subprocess, sys
+fpart, work = sys.argv[1], sys.argv[2]
+stats = subprocess.run([fpart, "stats", f"{work}/rent200k.fhg"],
+                       capture_output=True, text=True, check=True)
+pins = int(re.search(r"\(pins (\d+)\)", stats.stdout).group(1))
+proc = subprocess.Popen([fpart, "partition", f"{work}/rent200k.fhg", "--multilevel",
+                         "--s-max", "400", "--t-max", "120", "--threads", "1",
+                         "--output", f"{work}/rent200k.txt"], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+code = os.waitstatus_to_exitcode(status)
+assert code == 0, f"fpart partition exited {code}"
+peak, limit = usage.ru_maxrss * 1024, 300 * pins
+print(f"peak RSS {peak / 2**20:.1f} MiB, {peak / pins:.0f} bytes per pin "
+      f"(limit 300 bytes per pin: {limit / 2**20:.1f} MiB for {pins} pins)")
+assert peak <= limit, f"peak RSS {peak / 2**20:.1f} MiB exceeds 300 bytes per pin"
+EOF
 timeout 120 ./target/release/fpart verify "$smoke_dir/rent200k.fhg" \
     "$smoke_dir/rent200k.txt" --s-max 400 --t-max 120
 

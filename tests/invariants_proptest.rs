@@ -37,26 +37,58 @@ fn arb_graph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
+/// Strategy: one time in three a random hypergraph of 7,000 to 8,500
+/// cells and 8,400 to 10,200 nets of up to 16 pins, else an
+/// [`arb_graph`] one. A large graph's dense pin-count matrix fits the
+/// state's 2 MiB budget up to k = 32 and passes it beyond, so a state on
+/// it turns compact when blocks are added past 32.
+fn arb_small_or_large_graph() -> impl Strategy<Value = Hypergraph> {
+    (0u8..3, arb_graph(), 7_000usize..8_500, 0usize..64, any::<u64>()).prop_map(
+        |(pick, small, nodes, terminals, seed)| {
+            if pick == 0 {
+                window_circuit(&WindowConfig::new("prop-large", nodes, terminals), seed)
+            } else {
+                small
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Incremental bookkeeping in `PartitionState` stays exactly
     /// consistent with a from-scratch recount under arbitrary move
-    /// sequences.
+    /// sequences interleaved with `add_block` up to k = 40: on small
+    /// graphs in the dense layout, on large ones also across the switch
+    /// to the compact layout and after it, with nets of more pins than a
+    /// net's two inline entries. Blocks the state does not have read 0.
     #[test]
     fn partition_state_consistent_under_random_moves(
-        graph in arb_graph(),
-        moves in proptest::collection::vec((any::<u32>(), 0usize..4), 0..60),
+        graph in arb_small_or_large_graph(),
+        // One op in three appends a block (until k = 40), the rest move
+        // a node.
+        ops in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 0..200),
         k in 2usize..5,
     ) {
         let n = graph.node_count();
         let assignment: Vec<u32> = (0..n as u32).map(|i| i % k as u32).collect();
         let mut state = PartitionState::from_assignment(&graph, assignment, k);
-        for (node, block) in moves {
-            let node = NodeId::from_index(node as usize % n);
-            state.move_node(node, block % k);
+        for (op, node, block) in ops {
+            if op > 0 {
+                let node = NodeId::from_index(node as usize % n);
+                state.move_node(node, block as usize % state.block_count());
+            } else if state.block_count() < 40 {
+                state.add_block();
+            }
         }
         state.assert_consistent();
+        let k = state.block_count();
+        for net in graph.net_ids().take(64) {
+            let pins: u32 = (0..k).map(|b| state.net_pins_in(net, b)).sum();
+            prop_assert_eq!(pins as usize, graph.pins(net).len());
+            prop_assert_eq!(state.net_pins_in(net, k), 0);
+        }
     }
 
     /// Terminal sums and cut counts are invariant under block
