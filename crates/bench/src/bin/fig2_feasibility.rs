@@ -8,7 +8,7 @@
 //! side of the rectangle they fall on, and the resulting classification.
 
 use fpart_bench::runner::Workload;
-use fpart_core::{partition_observed, FpartConfig, Metrics, Observer, Trace, TraceEvent};
+use fpart_core::{partition_observed, FpartConfig, Metrics, Observer, TraceEvent};
 use fpart_device::Device;
 use fpart_hypergraph::gen::find_profile;
 
@@ -16,7 +16,7 @@ fn main() {
     let profile = find_profile("s9234").expect("known circuit");
     let workload = Workload::new(profile, Device::XC3020);
     let constraints = workload.constraints;
-    let mut trace = Trace::enabled();
+    let mut trace: Vec<TraceEvent> = Vec::new();
     let mut obs = Observer::new(Metrics::disabled(), Some(&mut trace));
     let outcome =
         partition_observed(&workload.graph, constraints, &FpartConfig::default(), &mut obs)
@@ -26,7 +26,7 @@ fn main() {
         "Figure 2: solution classification for {} on XC3020 (S_MAX={}, T_MAX={})\n",
         workload.circuit, constraints.s_max, constraints.t_max
     );
-    for event in trace.events() {
+    for event in &trace {
         if let TraceEvent::Solution { iteration, class, blocks } = event {
             println!("iteration {iteration}: {class:?}");
             for (i, usage) in blocks.iter().enumerate() {

@@ -7,8 +7,7 @@ use std::io::Write as _;
 use fpart_baselines::{fbb_mw_partition, first_fit_partition, kway_partition, FlowConfig};
 use fpart_core::{
     search, Algorithm, CancelToken, Completion, Counter, EventSink, FanoutSink, FpartConfig,
-    JsonlSink, Metrics, Observer, QualityReport, Restarts, RestartsReport, RunBudget, Trace,
-    TraceEvent,
+    JsonlSink, Metrics, Observer, QualityReport, Restarts, RestartsReport, RunBudget, TraceEvent,
 };
 use fpart_device::{lower_bound, Device, DeviceConstraints};
 use fpart_hypergraph::gen::{
@@ -324,7 +323,7 @@ fn run_engine(
         None => None,
     };
 
-    let mut trace = args.switch("trace").then(Trace::enabled);
+    let mut trace = args.switch("trace").then(Vec::new);
     let mut jsonl = trace_json_path.map(EventOut::open).transpose()?.map(JsonlSink::new);
     let mut progress_sink = progress.then_some(ProgressPrinter);
     let result = {
@@ -658,8 +657,8 @@ fn print_block_summary(
 /// (`f=<feasible>/<total> d=<infeasibility> tsum=<terminal_sum>
 /// ext=<external_balance> cut=<cut>`, floats to three decimals). Any
 /// change here is a compatibility break for trace-diffing tests.
-fn print_trace(trace: &Trace) {
-    for event in trace.events() {
+fn print_trace(trace: &[TraceEvent]) {
+    for event in trace {
         match event {
             TraceEvent::IterationStart { iteration, remainder_size, remainder_terminals } => {
                 eprintln!(

@@ -511,6 +511,60 @@ fn multilevel_deadline_reports_completion() {
     assert!(text.contains("completion: deadline_expired"), "{text}");
 }
 
+/// `--max-memory-mb` caps the coarsening hierarchy: under a 1 MiB cap
+/// coarsening stops early and the run completes `degraded`, with an
+/// assignment that still verifies.
+#[test]
+fn max_memory_mb_stops_coarsening_and_degrades() {
+    let dir = temp_dir("max_memory");
+    let netlist = dir.join("c.fhg");
+    let out = fpart()
+        .args(["gen", "rent", "--nodes", "8000", "--terminals", "300", "--seed", "3", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+
+    let run = |tag: &str, cap: &[&str]| {
+        let metrics = dir.join(format!("{tag}.json"));
+        let assignment = dir.join(format!("{tag}.txt"));
+        let out = fpart()
+            .arg("partition")
+            .arg(&netlist)
+            .args(["--s-max", "400", "--t-max", "120", "--multilevel", "--threads", "1"])
+            .args(cap)
+            .arg("--metrics")
+            .arg(&metrics)
+            .arg("--output")
+            .arg(&assignment)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        (std::fs::read_to_string(&metrics).expect("metrics written"), assignment)
+    };
+    let (uncapped, _) = run("uncapped", &[]);
+    let (capped, assignment) = run("capped", &["--max-memory-mb", "1"]);
+    assert!(uncapped.contains("\"completion\": \"complete\""), "{uncapped}");
+    assert!(capped.contains("\"completion\": \"degraded\""), "{capped}");
+    let levels = |json: &str| scrape_counter(json, "coarsen_levels")[0];
+    assert!(
+        levels(&capped) < levels(&uncapped),
+        "capped run built {} coarsening levels, uncapped {}",
+        levels(&capped),
+        levels(&uncapped)
+    );
+
+    let out = fpart()
+        .arg("verify")
+        .arg(&netlist)
+        .arg(&assignment)
+        .args(["--s-max", "400", "--t-max", "120"])
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("VALID"));
+}
+
 #[test]
 fn write_assignment_round_trips_through_verify() {
     let dir = temp_dir("versioned_assignment");

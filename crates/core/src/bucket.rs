@@ -157,16 +157,6 @@ impl GainBucket {
         &self.buckets[self.bucket_index(gain)]
     }
 
-    /// Iterates over non-empty gains from the current maximum downward.
-    pub fn gains_desc(&mut self) -> impl Iterator<Item = i32> + '_ {
-        let top = self.max_gain();
-        let offset = self.offset;
-        let buckets = &self.buckets;
-        top.into_iter().flat_map(move |t| {
-            (-offset..=t).rev().filter(move |g| !buckets[(g + offset) as usize].is_empty())
-        })
-    }
-
     #[inline]
     fn bucket_index(&self, gain: i32) -> usize {
         let idx = gain + self.offset;
@@ -230,16 +220,6 @@ mod tests {
         assert!(b.contains(2));
         assert!(b.remove(2));
         assert_eq!(b.cells_at(1), &[1]);
-    }
-
-    #[test]
-    fn gains_desc_lists_nonempty_levels() {
-        let mut b = GainBucket::new(8, 4);
-        b.insert(0, 3);
-        b.insert(1, -2);
-        b.insert(2, 0);
-        let gains: Vec<i32> = b.gains_desc().collect();
-        assert_eq!(gains, vec![3, 0, -2]);
     }
 
     #[test]

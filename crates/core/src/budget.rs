@@ -300,12 +300,6 @@ impl MemoryBudget {
     pub fn capped(max_bytes: u64) -> MemoryBudget {
         MemoryBudget { max_bytes: Some(max_bytes) }
     }
-
-    /// Whether no cap is configured.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_bytes.is_none()
-    }
 }
 
 /// Which limit stopped a run first.

@@ -175,8 +175,8 @@ pub fn partition(
 
 /// Like [`partition`], recording metrics and driver events into the
 /// given [`Observer`] — the most general entry point; [`partition`] is a
-/// thin wrapper over it, and an in-memory [`crate::Trace`] attached as
-/// the observer's sink records the full execution trace.
+/// thin wrapper over it, and a `Vec<TraceEvent>` attached as the
+/// observer's sink records the full execution trace.
 ///
 /// The observer never influences the search: for any observer
 /// configuration the returned partition is bit-identical to
@@ -268,9 +268,8 @@ pub(crate) fn fpart(
             if blocks.len() < 2 {
                 return;
             }
-            let started = obs.metrics.start();
-            let stats = improve_cells(state, &blocks, None, &improve_ctx, &mut obs.metrics);
-            obs.metrics.stop_improve(kind, started);
+            let stats =
+                improve_cells(state, &blocks, None, Some(kind), &improve_ctx, &mut obs.metrics);
             work.improve_calls += 1;
             work.moves += stats.moves;
             obs.emit(|| TraceEvent::Improve {
@@ -444,8 +443,8 @@ pub(crate) fn assemble_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::EventSink;
     use crate::search::{search, Algorithm, Restarts};
-    use crate::trace::Trace;
     use fpart_device::Device;
     use fpart_hypergraph::gen::{clustered_circuit, window_circuit, ClusteredConfig, WindowConfig};
     use fpart_hypergraph::HypergraphBuilder;
@@ -520,38 +519,45 @@ mod tests {
         assert!(outcome.feasible);
     }
 
-    /// Runs `partition_observed` with an in-memory trace as the sink.
+    /// Runs `partition_observed` with the given event sink.
     fn traced(
         graph: &Hypergraph,
         constraints: DeviceConstraints,
-        trace: &mut Trace,
+        sink: &mut dyn EventSink,
     ) -> PartitionOutcome {
-        let mut obs = Observer::new(Metrics::disabled(), Some(trace));
+        let mut obs = Observer::new(Metrics::disabled(), Some(sink));
         partition_observed(graph, constraints, &FpartConfig::default(), &mut obs).unwrap()
+    }
+
+    /// A switched-off sink: no event may reach it.
+    struct Off;
+
+    impl EventSink for Off {
+        fn is_enabled(&self) -> bool {
+            false
+        }
+
+        fn record_event(&mut self, _: &TraceEvent) {
+            panic!("an event reached a disabled sink");
+        }
     }
 
     #[test]
     fn traced_run_records_schedule() {
         let (g, _) = clustered_circuit(&ClusteredConfig::new("cl", 3, 20), 4);
-        let mut trace = Trace::enabled();
+        let mut trace = Vec::new();
         let outcome = traced(&g, DeviceConstraints::new(25, 100), &mut trace);
-        assert!(!trace.events().is_empty());
+        assert!(!trace.is_empty());
         // At least one iteration start and one improve per iteration.
-        let starts = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::IterationStart { .. }))
-            .count();
-        assert_eq!(starts, outcome.iterations);
-        assert!(trace.improve_events().count() >= outcome.iterations);
+        let count = |pick: fn(&TraceEvent) -> bool| trace.iter().filter(|e| pick(e)).count();
+        assert_eq!(count(|e| matches!(e, TraceEvent::IterationStart { .. })), outcome.iterations);
+        assert!(count(|e| matches!(e, TraceEvent::Improve { .. })) >= outcome.iterations);
     }
 
     #[test]
     fn untraced_run_records_nothing() {
         let (g, _) = clustered_circuit(&ClusteredConfig::new("cl", 2, 15), 4);
-        let mut trace = Trace::disabled();
-        let outcome = traced(&g, DeviceConstraints::new(20, 100), &mut trace);
-        assert!(trace.events().is_empty());
+        let outcome = traced(&g, DeviceConstraints::new(20, 100), &mut Off);
         assert_eq!(
             outcome.assignment,
             partition(&g, DeviceConstraints::new(20, 100), &FpartConfig::default())

@@ -32,6 +32,7 @@ use crate::gain::{deltas_for_move, io_gain, io_gain_net, level1_gain, level2_gai
 use crate::obs::{Counter, Metrics};
 use crate::stack::DualStacks;
 use crate::state::PartitionState;
+use crate::trace::ImproveKind;
 
 /// Maximum cells inspected per gain level when selecting a move; bounds
 /// the tie-break work per selection (each inspected candidate reads its
@@ -881,11 +882,12 @@ pub fn improve(
     active: &[usize],
     ctx: &ImproveContext<'_>,
 ) -> ImproveStats {
-    improve_cells(state, active, None, ctx, &mut Metrics::disabled())
+    improve_cells(state, active, None, None, ctx, &mut Metrics::disabled())
 }
 
 /// [`improve`] over `cells` — `None` for every cell of the active
-/// blocks — with engine metrics recorded into `metrics`.
+/// blocks — with engine metrics recorded into `metrics`. The call's
+/// `Improve` span also times the schedule slot `kind`, when given.
 ///
 /// An explicit cell set is the boundary refinement of the n-level flow
 /// and of ECO repair: the caller passes only the cells incident to nets
@@ -912,6 +914,7 @@ pub(crate) fn improve_cells(
     state: &mut PartitionState<'_>,
     active: &[usize],
     cells: Option<&[NodeId]>,
+    kind: Option<ImproveKind>,
     ctx: &ImproveContext<'_>,
     metrics: &mut Metrics,
 ) -> ImproveStats {
@@ -945,7 +948,7 @@ pub(crate) fn improve_cells(
     metrics.bump(Counter::KeyEvaluations);
 
     if cells.is_empty() {
-        metrics.span_close(crate::obs::SpanStats::default());
+        metrics.improve_close(kind, crate::obs::SpanStats::default());
         return ImproveStats {
             passes: 0,
             moves: 0,
@@ -992,12 +995,15 @@ pub(crate) fn improve_cells(
 
     engine.restore(&best_snapshot);
     debug_assert!(!initial_key.better_than(&best_key), "improve made things worse");
-    metrics.span_close(crate::obs::SpanStats {
-        nodes: cells.len() as u64,
-        moves: moves as u64,
-        gain: initial_key.cut as i64 - best_key.cut as i64,
-        ..crate::obs::SpanStats::default()
-    });
+    metrics.improve_close(
+        kind,
+        crate::obs::SpanStats {
+            nodes: cells.len() as u64,
+            moves: moves as u64,
+            gain: initial_key.cut as i64 - best_key.cut as i64,
+            ..crate::obs::SpanStats::default()
+        },
+    );
     ImproveStats { passes, moves, restarts, initial_key, final_key: best_key }
 }
 

@@ -162,7 +162,7 @@ pub fn bipartition_fm(graph: &Hypergraph, config: &FmConfig, metrics: &mut Metri
             minimum_reached: false,
             budget: None,
         };
-        let stats = improve_cells(&mut state, &[0, 1], None, &ctx, metrics);
+        let stats = improve_cells(&mut state, &[0, 1], None, None, &ctx, metrics);
         metrics.span_close(crate::obs::SpanStats {
             nodes: graph.node_count() as u64,
             nets: graph.net_count() as u64,

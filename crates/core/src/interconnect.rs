@@ -121,14 +121,6 @@ impl InterconnectReport {
         }
         best
     }
-
-    /// Total pairwise connections (a net spanning `s` devices counts
-    /// `s·(s−1)/2` times — the number of point-to-point cables a naive
-    /// board would need).
-    #[must_use]
-    pub fn total_pairwise(&self) -> usize {
-        self.pair_nets.iter().map(|row| row.iter().sum::<usize>()).sum()
-    }
 }
 
 impl fmt::Display for InterconnectReport {
@@ -173,7 +165,6 @@ mod tests {
         assert_eq!(r.between(1, 2), 2); // bc, abc
         assert_eq!(r.between(0, 2), 1); // abc
         assert_eq!(r.between(2, 0), 1); // symmetric
-        assert_eq!(r.total_pairwise(), 6);
         assert_eq!(r.widest_pair(), Some((0, 1, 3)));
     }
 
@@ -191,7 +182,6 @@ mod tests {
         let (g, _) = three_block_sample();
         let r = InterconnectReport::new(&g, &[0; 6], 1);
         assert_eq!(r.two_point_nets, 0);
-        assert_eq!(r.total_pairwise(), 0);
         assert_eq!(r.widest_pair(), None);
     }
 

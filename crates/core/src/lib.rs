@@ -126,5 +126,5 @@ pub use report::QualityReport;
 pub use search::{search, Algorithm, FailedRestart, Restarts, RestartsReport};
 pub use server::{RunParams, Server, ServerConfig};
 pub use state::PartitionState;
-pub use trace::{ImproveKind, Trace, TraceEvent};
+pub use trace::{ImproveKind, TraceEvent};
 pub use verify::{verify_assignment, Verification, Violation};

@@ -6,14 +6,13 @@
 //! makes that behaviour measurable without perturbing it:
 //!
 //! * [`Metrics`] — a registry of named [`Counter`]s plus per-
-//!   [`ImproveKind`] monotonic wall-time histograms ([`TimeStat`]).
-//!   A disabled registry records nothing and costs **one predictable
-//!   branch per event, no heap allocation, no clock reads** — the same
-//!   discipline as [`crate::Trace`]'s lazy recording.
-//! * [`EventSink`] — the generalization of [`crate::Trace`]: anything
-//!   that can consume driver [`TraceEvent`]s. `Trace` itself is one sink;
-//!   [`JsonlSink`] streams events as JSON Lines; [`FanoutSink`]
-//!   broadcasts to several sinks.
+//!   [`ImproveKind`] monotonic wall-time histograms ([`TimeStat`]),
+//!   booked from each `Improve` call's own span: one clock pair times
+//!   both. A disabled registry records nothing and costs **one
+//!   predictable branch per event, no heap allocation, no clock reads**.
+//! * [`EventSink`] — anything that can consume driver [`TraceEvent`]s:
+//!   a `Vec<TraceEvent>` records them in memory, [`JsonlSink`] streams
+//!   them as JSON Lines, and [`FanoutSink`] broadcasts to several sinks.
 //! * [`SpanStack`] — a hierarchical phase profiler: every pipeline
 //!   phase (parse, coarsen level, initial, refine level, pair job,
 //!   restart, ECO place/repair) opens a [`SpanKind`] span whose
@@ -61,7 +60,11 @@ use crate::trace::{ImproveKind, TraceEvent};
 ///
 /// Version 12 removes server request coalescing and its
 /// `server_coalesced` counter.
-pub const SCHEMA_VERSION: u32 = 12;
+///
+/// Version 13 removes the `server_requests` / `server_cancelled`
+/// counters: a server session counts its requests itself, and `query`
+/// reports the same numbers under the same keys.
+pub const SCHEMA_VERSION: u32 = 13;
 
 /// The named engine counters. Every counter is a monotonically
 /// increasing `u64`; [`Counter::name`] is the stable `snake_case` key used
@@ -118,12 +121,6 @@ pub enum Counter {
     RestartsResumed,
     /// Checkpoint snapshots written to disk during the run.
     CheckpointsWritten,
-    /// Protocol requests executed against a server session (the
-    /// per-request registries merge into the session totals carrying
-    /// this count).
-    ServerRequests,
-    /// Server requests stopped by an explicit `cancel` request.
-    ServerCancelled,
     /// Restarts replayed from the solution memo instead of searching
     /// (always verified against the live graph before being trusted).
     MemoWarmStarts,
@@ -131,7 +128,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 24] = [
         Counter::Passes,
         Counter::MovesApplied,
         Counter::MovesReverted,
@@ -155,8 +152,6 @@ impl Counter {
         Counter::PairPanics,
         Counter::RestartsResumed,
         Counter::CheckpointsWritten,
-        Counter::ServerRequests,
-        Counter::ServerCancelled,
         Counter::MemoWarmStarts,
     ];
 
@@ -187,8 +182,6 @@ impl Counter {
             Counter::PairPanics => "pair_panics",
             Counter::RestartsResumed => "restarts_resumed",
             Counter::CheckpointsWritten => "checkpoints_written",
-            Counter::ServerRequests => "server_requests",
-            Counter::ServerCancelled => "server_cancelled",
             Counter::MemoWarmStarts => "memo_warm_starts",
         }
     }
@@ -555,8 +548,10 @@ impl SpanStack {
         self.open.push(OpenSpan { slot, started: now(), child_ns: 0, counters_at_open: *counters });
     }
 
-    fn close(&mut self, stats: &SpanStats, counters: &[u64; Counter::ALL.len()]) {
-        let Some(top) = self.open.pop() else { return };
+    /// Closes the innermost open span and returns its wall time in
+    /// nanoseconds (`None` when nothing is open).
+    fn close(&mut self, stats: &SpanStats, counters: &[u64; Counter::ALL.len()]) -> Option<u64> {
+        let top = self.open.pop()?;
         let ns = u64::try_from(now().duration_since(top.started).as_nanos()).unwrap_or(u64::MAX);
         let record = &mut self.records[top.slot];
         record.count += 1;
@@ -576,6 +571,7 @@ impl SpanStack {
             u64::try_from(top.started.duration_since(epoch).as_nanos()).unwrap_or(u64::MAX)
         });
         self.events.push(SpanEvent { kind, level, start_ns, dur_ns: ns, lane: self.lane });
+        Some(ns)
     }
 
     fn record(&mut self, kind: SpanKind, level: u32, elapsed: Duration, stats: &SpanStats) {
@@ -718,6 +714,8 @@ impl Heartbeat {
 /// storage, never reads the clock ([`Metrics::start`] returns `None`,
 /// the span methods return before any `Instant::now`), and never
 /// allocates — every recording method is one predictable branch.
+/// An enabled one reads the clock at the two ends of each span, and
+/// an `Improve` call's schedule-slot time is its span's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     enabled: bool,
@@ -789,25 +787,17 @@ impl Metrics {
         self.counters[counter as usize]
     }
 
-    /// Reads the monotonic clock iff enabled — pair with
-    /// [`Metrics::stop_improve`]. Disabled registries never pay for
-    /// `Instant::now()`.
+    /// Reads the monotonic clock iff enabled, for a phase timed outside
+    /// the registry and booked with [`Metrics::record_span`]. Disabled
+    /// registries never pay for `Instant::now()`.
     #[inline]
     #[must_use]
     pub fn start(&self) -> Option<Instant> {
         self.enabled.then(now)
     }
 
-    /// Records the wall time of one `Improve(...)` call of the given
-    /// schedule slot (no-op when `started` is `None`).
-    #[inline]
-    pub fn stop_improve(&mut self, kind: ImproveKind, started: Option<Instant>) {
-        if let Some(started) = started {
-            self.improve_time[kind.index()].record(now().duration_since(started));
-        }
-    }
-
-    /// The wall-time statistic of one improvement-schedule slot.
+    /// The wall-time statistic of one improvement-schedule slot: the
+    /// span times of the `Improve` calls that filled it.
     #[must_use]
     pub fn improve_time(&self, kind: ImproveKind) -> &TimeStat {
         &self.improve_time[kind.index()]
@@ -829,6 +819,19 @@ impl Metrics {
     pub fn span_close(&mut self, stats: SpanStats) {
         if self.enabled {
             self.spans.close(&stats, &self.counters);
+        }
+    }
+
+    /// Closes an `Improve` call's span as [`Metrics::span_close`] does,
+    /// and books the span's wall time under `kind` when the call filled
+    /// a schedule slot.
+    #[inline]
+    pub(crate) fn improve_close(&mut self, kind: Option<ImproveKind>, stats: SpanStats) {
+        if self.enabled {
+            let ns = self.spans.close(&stats, &self.counters);
+            if let (Some(kind), Some(ns)) = (kind, ns) {
+                self.improve_time[kind.index()].record(Duration::from_nanos(ns));
+            }
         }
     }
 
@@ -949,11 +952,8 @@ impl Metrics {
     }
 }
 
-/// A consumer of driver events — the generalization of [`Trace`]
-/// (which records events in memory) to arbitrary destinations
-/// (streaming JSONL, fan-out, test probes).
-///
-/// [`Trace`]: crate::trace::Trace
+/// A consumer of driver events: a `Vec<TraceEvent>` records them in
+/// memory, and other sinks stream them (JSONL, fan-out, test probes).
 pub trait EventSink {
     /// Whether the sink currently wants events. Producers check this
     /// *before* constructing an event, so a disabled sink costs one
@@ -964,6 +964,13 @@ pub trait EventSink {
 
     /// Consumes one event.
     fn record_event(&mut self, event: &TraceEvent);
+}
+
+/// The in-memory sink: records every event, in order.
+impl EventSink for Vec<TraceEvent> {
+    fn record_event(&mut self, event: &TraceEvent) {
+        self.push(event.clone());
+    }
 }
 
 /// Streams events as JSON Lines (one event object per line) into any
@@ -1006,10 +1013,8 @@ impl<W: std::io::Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Broadcasts every event to several sinks (e.g. an in-memory [`Trace`]
+/// Broadcasts every event to several sinks (e.g. a `Vec<TraceEvent>`
 /// plus a [`JsonlSink`]). Enabled iff any child is.
-///
-/// [`Trace`]: crate::trace::Trace
 pub struct FanoutSink<'a> {
     sinks: Vec<&'a mut dyn EventSink>,
 }
@@ -1238,7 +1243,7 @@ pub fn event_to_json(event: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
+    use std::cell::Cell;
 
     fn dummy_key() -> SolutionKey {
         SolutionKey {
@@ -1266,14 +1271,17 @@ mod tests {
 
     #[test]
     fn disabled_metrics_record_nothing_and_never_read_the_clock() {
+        let reads = CLOCK_READS.with(Cell::get);
         let mut m = Metrics::disabled();
         m.bump(Counter::Passes);
         m.add(Counter::MovesApplied, 100);
         assert!(m.start().is_none());
-        m.stop_improve(ImproveKind::LastPair, None);
+        m.span_open(SpanKind::Improve, 0);
+        m.improve_close(Some(ImproveKind::LastPair), SpanStats::default());
         assert_eq!(m.get(Counter::Passes), 0);
         assert_eq!(m.get(Counter::MovesApplied), 0);
         assert_eq!(m.improve_time(ImproveKind::LastPair).count, 0);
+        assert_eq!(CLOCK_READS.with(Cell::get), reads);
     }
 
     #[test]
@@ -1282,27 +1290,33 @@ mod tests {
         m.bump(Counter::Passes);
         m.add(Counter::GainBucketPops, 41);
         m.bump(Counter::GainBucketPops);
-        let started = m.start();
-        assert!(started.is_some());
-        m.stop_improve(ImproveKind::FinalSweep, started);
+        assert!(m.start().is_some());
+        m.span_open(SpanKind::Improve, 0);
+        m.improve_close(Some(ImproveKind::FinalSweep), SpanStats::default());
+        m.span_open(SpanKind::Improve, 0);
+        m.improve_close(None, SpanStats::default());
         assert_eq!(m.get(Counter::Passes), 1);
         assert_eq!(m.get(Counter::GainBucketPops), 42);
         let stat = m.improve_time(ImproveKind::FinalSweep);
         assert_eq!(stat.count, 1);
         assert!(stat.min_ns <= stat.max_ns);
         assert_eq!(stat.log2_hist.iter().sum::<u64>(), 1);
+        // The slot's time is the first span's; the unslotted call books none.
+        assert_eq!(m.spans().records()[0].count, 2);
+        assert_eq!(stat.total_ns, m.spans().events()[0].dur_ns);
+        let booked: u64 = ImproveKind::ALL.iter().map(|&k| m.improve_time(k).count).sum();
+        assert_eq!(booked, 1);
     }
 
     /// Metering cost, counted rather than timed: a disabled registry
     /// never reads the clock, and an enabled one reads it only at the
-    /// two ends of each span execution and timed improve call — never
-    /// per move.
+    /// two ends of each span execution (an `Improve` call's schedule-slot
+    /// time is its span's) — never per move.
     #[test]
     fn observed_search_reads_the_clock_per_span_and_improve_call_only() {
         use crate::search::{search, Algorithm, Restarts};
         use fpart_device::Device;
         use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
-        use std::cell::Cell;
 
         let graph = synthesize_mcnc(find_profile("s9234").unwrap(), Technology::Xc3000);
         let run = |metrics: Metrics| {
@@ -1327,10 +1341,7 @@ mod tests {
         let improves: u64 = ImproveKind::ALL.iter().map(|&k| totals.improve_time(k).count).sum();
         let moves = totals.get(Counter::MovesApplied);
         assert!(moves > 100 * (spans + improves), "the run must be move-dominated: {moves} moves");
-        assert!(
-            reads <= 2 * (spans + improves),
-            "{reads} clock reads for {spans} span executions and {improves} timed improve calls"
-        );
+        assert!(reads <= 2 * spans, "{reads} clock reads for {spans} span executions");
     }
 
     #[test]
@@ -1427,27 +1438,40 @@ mod tests {
         assert!(text.contains("\"kind\": \"min_io\""));
     }
 
+    /// A switched-off sink: no event may reach it.
+    struct Off;
+
+    impl EventSink for Off {
+        fn is_enabled(&self) -> bool {
+            false
+        }
+
+        fn record_event(&mut self, _: &TraceEvent) {
+            panic!("an event reached a disabled sink");
+        }
+    }
+
     #[test]
     fn fanout_reaches_every_enabled_sink() {
-        let mut trace = Trace::enabled();
-        let mut off = Trace::disabled();
+        let mut trace: Vec<TraceEvent> = Vec::new();
+        let mut off = Off;
         let mut jsonl = JsonlSink::new(Vec::new());
         {
             let mut fanout = FanoutSink::new(vec![&mut trace, &mut off, &mut jsonl]);
             assert!(fanout.is_enabled());
             fanout.record_event(&improve_event());
         }
-        assert_eq!(trace.events().len(), 1);
-        assert!(off.events().is_empty());
+        assert_eq!(trace, [improve_event()]);
         assert_eq!(jsonl.lines(), 1);
+        assert!(!FanoutSink::new(vec![&mut Off]).is_enabled());
     }
 
     #[test]
     fn observer_emit_is_lazy_without_sink() {
         let mut obs = Observer::none();
         obs.emit(|| panic!("event constructed without a sink"));
-        let mut disabled = Trace::disabled();
-        let mut obs = Observer::new(Metrics::disabled(), Some(&mut disabled));
+        let mut off = Off;
+        let mut obs = Observer::new(Metrics::disabled(), Some(&mut off));
         obs.emit(|| panic!("event constructed for a disabled sink"));
     }
 

@@ -231,9 +231,9 @@ pub(crate) fn refine_boundary(
                 // starts from the round-start assignment too.
                 let start: Vec<(NodeId, usize)> =
                     boundary.iter().map(|&v| (v, local.block_of(v))).collect();
-                let started = child.start();
                 let stats = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    improve_cells(local, &[a, b], Some(&boundary), &ctx, child)
+                    let kind = Some(ImproveKind::Boundary);
+                    improve_cells(local, &[a, b], Some(&boundary), kind, &ctx, child)
                 }))
                 .unwrap_or_else(|panic| {
                     // The panic may have stopped inside a move, so rewrite
@@ -241,7 +241,6 @@ pub(crate) fn refine_boundary(
                     local.reset_blocks(&start);
                     std::panic::resume_unwind(panic)
                 });
-                child.stop_improve(ImproveKind::Boundary, started);
                 child.bump(Counter::BoundaryRefinements);
                 child.span_close(crate::obs::SpanStats {
                     boundary: boundary.len() as u64,

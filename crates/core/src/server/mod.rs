@@ -1,8 +1,8 @@
 //! Long-running partition server: parse once, partition many times.
 //!
 //! [`Server`] keeps named **sessions** — a parsed netlist plus its
-//! device constraints, last assignment, and merged metrics — and
-//! answers JSON-Lines requests ([`protocol`]) over stdio
+//! device constraints, last assignment, and the counts `query` reports
+//! — and answers JSON-Lines requests ([`protocol`]) over stdio
 //! ([`Server::serve`]) or a Unix socket ([`Server::serve_unix`]).
 //! Warm requests skip the dominant parse cost of one-shot CLI runs,
 //! which is the point: an interactive floorplanning loop can `load` a
@@ -35,7 +35,7 @@ pub use protocol::{Command, EditSource, Method, ProtocolError, RunParams, PROTOC
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -44,7 +44,9 @@ use std::time::{Duration, Instant};
 
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::io::read_netlist_path;
-use fpart_hypergraph::{apply_script, fingerprint_graph, EditScript, Hypergraph, ParseLimits};
+use fpart_hypergraph::{
+    apply_script, fingerprint_graph, EditScript, Hypergraph, ParseEditError, ParseLimits,
+};
 
 use crate::budget::{CancelToken, Completion, RunBudget};
 use crate::config::FpartConfig;
@@ -107,23 +109,26 @@ struct Session {
     last: Option<Vec<u32>>,
     /// Block count of `last`.
     blocks: usize,
-    /// Metrics merged across every request served on this session,
-    /// including the `server_requests` / `server_cancelled` counters.
-    totals: Metrics,
-    /// Requests served (successful runs).
+    /// Requests served (successful runs), and those of them an explicit
+    /// `cancel` stopped.
     requests: u64,
+    cancelled: u64,
+    /// Restarts run, FM passes executed and moves applied, summed over
+    /// every request served.
+    runs: u64,
+    passes: u64,
+    moves_applied: u64,
 }
 
 impl Session {
-    /// Books one finished request: its metrics, the server counters, and
-    /// the winning assignment as the session's latest.
+    /// Books one finished request: its counts and the winning
+    /// assignment as the session's latest.
     fn record(&mut self, report: &RestartsReport) {
         self.requests += 1;
-        self.totals.merge(&report.totals);
-        self.totals.bump(Counter::ServerRequests);
-        if report.completion == Completion::Cancelled {
-            self.totals.bump(Counter::ServerCancelled);
-        }
+        self.cancelled += u64::from(report.completion == Completion::Cancelled);
+        self.runs += report.totals.get(Counter::Runs);
+        self.passes += report.totals.get(Counter::Passes);
+        self.moves_applied += report.totals.get(Counter::MovesApplied);
         self.last = Some(report.outcome.assignment.clone());
         self.blocks = report.outcome.blocks.len();
     }
@@ -314,14 +319,22 @@ impl Server {
     }
 
     fn parse_edits(&self, edits: &EditSource) -> Result<EditScript, ProtocolError> {
-        let text = match edits {
-            EditSource::Inline(text) => text.clone(),
-            EditSource::Path(path) => std::fs::read_to_string(path).map_err(|e| {
-                ProtocolError::new("bad_request", format!("cannot read edits {path}: {e}"))
-            })?,
+        let limits = &self.config.limits;
+        let script = match edits {
+            EditSource::Inline(text) => EditScript::parse_limited(text, limits),
+            EditSource::Path(path) => {
+                let cannot_read = |e: std::io::Error| {
+                    ProtocolError::new("bad_request", format!("cannot read edits {path}: {e}"))
+                };
+                let file = std::fs::File::open(path).map_err(cannot_read)?;
+                let mut file = KeepReadError { inner: file, error: None };
+                match (EditScript::read_limited(&mut file, limits), file.error) {
+                    (Err(ParseEditError::Io { .. }), Some(e)) => return Err(cannot_read(e)),
+                    (script, _) => script,
+                }
+            }
         };
-        EditScript::parse_limited(&text, &self.config.limits)
-            .map_err(|e| ProtocolError::new("bad_request", format!("bad edit script: {e}")))
+        script.map_err(|e| ProtocolError::new("bad_request", format!("bad edit script: {e}")))
     }
 
     /// Parses a netlist and binds it to `name` (replacing any previous
@@ -345,8 +358,11 @@ impl Server {
             path: path.to_owned(),
             last: None,
             blocks: 0,
-            totals: Metrics::enabled(),
             requests: 0,
+            cancelled: 0,
+            runs: 0,
+            passes: 0,
+            moves_applied: 0,
         };
         let replaced = self
             .sessions
@@ -386,11 +402,11 @@ impl Server {
                 s.blocks,
                 s.last.is_some(),
                 fingerprint_graph(&s.graph),
-                s.totals.get(Counter::ServerRequests),
-                s.totals.get(Counter::ServerCancelled),
-                s.totals.get(Counter::Runs),
-                s.totals.get(Counter::Passes),
-                s.totals.get(Counter::MovesApplied),
+                s.requests,
+                s.cancelled,
+                s.runs,
+                s.passes,
+                s.moves_applied,
             ));
         }
         let sessions = self.sessions.lock().unwrap();
@@ -689,6 +705,24 @@ impl Server {
         });
         let _ = std::fs::remove_file(path);
         result
+    }
+}
+
+/// A reader that keeps the error a failed read returned, so that a
+/// reply can name its cause: the edit-script reader reports only the
+/// line where reading stopped.
+struct KeepReadError<R> {
+    inner: R,
+    error: Option<std::io::Error>,
+}
+
+impl<R: Read> Read for KeepReadError<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf).map_err(|e| {
+            let copy = std::io::Error::new(e.kind(), e.to_string());
+            self.error = Some(e);
+            copy
+        })
     }
 }
 

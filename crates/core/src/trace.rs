@@ -1,6 +1,7 @@
-//! Execution traces: which improvement passes ran, what they achieved,
-//! and how solutions were classified — the data behind the paper's
-//! Figures 1 and 2.
+//! Execution trace events: which improvement passes ran, what they
+//! achieved, and how solutions were classified — the data behind the
+//! paper's Figures 1 and 2. An [`EventSink`](crate::obs::EventSink)
+//! consumes them; a `Vec<TraceEvent>` records them in memory.
 
 use fpart_device::BlockUsage;
 
@@ -138,123 +139,4 @@ pub enum TraceEvent {
         /// Per-block occupancy points.
         blocks: Vec<BlockUsage>,
     },
-}
-
-/// An append-only trace of driver events. A disabled trace records
-/// nothing and costs one branch per event.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-    enabled: bool,
-}
-
-impl Trace {
-    /// Creates an enabled (recording) trace.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Trace { events: Vec::new(), enabled: true }
-    }
-
-    /// Creates a disabled (no-op) trace.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Trace::default()
-    }
-
-    /// Returns whether events are being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event (no-op when disabled). The closure keeps event
-    /// construction lazy.
-    pub fn record(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.enabled {
-            self.events.push(event());
-        }
-    }
-
-    /// The recorded events, in order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Iterates only the `Improve` events.
-    pub fn improve_events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::Improve { .. }))
-    }
-}
-
-/// A `Trace` is the in-memory [`EventSink`](crate::obs::EventSink):
-/// producers check [`Trace::is_enabled`] first, so a disabled trace
-/// never sees (or clones) an event.
-impl crate::obs::EventSink for Trace {
-    fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn record_event(&mut self, event: &TraceEvent) {
-        if self.enabled {
-            self.events.push(event.clone());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(|| panic!("constructed an event on a disabled trace"));
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn enabled_trace_appends() {
-        let mut t = Trace::enabled();
-        t.record(|| TraceEvent::IterationStart {
-            iteration: 1,
-            remainder_size: 100,
-            remainder_terminals: 10,
-        });
-        assert_eq!(t.events().len(), 1);
-        assert!(t.is_enabled());
-    }
-
-    #[test]
-    fn improve_filter() {
-        let mut t = Trace::enabled();
-        t.record(|| TraceEvent::IterationStart {
-            iteration: 1,
-            remainder_size: 0,
-            remainder_terminals: 0,
-        });
-        t.record(|| TraceEvent::Improve {
-            iteration: 1,
-            kind: ImproveKind::LastPair,
-            blocks: vec![0, 1],
-            initial_key: dummy_key(),
-            final_key: dummy_key(),
-            passes: 1,
-            moves: 0,
-            restarts: 0,
-        });
-        assert_eq!(t.improve_events().count(), 1);
-    }
-
-    fn dummy_key() -> SolutionKey {
-        SolutionKey {
-            feasible_blocks: 0,
-            total_blocks: 1,
-            infeasibility: 0.0,
-            terminal_sum: 0,
-            external_balance: 0.0,
-            cut: 0,
-        }
-    }
 }

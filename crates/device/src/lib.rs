@@ -66,13 +66,6 @@ impl Device {
     /// Xilinx XC3090: 320 CLBs, 144 IOBs.
     pub const XC3090: Device = Device { name: "XC3090", s_ds: 320, t_max: 144 };
 
-    /// The devices used in the paper's evaluation (Tables 2–5), in table
-    /// order: XC3020, XC3042, XC3090, XC2064.
-    #[must_use]
-    pub fn paper_catalog() -> [Device; 4] {
-        [Device::XC3020, Device::XC3042, Device::XC3090, Device::XC2064]
-    }
-
     /// The full catalog known to this crate.
     #[must_use]
     pub fn catalog() -> [Device; 7] {
@@ -149,12 +142,6 @@ impl DeviceConstraints {
     #[must_use]
     pub fn new(s_max: u64, t_max: usize) -> Self {
         DeviceConstraints { s_max, t_max, s_max_permille: s_max.saturating_mul(1000) }
-    }
-
-    /// Returns the exact (pre-floor) size capacity `S_ds · δ`.
-    #[must_use]
-    pub fn s_max_exact(&self) -> f64 {
-        self.s_max_permille as f64 / 1000.0
     }
 
     /// Returns `true` when a block with the given occupancy meets both
@@ -261,15 +248,14 @@ mod tests {
     #[test]
     fn paper_constraint_values() {
         let checks = [
-            (Device::XC3020.constraints(0.9), 57, 64, 57.6),
-            (Device::XC3042.constraints(0.9), 129, 96, 129.6),
-            (Device::XC3090.constraints(0.9), 288, 144, 288.0),
-            (Device::XC2064.constraints(1.0), 64, 58, 64.0),
+            (Device::XC3020.constraints(0.9), 57, 64),
+            (Device::XC3042.constraints(0.9), 129, 96),
+            (Device::XC3090.constraints(0.9), 288, 144),
+            (Device::XC2064.constraints(1.0), 64, 58),
         ];
-        for (c, s, t, exact) in checks {
+        for (c, s, t) in checks {
             assert_eq!(c.s_max, s);
             assert_eq!(c.t_max, t);
-            assert!((c.s_max_exact() - exact).abs() < 1e-9);
         }
     }
 
@@ -373,7 +359,7 @@ mod tests {
     #[test]
     fn catalog_contains_paper_devices() {
         let cat = Device::catalog();
-        for d in Device::paper_catalog() {
+        for d in [Device::XC3020, Device::XC3042, Device::XC3090, Device::XC2064] {
             assert!(cat.contains(&d));
         }
     }

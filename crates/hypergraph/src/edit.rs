@@ -41,6 +41,7 @@ use std::io::{Read, Write};
 
 use crate::graph::{Hypergraph, NameTable};
 use crate::ids::{NetId, NodeId};
+use crate::limits::{LineError, LineReader};
 
 /// One netlist edit operation. All references are by name, the stable
 /// identity across netlist revisions (ids are dense and shift on every
@@ -236,6 +237,21 @@ impl fmt::Display for ParseEditError {
 
 impl Error for ParseEditError {}
 
+impl From<LineError> for ParseEditError {
+    fn from(e: LineError) -> Self {
+        match e {
+            LineError::TooLong { line, limit } => ParseEditError::LimitExceeded {
+                line,
+                column: limit.saturating_add(1),
+                what: "line length",
+                limit,
+            },
+            LineError::NotUtf8 { line } => ParseEditError::NotUtf8 { line },
+            LineError::Read { line } => ParseEditError::Io { line },
+        }
+    }
+}
+
 /// An error while applying an [`EditScript`] to a [`Hypergraph`].
 /// Every reference is validated against the current state of the
 /// edited netlist; the `line` is the script line of the offending op.
@@ -401,31 +417,7 @@ impl EditScript {
     /// See [`EditScript::parse`]; limit violations are
     /// [`ParseEditError::LimitExceeded`].
     pub fn parse_limited(text: &str, limits: &crate::ParseLimits) -> Result<Self, ParseEditError> {
-        let max_ops = limits.max_nodes.saturating_add(limits.max_nets);
-        let mut ops = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            if raw.len() > limits.max_line_len {
-                return Err(ParseEditError::LimitExceeded {
-                    line: line_no,
-                    column: limits.max_line_len + 1,
-                    what: "line length",
-                    limit: limits.max_line_len,
-                });
-            }
-            if let Some(op) = parse_line_limited(raw, line_no, limits)? {
-                if ops.len() >= max_ops {
-                    return Err(ParseEditError::LimitExceeded {
-                        line: line_no,
-                        column: 1,
-                        what: "edit op count",
-                        limit: max_ops,
-                    });
-                }
-                ops.push(ScriptedOp { line: line_no, op });
-            }
-        }
-        Ok(EditScript { ops })
+        Self::read_limited(text.as_bytes(), limits)
     }
 
     /// Reads the JSON-Lines form from any reader, reporting non-UTF-8
@@ -440,36 +432,20 @@ impl EditScript {
     }
 
     /// Reads the JSON-Lines form from any reader with explicit resource
-    /// limits.
+    /// limits. Lines are read one at a time, so a line past
+    /// `max_line_len` is refused before the rest of it is read.
     ///
     /// # Errors
     ///
     /// See [`EditScript::read`] and [`EditScript::parse_limited`].
     pub fn read_limited<R: Read>(
-        mut reader: R,
+        reader: R,
         limits: &crate::ParseLimits,
     ) -> Result<Self, ParseEditError> {
         let max_ops = limits.max_nodes.saturating_add(limits.max_nets);
-        let mut bytes = Vec::new();
-        if reader.read_to_end(&mut bytes).is_err() {
-            // Count the lines that did arrive so the location is honest.
-            let read_so_far = bytes.iter().filter(|&&b| b == b'\n').count();
-            return Err(ParseEditError::Io { line: read_so_far + 1 });
-        }
+        let mut lines = LineReader::new(reader, limits);
         let mut ops = Vec::new();
-        for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-            let line_no = idx + 1;
-            let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
-            if raw.len() > limits.max_line_len {
-                return Err(ParseEditError::LimitExceeded {
-                    line: line_no,
-                    column: limits.max_line_len + 1,
-                    what: "line length",
-                    limit: limits.max_line_len,
-                });
-            }
-            let text =
-                std::str::from_utf8(raw).map_err(|_| ParseEditError::NotUtf8 { line: line_no })?;
+        while let Some((line_no, text)) = lines.next_line()? {
             if let Some(op) = parse_line_limited(text, line_no, limits)? {
                 if ops.len() >= max_ops {
                     return Err(ParseEditError::LimitExceeded {

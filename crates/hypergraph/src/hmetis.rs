@@ -18,7 +18,6 @@
 //! read circuits have no terminals (attach them afterwards with a
 //! builder if needed).
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use crate::builder::HypergraphBuilder;
@@ -297,13 +296,6 @@ pub fn hmetis_to_string(graph: &Hypergraph) -> String {
     String::from_utf8(out).expect(".hgr output is always UTF-8")
 }
 
-/// Indexes node names of the `v<i>` convention back to 1-based vertex
-/// numbers (useful when correlating with external hMETIS tools).
-#[must_use]
-pub fn vertex_numbers(graph: &Hypergraph) -> HashMap<NodeId, usize> {
-    graph.node_ids().map(|v| (v, v.index() + 1)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,13 +464,6 @@ mod tests {
         assert_eq!(g2.node_count(), 80);
         assert_eq!(g2.net_count(), g.net_count());
         assert_eq!(g2.terminal_count(), 0); // dropped, by format
-    }
-
-    #[test]
-    fn vertex_number_map() {
-        let g = parse_hmetis(SIMPLE).unwrap();
-        let map = vertex_numbers(&g);
-        assert_eq!(map[&NodeId::from_index(3)], 4);
     }
 
     #[test]

@@ -89,12 +89,11 @@ impl ParseLimits {
     }
 }
 
-/// Reads the lines of a netlist through one reused buffer, refusing a
-/// line longer than [`ParseLimits::max_line_len`] as soon as it passes
-/// the limit, before the rest of it is read. It yields the lines
-/// `BufRead::lines` yields: the newline is stripped, and a `\r` only
-/// where it precedes the newline. A read error or a line that is not
-/// UTF-8 is [`ParseNetlistError::NotUtf8`]; a line both too long and
+/// Reads the lines of a netlist or edit script through one reused
+/// buffer, refusing a line longer than [`ParseLimits::max_line_len`] as
+/// soon as it passes the limit, before the rest of it is read. It yields
+/// the lines `BufRead::lines` yields: the newline is stripped, and a
+/// `\r` only where it precedes the newline. A line both too long and
 /// not UTF-8 is refused as too long.
 pub(crate) struct LineReader<R> {
     reader: BufReader<R>,
@@ -115,14 +114,9 @@ impl<R: Read> LineReader<R> {
 
     /// The next line and its 1-based number, or `None` at the end of
     /// the input.
-    pub(crate) fn next_line(&mut self) -> Result<Option<(usize, &str)>, ParseNetlistError> {
+    pub(crate) fn next_line(&mut self) -> Result<Option<(usize, &str)>, LineError> {
         let line = self.line_no + 1;
-        let too_long = ParseNetlistError::LimitExceeded {
-            line,
-            column: self.max_len.saturating_add(1),
-            what: "line length",
-            limit: self.max_len,
-        };
+        let too_long = LineError::TooLong { line, limit: self.max_len };
         // One byte past the limit may still be a `\r` before the newline.
         let cap = self.max_len.saturating_add(1);
         self.buf.clear();
@@ -132,7 +126,7 @@ impl<R: Read> LineReader<R> {
                 Ok([]) => break,
                 Ok(chunk) => chunk,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(ParseNetlistError::NotUtf8 { line }),
+                Err(_) => return Err(LineError::Read { line }),
             };
             let take = match chunk.iter().position(|&b| b == b'\n') {
                 Some(at) => {
@@ -159,7 +153,36 @@ impl<R: Read> LineReader<R> {
         }
         match std::str::from_utf8(&self.buf) {
             Ok(text) => Ok(Some((line, text))),
-            Err(_) => Err(ParseNetlistError::NotUtf8 { line }),
+            Err(_) => Err(LineError::NotUtf8 { line }),
+        }
+    }
+}
+
+/// Why [`LineReader::next_line`] yields no line; each carries the
+/// 1-based number of the line it refuses.
+#[derive(Debug)]
+pub(crate) enum LineError {
+    /// The line is longer than `limit` bytes.
+    TooLong { line: usize, limit: usize },
+    /// The line is not UTF-8.
+    NotUtf8 { line: usize },
+    /// The reader failed.
+    Read { line: usize },
+}
+
+/// A netlist reader reports a failed read as a line that is not UTF-8.
+impl From<LineError> for ParseNetlistError {
+    fn from(e: LineError) -> Self {
+        match e {
+            LineError::TooLong { line, limit } => ParseNetlistError::LimitExceeded {
+                line,
+                column: limit.saturating_add(1),
+                what: "line length",
+                limit,
+            },
+            LineError::NotUtf8 { line } | LineError::Read { line } => {
+                ParseNetlistError::NotUtf8 { line }
+            }
         }
     }
 }

@@ -58,16 +58,6 @@ impl CircuitStats {
     }
 }
 
-/// Histogram of net degrees (index = interior pin count).
-#[must_use]
-pub fn net_degree_histogram(graph: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_net_degree() + 1];
-    for net in graph.net_ids() {
-        hist[graph.pins(net).len()] += 1;
-    }
-    hist
-}
-
 /// Estimates the Rent exponent `p` of the circuit by growing BFS clusters
 /// from evenly spread seeds and fitting `log T = log t + p·log g` by least
 /// squares, where `g` is cluster size (in nodes) and `T` the number of nets
@@ -195,14 +185,6 @@ mod tests {
         let s = CircuitStats::of(&g);
         assert_eq!(s.nodes, 0);
         assert_eq!(s.mean_net_degree, 0.0);
-    }
-
-    #[test]
-    fn histogram_counts_degrees() {
-        let g = chain(5);
-        let h = net_degree_histogram(&g);
-        assert_eq!(h[2], 4);
-        assert_eq!(h.iter().sum::<usize>(), 4);
     }
 
     #[test]

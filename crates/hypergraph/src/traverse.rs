@@ -85,34 +85,6 @@ pub fn bfs(graph: &Hypergraph, sources: &[NodeId]) -> BfsDistances {
     BfsDistances { distances }
 }
 
-/// Returns the node with the largest size, breaking ties toward the node
-/// with most incident nets and then the smallest id. Returns `None` on an
-/// empty graph.
-///
-/// This is the first-seed rule of the constructive initial partition (§3.2).
-#[must_use]
-pub fn biggest_node(graph: &Hypergraph) -> Option<NodeId> {
-    graph.node_ids().max_by(|&a, &b| {
-        graph
-            .node_size(a)
-            .cmp(&graph.node_size(b))
-            .then_with(|| graph.nets(a).len().cmp(&graph.nets(b).len()))
-            .then_with(|| b.index().cmp(&a.index()))
-    })
-}
-
-/// Returns the node at maximal BFS distance from `seed` (the second-seed
-/// rule of §3.2). Unreachable components are ignored; if `seed` is isolated
-/// the seed itself is returned.
-///
-/// # Panics
-///
-/// Panics if `seed` is out of range for `graph`.
-#[must_use]
-pub fn farthest_from(graph: &Hypergraph, seed: NodeId) -> NodeId {
-    bfs(graph, &[seed]).farthest().map_or(seed, |(n, _)| n)
-}
-
 /// Assigns each node a connected-component index and returns
 /// `(component_of_node, component_count)`.
 #[must_use]
@@ -169,14 +141,15 @@ mod tests {
     #[test]
     fn farthest_picks_path_end() {
         let g = path_graph();
-        assert_eq!(farthest_from(&g, NodeId::from_index(0)), NodeId::from_index(3));
+        let d = bfs(&g, &[NodeId::from_index(0)]);
+        assert_eq!(d.farthest(), Some((NodeId::from_index(3), 3)));
     }
 
     #[test]
     fn farthest_of_isolated_seed_is_seed() {
         let g = path_graph();
         let iso = NodeId::from_index(4);
-        assert_eq!(farthest_from(&g, iso), iso);
+        assert_eq!(bfs(&g, &[iso]).farthest(), Some((iso, 0)));
     }
 
     #[test]
@@ -185,25 +158,6 @@ mod tests {
         let d = bfs(&g, &[NodeId::from_index(0), NodeId::from_index(3)]);
         assert_eq!(d.distance(NodeId::from_index(1)), Some(1));
         assert_eq!(d.distance(NodeId::from_index(2)), Some(1));
-    }
-
-    #[test]
-    fn biggest_node_prefers_size_then_degree() {
-        let mut b = HypergraphBuilder::new();
-        let a = b.add_node("a", 2);
-        let c = b.add_node("c", 5);
-        let d = b.add_node("d", 5);
-        // d has more nets than c
-        b.add_net("n0", [a, d]).unwrap();
-        b.add_net("n1", [c, d]).unwrap();
-        let g = b.finish().unwrap();
-        assert_eq!(biggest_node(&g), Some(d));
-    }
-
-    #[test]
-    fn biggest_node_empty_graph() {
-        let g = HypergraphBuilder::new().finish().unwrap();
-        assert_eq!(biggest_node(&g), None);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::io::Read;
 use fpart_hypergraph::blif::{parse_blif, read_blif, read_blif_limited};
 use fpart_hypergraph::hmetis::{parse_hmetis, read_hmetis, read_hmetis_limited};
 use fpart_hypergraph::io::{parse_netlist, read_netlist, read_netlist_limited};
-use fpart_hypergraph::{BuildError, Hypergraph, ParseLimits, ParseNetlistError};
+use fpart_hypergraph::{
+    BuildError, EditScript, Hypergraph, ParseEditError, ParseLimits, ParseNetlistError,
+};
 
 /// One corpus entry: a name (for failure messages), the raw input, and
 /// the expected rejection.
@@ -297,4 +299,22 @@ fn an_endless_line_is_refused_before_it_is_read() {
             source.served
         );
     }
+}
+
+/// The edit-script reader stops an endless line the same way, whether
+/// it reads a stream or parses text.
+#[test]
+fn an_endless_edit_line_is_refused_before_it_is_read() {
+    let limits = ParseLimits { max_line_len: 16, ..ParseLimits::default() };
+    let refused =
+        ParseEditError::LimitExceeded { line: 1, column: 17, what: "line length", limit: 16 };
+    let mut source = Newlineless { left: 64 << 20, served: 0 };
+    assert_eq!(EditScript::read_limited(&mut source, &limits).unwrap_err(), refused);
+    assert!(
+        source.served < 1 << 20,
+        "the edit-script reader read {} bytes of a line it refuses at 16",
+        source.served
+    );
+    let text = "x".repeat(64);
+    assert_eq!(EditScript::parse_limited(&text, &limits).unwrap_err(), refused);
 }

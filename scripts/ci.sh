@@ -65,11 +65,14 @@ step "served-session peak-RSS gate (serve-eco session at --threads 1 <= 64 MiB)"
 # request, then its final reply. Every reply must be ok. Each ECO
 # replaces 10 cells one for one, so every `eco` reply must report
 # 20,000 nodes, 10 added and 10 removed: a served apply that drops or
-# duplicates a cell fails here even when its reply is ok. A session
-# holds the graph, the partition state of each run and the solution
-# memo; the whole process peaks near 15 MiB. A cache that keeps one
-# artifact per graph state the session has seen (a coarsening
-# hierarchy is ~6.5 MiB here) pushes it past 64 MiB.
+# duplicates a cell fails here even when its reply is ok. A closing
+# `query` must count the 241 runs (none cancelled), and its `runs`,
+# `passes` and `moves_applied` must equal the sums of the same fields
+# over the 241 run replies. A session holds the graph, the partition
+# state of each run and the solution memo; the whole process peaks
+# near 15 MiB. A cache that keeps one artifact per graph state the
+# session has seen (a coarsening hierarchy is ~6.5 MiB here) pushes it
+# past 64 MiB.
 bench_target=${CARGO_TARGET_DIR:-.bench_build}
 CARGO_TARGET_DIR="$bench_target" cargo build --release --offline \
     --manifest-path perfbench/harness/Cargo.toml
@@ -86,7 +89,9 @@ proc = subprocess.Popen([fpart, "serve", "--threads", "1"], cwd=work,
 assert '"hello"' in proc.stdout.readline(), "fpart serve sent no hello banner"
 requests = open(os.path.join(work, "requests.jsonl")).read().splitlines()
 ecos = 0
-for line in requests + ['{"id": "bye", "cmd": "shutdown"}']:
+served = {"runs": 0, "passes": 0, "moves_applied": 0}
+closing = ['{"id": "q", "cmd": "query", "session": "eco"}', '{"id": "bye", "cmd": "shutdown"}']
+for line in requests + closing:
     request = json.loads(line)
     rid = request["id"]
     proc.stdin.write(line + "\n")
@@ -98,6 +103,11 @@ for line in requests + ['{"id": "bye", "cmd": "shutdown"}']:
         if reply.get("id") == rid and "ok" in reply:
             break
     assert reply["ok"] is True, f"{rid}: {text.strip()}"
+    if request["cmd"] in ("partition", "eco"):
+        for key in served:
+            served[key] += reply["result"]["counters"][key]
+    if request["cmd"] == "query":
+        session = reply["result"]
     if request["cmd"] == "eco":
         ecos += 1
         result = reply["result"]
@@ -110,6 +120,12 @@ _, status, usage = os.wait4(proc.pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0, "fpart serve exited nonzero"
 peak_mib = usage.ru_maxrss / 1024.0
 assert ecos == 200, f"{ecos} eco requests, expected 200"
+counters = session["counters"]
+counts = (session["requests"], counters["server_requests"], counters["server_cancelled"])
+assert counts == (241, 241, 0), \
+    f"query (requests, server_requests, server_cancelled) {counts}, expected (241, 241, 0)"
+for key, total in served.items():
+    assert counters[key] == total, f"query {key} {counters[key]}, the run replies sum to {total}"
 print(f"{len(requests)} requests, all ok, {ecos} ECOs kept 20,000 cells; "
       f"peak RSS {peak_mib:.1f} MiB (limit 64 MiB)")
 assert peak_mib <= 64.0, f"peak RSS {peak_mib:.1f} MiB exceeds 64 MiB"

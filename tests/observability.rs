@@ -17,7 +17,7 @@
 use fpart_core::fm::{bipartition_fm, FmConfig};
 use fpart_core::{
     partition, partition_observed, search, Algorithm, Counter, EventSink, FpartConfig, JsonlSink,
-    Metrics, MultilevelConfig, Observer, PartitionError, Restarts, RestartsReport, SpanKind, Trace,
+    Metrics, MultilevelConfig, Observer, PartitionError, Restarts, RestartsReport, SpanKind,
     TraceEvent,
 };
 use fpart_device::DeviceConstraints;
@@ -51,7 +51,7 @@ fn flat_restarts(
 }
 
 /// A sink that counts events without retaining them, to prove the
-/// `EventSink` generalization works for non-`Trace` consumers too.
+/// `EventSink` generalization works for consumers other than a `Vec`.
 #[derive(Default)]
 struct CountingSink {
     events: usize,
@@ -75,7 +75,7 @@ proptest! {
         let plain = partition(&graph, constraints, &config);
 
         // Fully instrumented single run: metrics + two fanned-out sinks.
-        let mut trace = Trace::enabled();
+        let mut trace: Vec<TraceEvent> = Vec::new();
         let mut counting = CountingSink::default();
         let observed = {
             let mut fanout = fpart_core::FanoutSink::new(vec![&mut trace, &mut counting]);
@@ -92,7 +92,7 @@ proptest! {
                 prop_assert_eq!(a.iterations, b.iterations);
                 prop_assert_eq!(a.improve_calls, b.improve_calls);
                 prop_assert_eq!(a.total_moves, b.total_moves);
-                prop_assert_eq!(trace.events().len(), counting.events);
+                prop_assert_eq!(trace.len(), counting.events);
                 // Counters agree with the driver's own accounting.
                 prop_assert_eq!(b.metrics.get(Counter::Iterations), b.iterations as u64);
                 prop_assert_eq!(b.metrics.get(Counter::Bipartitions), b.iterations as u64);
@@ -182,7 +182,7 @@ fn counters_cross_check_against_trace() {
     let constraints = DeviceConstraints::new(40, 60);
     let config = FpartConfig::default();
 
-    let mut trace = Trace::enabled();
+    let mut trace: Vec<TraceEvent> = Vec::new();
     let outcome = {
         let mut obs = Observer::new(Metrics::enabled(), Some(&mut trace));
         partition_observed(&graph, constraints, &config, &mut obs).expect("partitions")
@@ -195,7 +195,7 @@ fn counters_cross_check_against_trace() {
 
     // Driver-level improve calls: the trace records exactly those, and
     // each records a wall-time sample for its schedule slot.
-    let improve_events = trace.improve_events().count();
+    let improve_events = trace.iter().filter(|e| matches!(e, TraceEvent::Improve { .. })).count();
     assert_eq!(improve_events, outcome.improve_calls);
     let timed: u64 =
         fpart_core::ImproveKind::ALL.iter().map(|&k| metrics.improve_time(k).count).sum();
@@ -204,7 +204,7 @@ fn counters_cross_check_against_trace() {
     // Trace-visible totals agree with the counters; the engine may run
     // more improve calls than the driver (none here) but never fewer.
     let (mut passes, mut moves, mut restarts) = (0u64, 0u64, 0u64);
-    for event in trace.improve_events() {
+    for event in &trace {
         if let TraceEvent::Improve { passes: p, moves: m, restarts: r, .. } = event {
             passes += *p as u64;
             moves += *m as u64;
@@ -262,7 +262,7 @@ fn jsonl_stream_matches_trace() {
     let constraints = DeviceConstraints::new(35, 50);
     let config = FpartConfig::default();
 
-    let mut trace = Trace::enabled();
+    let mut trace: Vec<TraceEvent> = Vec::new();
     let mut jsonl = JsonlSink::new(Vec::new());
     {
         let mut fanout = fpart_core::FanoutSink::new(vec![&mut trace, &mut jsonl]);
@@ -270,10 +270,10 @@ fn jsonl_stream_matches_trace() {
         partition_observed(&graph, constraints, &config, &mut obs).expect("partitions");
     }
 
-    assert_eq!(jsonl.lines() as usize, trace.events().len());
-    assert!(trace.events().len() > 3);
+    assert_eq!(jsonl.lines() as usize, trace.len());
+    assert!(trace.len() > 3);
     let text = String::from_utf8(jsonl.into_inner()).expect("utf8");
-    for (line, event) in text.lines().zip(trace.events()) {
+    for (line, event) in text.lines().zip(&trace) {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert_eq!(line, fpart_core::event_to_json(event));
     }

@@ -2,8 +2,7 @@
 //! against recorded traces.
 
 use fpart_core::{
-    partition_observed, FpartConfig, ImproveKind, Metrics, Observer, PartitionOutcome, Trace,
-    TraceEvent,
+    partition_observed, FpartConfig, ImproveKind, Metrics, Observer, PartitionOutcome, TraceEvent,
 };
 use fpart_device::{Device, DeviceConstraints};
 use fpart_hypergraph::gen::{find_profile, synthesize_mcnc, Technology};
@@ -14,17 +13,16 @@ fn traced(
     graph: &Hypergraph,
     constraints: DeviceConstraints,
     config: &FpartConfig,
-) -> (PartitionOutcome, Trace) {
-    let mut trace = Trace::enabled();
+) -> (PartitionOutcome, Vec<TraceEvent>) {
+    let mut trace = Vec::new();
     let mut obs = Observer::new(Metrics::disabled(), Some(&mut trace));
     let outcome = partition_observed(graph, constraints, config, &mut obs).expect("runs");
     (outcome, trace)
 }
 
 /// Collects `(iteration, kind)` pairs of all Improve events.
-fn improve_kinds(trace: &fpart_core::Trace) -> Vec<(usize, ImproveKind)> {
+fn improve_kinds(trace: &[TraceEvent]) -> Vec<(usize, ImproveKind)> {
     trace
-        .events()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Improve { iteration, kind, .. } => Some((*iteration, *kind)),
@@ -121,7 +119,7 @@ fn intermediate_solutions_are_semi_feasible() {
     let graph = synthesize_mcnc(profile, Technology::Xc3000);
     let constraints = Device::XC3020.constraints(0.9);
     let (_, trace) = traced(&graph, constraints, &FpartConfig::default());
-    for event in trace.events() {
+    for event in &trace {
         if let TraceEvent::Solution { iteration, class, .. } = event {
             assert_ne!(
                 *class,

@@ -548,6 +548,61 @@ fn eco_round_trip_updates_the_session() {
     assert_eq!(q.get("requests").unwrap().as_u64(), Some(2));
 }
 
+/// An `eco` whose edits come from a file reads them through the
+/// server's parse limits: a valid script applies, a line past
+/// `max_line_len` is refused as too long, and a path that opens but
+/// cannot be read is named with its OS reason.
+#[test]
+fn eco_edits_path_is_read_within_the_parse_limits() {
+    let graph = window_circuit(&WindowConfig::new("eco_path", 120, 8), 9);
+    let path = write_netlist("eco_path", &graph);
+    let dir = path.parent().unwrap();
+    let valid = dir.join("eco_path_valid.jsonl");
+    std::fs::write(&valid, "{\"op\": \"add_node\", \"name\": \"island\", \"size\": 1}\n").unwrap();
+    let long = dir.join("eco_path_long.jsonl");
+    std::fs::write(&long, format!("{{\"op\": \"add_node\", \"name\": \"{}\"}}\n", "x".repeat(600)))
+        .unwrap();
+    let limits = fpart_hypergraph::ParseLimits { max_line_len: 512, ..Default::default() };
+    let server = Server::new(ServerConfig { limits, ..ServerConfig::default() });
+    let mut out = Vec::new();
+    server.handle(
+        &format!(
+            "{{\"id\": \"load\", \"cmd\": \"load\", \"session\": \"s\", \"path\": {}, \
+             \"s_max\": 40, \"t_max\": 24}}",
+            protocol::json_string(path.to_str().unwrap())
+        ),
+        &mut out,
+    );
+    server.handle("{\"id\": \"run\", \"cmd\": \"partition\", \"session\": \"s\"}", &mut out);
+    for (id, edits) in [("valid", valid.as_path()), ("long", long.as_path()), ("dir", dir)] {
+        server.handle(
+            &format!(
+                "{{\"id\": \"{id}\", \"cmd\": \"eco\", \"session\": \"s\", \"edits_path\": {}}}",
+                protocol::json_string(edits.to_str().unwrap())
+            ),
+            &mut out,
+        );
+    }
+    let replies = parse_lines(&out);
+    let eco = final_reply(&replies, "valid").get("result").unwrap();
+    assert_eq!(eco.get("added_nodes").unwrap().as_u64(), Some(1));
+    let error = |id: &str| {
+        let e = final_reply(&replies, id).get("error").unwrap();
+        let field = |k: &str| e.get(k).and_then(Json::as_str).unwrap().to_owned();
+        (field("code"), field("message"))
+    };
+    assert_eq!(
+        error("long"),
+        (
+            "bad_request".to_owned(),
+            "bad edit script: line 1, column 513: line length exceeds limit of 512".to_owned()
+        )
+    );
+    let (code, message) = error("dir");
+    assert_eq!(code, "bad_request");
+    assert!(message.starts_with(&format!("cannot read edits {}: ", dir.display())), "{message}");
+}
+
 /// Queue backpressure: submits beyond the session's bounded queue are
 /// refused with `busy`, parked ones are acknowledged with `queued`,
 /// and every accepted request still gets its final reply.
