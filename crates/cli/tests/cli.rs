@@ -565,6 +565,42 @@ fn max_memory_mb_stops_coarsening_and_degrades() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("VALID"));
 }
 
+/// A checkpoint whose `blocks` count was edited to a huge value is
+/// refused with the typed checkpoint error (exit 2) rather than aborting
+/// the process on an allocation of that size.
+#[test]
+fn resume_refuses_a_checkpoint_with_an_edited_block_count() {
+    let dir = temp_dir("resume_edited");
+    let netlist = dir.join("c.fhg");
+    let out = fpart()
+        .args(["gen", "window", "--nodes", "300", "--terminals", "24", "--seed", "5", "--output"])
+        .arg(&netlist)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let checkpoint = dir.join("run.ckpt");
+    let partition = |flags: &[&str]| {
+        fpart()
+            .arg("partition")
+            .arg(&netlist)
+            .args(["--device", "XC3020", "--restarts", "2"])
+            .args(flags)
+            .arg(&checkpoint)
+            .output()
+            .expect("runs")
+    };
+    let out = partition(&["--checkpoint-interval-ms", "0", "--checkpoint"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&checkpoint).expect("checkpoint written");
+    let line = text.lines().find(|l| l.starts_with("blocks ")).expect("a saved restart");
+    std::fs::write(&checkpoint, text.replacen(line, "blocks 1000000000000000", 1)).unwrap();
+    let out = partition(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("malformed checkpoint at line"), "{stderr}");
+}
+
 #[test]
 fn write_assignment_round_trips_through_verify() {
     let dir = temp_dir("versioned_assignment");

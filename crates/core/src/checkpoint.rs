@@ -214,7 +214,10 @@ impl Checkpoint {
         let fingerprint = lines.keyword_value("fingerprint")?;
         let restarts = lines.keyword_value::<usize>("restarts")?;
         let completed_count = lines.keyword_value::<usize>("completed")?;
-        let mut completed = Vec::with_capacity(completed_count.min(restarts));
+        // Both counts come from the file: reserve no more restarts than
+        // the rest of it has lines for (five per restart).
+        let mut completed =
+            Vec::with_capacity(completed_count.min(restarts).min(lines.remaining() / 5));
         for _ in 0..completed_count {
             completed.push(parse_restart(&mut lines)?);
         }
@@ -256,7 +259,7 @@ fn parse_restart(lines: &mut CursorLines<'_>) -> Result<SavedRestart, ReadCheckp
     };
 
     let block_count = lines.keyword_value::<usize>("blocks")?;
-    let mut blocks = Vec::with_capacity(block_count);
+    let mut blocks = Vec::with_capacity(block_count.min(lines.remaining()));
     for _ in 0..block_count {
         const BLOCK: &str = "`block <size> <terminals> <externals> <feasible>`";
         let (line_no, line) = lines.next_line(BLOCK)?;
@@ -310,11 +313,21 @@ fn parse_restart(lines: &mut CursorLines<'_>) -> Result<SavedRestart, ReadCheckp
 /// Line cursor with 1-based numbering that skips blank lines.
 struct CursorLines<'a> {
     iter: std::iter::Enumerate<std::str::Lines<'a>>,
+    /// Lines of the text, blank ones included.
+    total: usize,
+    /// Lines read so far, blank ones included.
+    read: usize,
 }
 
 impl<'a> CursorLines<'a> {
     fn new(text: &'a str) -> Self {
-        CursorLines { iter: text.lines().enumerate() }
+        CursorLines { iter: text.lines().enumerate(), total: text.lines().count(), read: 0 }
+    }
+
+    /// Lines not yet read: a bound on how many items a count read from
+    /// the text can still be followed by.
+    fn remaining(&self) -> usize {
+        self.total - self.read
     }
 
     fn next_line(
@@ -322,6 +335,7 @@ impl<'a> CursorLines<'a> {
         expected: &'static str,
     ) -> Result<(usize, &'a str), ReadCheckpointError> {
         for (idx, line) in self.iter.by_ref() {
+            self.read = idx + 1;
             let trimmed = line.trim();
             if !trimmed.is_empty() {
                 return Ok((idx + 1, trimmed));
@@ -683,6 +697,26 @@ mod tests {
             Checkpoint::parse(&bad).unwrap_err(),
             ReadCheckpointError::Malformed { .. }
         ));
+    }
+
+    /// Counts the file claims but its lines cannot hold are a typed
+    /// error, not an allocation of that size (which aborts the process).
+    #[test]
+    fn huge_counts_are_rejected_without_reserving_them() {
+        let text = sample_checkpoint().to_text();
+        let huge = "1000000000000000";
+        for (from, to) in [
+            ("blocks 3", format!("blocks {huge}")),
+            ("completed 1", format!("completed {huge}")),
+            ("restarts 4\ncompleted 1", format!("restarts {huge}\ncompleted {huge}")),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let edited = text.replacen(from, &to, 1);
+            assert!(
+                matches!(Checkpoint::parse(&edited), Err(ReadCheckpointError::Malformed { .. })),
+                "{to}"
+            );
+        }
     }
 
     #[test]

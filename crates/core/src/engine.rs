@@ -21,7 +21,28 @@
 //! cell and target: a candidate's tie-break is computed the first time
 //! the selection inspects it in a pass and reused until a pin of one of
 //! its nets moves or locks.
+//!
+//! A pass reads nothing but the state it starts from: `start_pass`
+//! refreshes the kept gains until they are exact for that state, refills
+//! the buckets from them in cell order, unlocks every cell and
+//! invalidates every kept tie-break gain, and a restart series offers
+//! nothing to the stacks. So a restart-series pass that starts from the
+//! blocks of the call's cells that an earlier pass started from keeps
+//! what that pass kept, and when that was no move, running it again is
+//! wasted. The call remembers these *terminal states*: the start state
+//! of the last pass of the first series and of each restart series,
+//! when that pass kept no move (at most `1 + 2·stack_depth` per call,
+//! dropped when the call returns). A restart series that reaches one
+//! ends without running the pass. It still crosses the budget boundary
+//! first, so pass caps, deadlines and fault plans fire at the same
+//! logical pass, while the engine counters and [`ImproveStats::passes`]
+//! count only the passes that ran. The first series never skips, as it
+//! offers every prefix to the stacks. A hash of the cells' blocks,
+//! updated by every move the engine makes, filters the candidates; a
+//! terminal state matches only when every cell's block equals its
+//! snapshot's.
 
+use fpart_hypergraph::rng::splitmix64;
 use fpart_hypergraph::{Hypergraph, NodeId};
 
 use crate::bucket::GainBucket;
@@ -79,6 +100,15 @@ thread_local! {
     /// kept entries it had to compute; the debug re-derivation of a kept
     /// entry is not counted).
     static TIE_EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Passes that restart series skipped at a terminal state on this
+    /// thread.
+    static SKIPPED_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The term of cell `v` in block `block` in [`PassEngine::hash`].
+#[inline]
+fn cell_hash(v: NodeId, block: usize) -> u64 {
+    splitmix64(&mut ((v.index() as u64) << 32 | block as u64))
 }
 
 /// Kept tie-break gains of one (cell, target slot) pair.
@@ -125,7 +155,8 @@ pub struct ImproveContext<'c> {
 /// Statistics of one improvement call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImproveStats {
-    /// FM passes executed (including restart series).
+    /// FM passes executed (including restart series; a pass skipped at
+    /// a terminal state is not counted).
     pub passes: usize,
     /// Cell moves retained across all passes.
     pub moves: usize,
@@ -247,6 +278,12 @@ struct PassEngine<'s, 'g, 'c> {
     ties: Vec<TieEntry>,
     /// Epoch of the current pass for `ties` (0 before the first pass).
     tie_epoch: u32,
+    /// XOR of [`cell_hash`] over the cells and their current blocks,
+    /// updated by [`Self::move_cell`].
+    hash: u64,
+    /// The call's terminal states: the hash and the [`Self::snapshot`]
+    /// of each start state of a pass that kept no move.
+    terminals: Vec<(u64, Vec<u32>)>,
     /// Zero-allocation scratch for the move loop.
     scratch: PassScratch,
 }
@@ -308,12 +345,41 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
             moved: Vec::new(),
             ties: vec![TieEntry { epoch: 0, gains: [0; MAX_TIE_LEVELS] }; tie_entries],
             tie_epoch: 0,
+            hash: 0,
+            terminals: Vec::new(),
             scratch,
         };
+        engine.hash = engine.state_hash();
         for i in 0..cells.len() {
             engine.refresh_gains(i);
         }
         engine
+    }
+
+    /// [`Self::hash`] computed from scratch.
+    fn state_hash(&self) -> u64 {
+        self.cells.iter().fold(0, |h, &v| h ^ cell_hash(v, self.state.block_of(v)))
+    }
+
+    /// Moves cell `v` from block `from` to block `to`. Every move the
+    /// engine makes goes through here, keeping [`Self::hash`] current.
+    #[inline]
+    fn move_cell(&mut self, v: NodeId, from: usize, to: usize) {
+        self.hash ^= cell_hash(v, from) ^ cell_hash(v, to);
+        self.state.move_node(v, to);
+    }
+
+    /// Whether the current state is one of the call's terminal states.
+    fn at_terminal_state(&self) -> bool {
+        debug_assert_eq!(self.hash, self.state_hash(), "stale state hash");
+        self.terminals.iter().any(|(hash, blocks)| {
+            *hash == self.hash
+                && self
+                    .cells
+                    .iter()
+                    .zip(blocks)
+                    .all(|(&v, &b)| self.state.block_of(v) == b as usize)
+        })
     }
 
     #[inline]
@@ -422,11 +488,34 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
     fn restore(&mut self, snapshot: &[u32]) {
         debug_assert_eq!(self.cells.len(), snapshot.len());
         for (&v, &b) in self.cells.iter().zip(snapshot) {
-            if self.state.block_of(v) != b as usize {
-                self.state.move_node(v, b as usize);
+            let from = self.state.block_of(v);
+            if from != b as usize {
+                self.move_cell(v, from, b as usize);
                 self.moved.push(v);
             }
         }
+    }
+
+    /// Replays the move log to take the state from prefix length
+    /// `from_len` to `to_len` (backward or forward).
+    fn walk_to(
+        &mut self,
+        move_log: &[(NodeId, usize, usize)],
+        from_len: usize,
+        to_len: usize,
+    ) -> usize {
+        let mut cur = from_len;
+        while cur > to_len {
+            let (node, from, to) = move_log[cur - 1];
+            self.move_cell(node, to, from);
+            cur -= 1;
+        }
+        while cur < to_len {
+            let (node, from, to) = move_log[cur];
+            self.move_cell(node, from, to);
+            cur += 1;
+        }
+        cur
     }
 
     /// The solution key of the current state.
@@ -577,7 +666,7 @@ impl<'s, 'g, 'c> PassEngine<'s, 'g, 'c> {
         }
         self.locked[node.index()] = true;
 
-        self.state.move_node(node, to);
+        self.move_cell(node, from, to);
 
         match self.ctx.config.gain_objective {
             GainObjective::CutNets => {
@@ -783,34 +872,12 @@ fn run_pass(
         }
         _ => {
             // Roll back to the best prefix.
-            walk_to(engine.state, &move_log, move_log.len(), best_len);
+            engine.walk_to(&move_log, move_log.len(), best_len);
         }
     }
     engine.moved.extend(move_log[..best_len].iter().map(|&(node, _, _)| node));
     engine.scratch.move_log = move_log;
     (best_key.better_than(&initial_key), best_len, best_key)
-}
-
-/// Replays the move log to take the state from prefix length `from_len`
-/// to `to_len` (backward or forward).
-fn walk_to(
-    state: &mut PartitionState<'_>,
-    move_log: &[(NodeId, usize, usize)],
-    from_len: usize,
-    to_len: usize,
-) -> usize {
-    let mut cur = from_len;
-    while cur > to_len {
-        let (node, from, _) = move_log[cur - 1];
-        state.move_node(node, from);
-        cur -= 1;
-    }
-    while cur < to_len {
-        let (node, _, to) = move_log[cur];
-        state.move_node(node, to);
-        cur += 1;
-    }
-    cur
 }
 
 /// Materializes the retained prefix-length snapshots into the caller's
@@ -832,14 +899,30 @@ fn materialize_snapshots(
     let materialized = retained.len();
     let mut cursor = move_log.len();
     for (key, len) in retained {
-        cursor = walk_to(engine.state, move_log, cursor, len);
+        cursor = engine.walk_to(move_log, cursor, len);
         stacks.offer(key, || engine.snapshot());
     }
-    walk_to(engine.state, move_log, cursor, best_len);
+    engine.walk_to(move_log, cursor, best_len);
     materialized
 }
 
-/// Runs FM passes until a pass fails to improve or `max_passes` is hit.
+/// Runs a pass that a restart series skipped at a terminal state,
+/// unmetered and outside the budget, and asserts that it keeps no move
+/// (debug builds only; the tie-break evaluation count is left as it was).
+#[cfg(debug_assertions)]
+fn check_skipped_pass(engine: &mut PassEngine<'_, '_, '_>) {
+    #[cfg(test)]
+    let evaluations = TIE_EVALUATIONS.with(std::cell::Cell::get);
+    let (improved, kept, _) = run_pass(engine, None, &mut Metrics::disabled());
+    #[cfg(test)]
+    TIE_EVALUATIONS.with(|n| n.set(evaluations));
+    assert!(!improved && kept == 0, "a pass from a terminal state kept {kept} moves");
+}
+
+/// Runs FM passes until a pass fails to improve or `max_passes` is hit,
+/// recording the start state of a pass that kept no move as a terminal
+/// state. A restart series (no `stacks`) ends at a terminal state
+/// without running the pass. Returns the passes run and the moves kept.
 fn run_series(
     engine: &mut PassEngine<'_, '_, '_>,
     mut stacks: Option<&mut DualStacks>,
@@ -850,9 +933,17 @@ fn run_series(
     let mut moves = 0usize;
     loop {
         // Budget boundary: checked before *every* pass (including the
-        // first), so a stopped run performs no further passes and a
-        // deadline overruns by at most the pass already in flight.
+        // first and a skipped one), so a stopped run performs no further
+        // passes and a deadline overruns by at most the pass already in
+        // flight.
         if ctx.budget.is_some_and(super::budget::BudgetTracker::before_pass) {
+            return (passes, moves);
+        }
+        if stacks.is_none() && engine.at_terminal_state() {
+            #[cfg(test)]
+            SKIPPED_PASSES.with(|n| n.set(n.get() + 1));
+            #[cfg(debug_assertions)]
+            check_skipped_pass(engine);
             return (passes, moves);
         }
         let (improved, pass_moves, _) = run_pass(engine, stacks.as_deref_mut(), metrics);
@@ -861,7 +952,13 @@ fn run_series(
         if let Some(budget) = ctx.budget {
             budget.add_moves(pass_moves as u64);
         }
-        if !improved || passes >= ctx.config.max_passes {
+        if !improved {
+            // The pass kept no move: the state is the one it started from.
+            let terminal = (engine.hash, engine.snapshot());
+            engine.terminals.push(terminal);
+            return (passes, moves);
+        }
+        if passes >= ctx.config.max_passes {
             return (passes, moves);
         }
     }
@@ -1170,11 +1267,15 @@ mod tests {
         assert!(!stats.initial_key.better_than(&stats.final_key));
     }
 
-    /// The tie-break cache, counted rather than timed: on the pinned
-    /// s13207/XC3020 run (the second row of the `golden_workloads`
-    /// search-work pins) every one of the 581,951 popped candidates used
-    /// to evaluate its tie-break gains; now only those whose kept gains
-    /// went stale do. Debug builds re-derive every kept value they reuse.
+    /// The tie-break cache and the terminal states, counted rather than
+    /// timed, on the pinned s13207/XC3020 run (the second row of the
+    /// `golden_workloads` search-work pins). Every one of the 581,951
+    /// candidates that 767 passes popped used to evaluate its tie-break
+    /// gains. Only those whose kept gains went stale do (151,840 of
+    /// them), and restart series skip the 209 of those passes that would
+    /// start from a terminal state, which leaves 418,131 pops and
+    /// 110,347 evaluations. Debug builds re-derive every kept value they
+    /// reuse and run every skipped pass to check that it keeps no move.
     #[test]
     fn tie_break_gains_are_evaluated_only_when_stale() {
         use crate::obs::Observer;
@@ -1184,7 +1285,7 @@ mod tests {
         use std::cell::Cell;
 
         let graph = synthesize_mcnc(find_profile("s13207").unwrap(), Technology::Xc3000);
-        let before = TIE_EVALUATIONS.with(Cell::get);
+        let before = (TIE_EVALUATIONS.with(Cell::get), SKIPPED_PASSES.with(Cell::get));
         let report = search(
             &graph,
             Device::XC3020.constraints(0.9),
@@ -1194,9 +1295,12 @@ mod tests {
             &mut Observer::new(Metrics::enabled(), None),
         )
         .unwrap();
-        let evaluations = TIE_EVALUATIONS.with(Cell::get) - before;
-        assert_eq!(report.totals.get(Counter::GainBucketPops), 581_951);
-        assert_eq!(evaluations, 151_840);
+        let evaluations = TIE_EVALUATIONS.with(Cell::get) - before.0;
+        let skipped = SKIPPED_PASSES.with(Cell::get) - before.1;
+        let passes = report.totals.get(Counter::Passes);
+        assert_eq!((passes, skipped), (558, 209));
+        assert_eq!(report.totals.get(Counter::GainBucketPops), 418_131);
+        assert_eq!(evaluations, 110_347);
     }
 
     #[test]

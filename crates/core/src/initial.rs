@@ -547,10 +547,11 @@ fn sweep_from(
             }
             for &u in graph.pins(net) {
                 if set.in_set[u.index()] && !in_a[u.index()] {
-                    heap.connect(u.index(), graph.node_size(u));
+                    heap.connect(u.index());
                 }
             }
         }
+        heap.flush(|u| graph.node_size(NodeId::from_index(u)));
     };
 
     absorb(seed, &mut in_a, &mut cov_a, &mut heap, &mut s_a, &mut cut, &mut t_a, &mut t_rest);
@@ -613,36 +614,80 @@ fn sweep_from(
 /// a pin on a net of `A`, keyed by `(conn, size, Reverse(index))` where
 /// `conn` counts the cell's connections to `A`. Each cell has one entry,
 /// whose key is raised in place as `A` grows; keys are distinct, so the
-/// pop order is fully determined by them.
+/// pop order is fully determined by them. That lets [`Self::flush`] raise
+/// a key once per neighbour of an absorbed cell, by the number of nets
+/// they share, rather than once per shared net.
 struct SweepHeap {
-    /// Heap-ordered entries `(conn, size, Reverse(cell index))`.
-    entries: Vec<(u32, u32, Reverse<usize>)>,
+    /// Heap-ordered keys, packed by [`Self::key`].
+    entries: Vec<u128>,
     /// `pos[v]` = index of `v`'s entry, or `u32::MAX` when it has none.
     pos: Vec<u32>,
+    /// Connections of each cell counted since the last flush.
+    pending: Vec<u32>,
+    /// The cells with a nonzero `pending` count.
+    touched: Vec<u32>,
 }
 
 impl SweepHeap {
     fn new(n: usize) -> Self {
-        SweepHeap { entries: Vec::new(), pos: vec![u32::MAX; n] }
+        SweepHeap {
+            entries: Vec::new(),
+            pos: vec![u32::MAX; n],
+            pending: vec![0; n],
+            touched: Vec::new(),
+        }
     }
 
-    /// Counts one more connection of cell `v` (of the given size) to
-    /// `A`, entering it into the heap on its first.
-    fn connect(&mut self, v: usize, size: u32) {
+    /// `(conn, size, Reverse(v))` packed into one integer of the same
+    /// order (cell indices fit in 32 bits, as [`NodeId`]s do).
+    fn key(conn: u32, size: u32, v: usize) -> u128 {
+        u128::from(conn) << 64 | u128::from(size) << 32 | u128::from(!(v as u32))
+    }
+
+    /// The cell of a packed key.
+    fn cell(key: u128) -> usize {
+        !(key as u32) as usize
+    }
+
+    /// Counts one more connection of cell `v` to `A`; its key rises at
+    /// the next [`Self::flush`].
+    fn connect(&mut self, v: usize) {
+        if self.pending[v] == 0 {
+            self.touched.push(v as u32);
+        }
+        self.pending[v] += 1;
+    }
+
+    /// Raises the key of every cell connected since the last flush by
+    /// its count, entering a cell (of size `size(v)`) on its first.
+    fn flush(&mut self, size: impl Fn(usize) -> u32) {
+        let mut touched = std::mem::take(&mut self.touched);
+        for &v in &touched {
+            let v = v as usize;
+            let by = std::mem::take(&mut self.pending[v]);
+            self.raise(v, size(v), by);
+        }
+        touched.clear();
+        self.touched = touched;
+    }
+
+    /// Adds `by` connections to cell `v` (of the given size), entering it
+    /// into the heap if it has no entry.
+    fn raise(&mut self, v: usize, size: u32, by: u32) {
         let i = match self.pos[v] {
             u32::MAX => {
-                self.entries.push((0, size, Reverse(v)));
+                self.entries.push(Self::key(0, size, v));
                 self.entries.len() - 1
             }
             i => i as usize,
         };
-        self.entries[i].0 += 1;
+        self.entries[i] += u128::from(by) << 64;
         self.sift_up(i);
     }
 
     /// Removes and returns the cell with the largest key.
     fn pop(&mut self) -> Option<usize> {
-        let (_, _, Reverse(top)) = *self.entries.first()?;
+        let top = Self::cell(*self.entries.first()?);
         self.pos[top] = u32::MAX;
         let last = self.entries.pop().expect("non-empty heap");
         if !self.entries.is_empty() {
@@ -661,7 +706,7 @@ impl SweepHeap {
             self.swap(i, parent);
             i = parent;
         }
-        self.pos[self.entries[i].2 .0] = i as u32;
+        self.pos[Self::cell(self.entries[i])] = i as u32;
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -678,7 +723,7 @@ impl SweepHeap {
             self.swap(i, largest);
             i = largest;
         }
-        self.pos[self.entries[i].2 .0] = i as u32;
+        self.pos[Self::cell(self.entries[i])] = i as u32;
     }
 
     /// Swaps entries `i` and `j`, recording the new position of the one
@@ -686,7 +731,7 @@ impl SweepHeap {
     /// settles.
     fn swap(&mut self, i: usize, j: usize) {
         self.entries.swap(i, j);
-        self.pos[self.entries[i].2 .0] = i as u32;
+        self.pos[Self::cell(self.entries[i])] = i as u32;
     }
 }
 
@@ -810,6 +855,41 @@ mod tests {
                     prop_assert!(fits(&peel), "max-fill peel {peel:?} does not fit");
                 }
             }
+        }
+
+        /// The sweep heap pops the same cells whether each connection
+        /// raises a key on its own (one per shared net, as the sweep once
+        /// did) or [`SweepHeap::flush`] raises each key once by the
+        /// connections counted since the last pop: keys are distinct, so
+        /// the pop order depends only on them. Sizes repeat, so ties reach
+        /// the cell index; trailing pops drain both heaps.
+        #[test]
+        fn batched_key_increases_pop_the_same_sequence(
+            sizes in proptest::collection::vec(1u32..4, 1..40),
+            ops in proptest::collection::vec((any::<u16>(), 0u8..4), 0..200),
+        ) {
+            let n = sizes.len();
+            let mut single = SweepHeap::new(n);
+            let mut batched = SweepHeap::new(n);
+            let mut absorbed = vec![false; n];
+            for (cell, op) in ops.into_iter().chain(std::iter::repeat_n((0, 3), n)) {
+                let v = usize::from(cell) % n;
+                if op < 3 {
+                    // A popped cell joins `A` and is never connected again.
+                    if !absorbed[v] {
+                        single.raise(v, sizes[v], 1);
+                        batched.connect(v);
+                    }
+                    continue;
+                }
+                batched.flush(|u| sizes[u]);
+                let popped = single.pop();
+                prop_assert_eq!(popped, batched.pop());
+                if let Some(u) = popped {
+                    absorbed[u] = true;
+                }
+            }
+            prop_assert!(single.pop().is_none() && batched.pop().is_none());
         }
     }
 

@@ -232,7 +232,7 @@ const PINNED_REFINEMENT_RESULTS: [(u64, usize, usize); 3] = [
 /// boundary refinement) and of the ECO repair of
 /// [`refinement_results_are_pinned`].
 const PINNED_REFINEMENT_SEARCH_WORK: [[u64; 7]; 2] =
-    [[1_951, 57_957, 52_525, 1_444_067, 795, 61_081, 1_159], [89, 445, 374, 538, 42, 604, 42]];
+    [[1_418, 41_921, 36_489, 1_019_448, 795, 44_512, 1_159], [57, 274, 203, 332, 42, 401, 42]];
 
 /// The engine counters that describe the work of a search, in the order
 /// [`SearchWork::counters`] lists them.
@@ -298,15 +298,15 @@ fn flat_search_work_is_pinned() {
 const PINNED_SEARCH_WORK: [SearchWork; 3] = [
     SearchWork {
         result: (0x6401_2de9_fd99_c3ba, 15, 207),
-        counters: [819, 160_937, 154_970, 1_519_555, 368, 162_226, 604],
+        counters: [570, 127_186, 121_219, 1_302_748, 368, 128_226, 604],
     },
     SearchWork {
         result: (0x9b6b_160f_0523_5398, 17, 405),
-        counters: [767, 86_739, 81_695, 581_951, 319, 87_913, 563],
+        counters: [558, 63_033, 57_989, 418_131, 319, 63_998, 563],
     },
     SearchWork {
         result: (0x17da_bc77_b8f6_97d4, 15, 210),
-        counters: [896, 206_092, 193_612, 1_601_605, 379, 207_469, 600],
+        counters: [659, 168_028, 155_548, 1_361_679, 379, 169_168, 600],
     },
 ];
 
@@ -330,29 +330,29 @@ const PINNED_SEARCH_WORK_BY_GAIN_LEVEL: [[SearchWork; 3]; 2] = [
     [
         SearchWork {
             result: (0x8386_174b_afda_d256, 15, 188),
-            counters: [859, 175_175, 168_687, 1_732_394, 370, 176_510, 530],
+            counters: [624, 139_923, 133_435, 1_457_571, 370, 141_023, 530],
         },
         SearchWork {
             result: (0x4648_dd2c_3110_a25a, 15, 212),
-            counters: [943, 238_644, 219_916, 2_659_058, 373, 240_060, 627],
+            counters: [715, 202_472, 183_744, 2_367_318, 373, 203_660, 627],
         },
         SearchWork {
             result: (0x0cb3_19cc_63b2_3b54, 15, 209),
-            counters: [886, 208_824, 192_156, 2_294_956, 353, 210_159, 630],
+            counters: [689, 179_290, 162_622, 2_065_759, 353, 180_428, 630],
         },
     ],
     [
         SearchWork {
             result: (0xb8b4_87f2_38fd_2712, 17, 411),
-            counters: [730, 83_251, 78_407, 540_826, 308, 84_377, 464],
+            counters: [519, 58_955, 54_111, 386_551, 308, 59_870, 464],
         },
         SearchWork {
             result: (0xd7da_29ac_4b4d_2da7, 18, 441),
-            counters: [863, 95_573, 90_479, 635_103, 380, 96_926, 608],
+            counters: [614, 67_719, 62_625, 442_378, 380, 68_823, 608],
         },
         SearchWork {
             result: (0x3763_6928_7adb_0b86, 18, 439),
-            counters: [748, 81_550, 76_506, 523_430, 326, 82_724, 565],
+            counters: [564, 60_863, 55_819, 384_316, 326, 61_853, 565],
         },
     ],
 ];
